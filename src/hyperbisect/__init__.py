@@ -18,7 +18,7 @@ from .verdicts import (Certificate, FrontierRow, FrontierTable, LambdaVerdict,
                        frontier_table, is_power_of_two, verdict)
 from .figures import frontier_svg
 from .momentcurve import (Arrangement, DegenerateInputError, GenericityWarning,
-                          IntervalFamily, OrientedHyperplane, Rational,
+                          IntervalFamily, OrientedHyperplane,
                           arrangement_from_jsonable, arrangement_to_jsonable,
                           count_bisections, curve_restriction,
                           curve_roots_check, enumerate_bisections,
@@ -38,7 +38,7 @@ __all__ = [
     "DegenerateInputError", "DiscreteMeasure", "F2Poly", "FrontierRow",
     "FrontierTable", "GenericityWarning", "GroupElement", "IntervalFamily",
     "JoinPoint", "LambdaVerdict", "NOT_FOUND", "OrientedHyperplane",
-    "PadicProfile", "Parity", "Rational", "SolveResult", "SolverConfig",
+    "PadicProfile", "Parity", "SolveResult", "SolverConfig",
     "Status", "act_on_join", "act_on_target", "anchored_blocks_parity",
     "arrangement_from_jsonable", "arrangement_to_jsonable", "boundary_mass",
     "carry_free_composition", "certificate_checks", "count_bisections",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
-membership check queried with --expect-in is not IN; 2 on usage errors;
+membership check queried with --expect-in is not IN; 2 on usage errors
+and on an enumeration whose arrangement count exceeds ENUMERATE_CAP;
 3 on malformed input files or parameter strings.  Output for a fixed
 argv and seed is byte-identical across runs.
 """
@@ -22,6 +23,9 @@ from .testmap import SolverConfig, measures_from_jsonable, solve_bisection
 from .verdicts import (Status, frontier_csv, frontier_json, frontier_table,
                        verdict)
 from .figures import frontier_svg
+
+# enumerate refuses families with more arrangements than this
+ENUMERATE_CAP = 100_000
 
 
 class _InputFormatError(Exception):
@@ -115,10 +119,18 @@ def _parse_params(text: str) -> tuple[Fraction, ...]:
 
 def _cmd_enumerate(args) -> int:
     params = _parse_params(args.params)
+    d, k, ell = args.d, args.k, args.ell
     try:
-        family = IntervalFamily(d=args.d, parameters=params,
-                                anchor_count=args.ell)
-        arrangements = enumerate_bisections(family, args.k)
+        family = IntervalFamily(d=d, parameters=params, anchor_count=ell)
+        # a family of the size (d, k, ell) asks for has exactly
+        # count_bisections(d, k, ell) arrangements; others fail below
+        if family.j == (d - ell) * k + ell:
+            count = count_bisections(d, k, ell)
+            if count > ENUMERATE_CAP:
+                print(f"error: {count} arrangements exceed the enumeration "
+                      f"cap of {ENUMERATE_CAP}", file=sys.stderr)
+                return 2
+        arrangements = enumerate_bisections(family, k)
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
     _emit(json.dumps([arrangement_to_jsonable(a) for a in arrangements],

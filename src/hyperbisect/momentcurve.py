@@ -27,8 +27,6 @@ from itertools import combinations
 
 from . import polynomials as poly
 
-Rational = Fraction
-
 
 class DegenerateInputError(ValueError):
     """Input admits no unique exact solution (e.g. affinely dependent points)."""
@@ -178,6 +176,21 @@ def hyperplane_through(points) -> OrientedHyperplane:
     return OrientedHyperplane(normal, offset).canonical()
 
 
+def _root_set_hyperplane(roots) -> OrientedHyperplane:
+    """The canonical hyperplane meeting the curve at the d given parameters.
+
+    Its restriction is q(t) = prod (t - r).  Newton's forward-difference
+    formula in the binomial basis, q(t) = sum_i (Delta^i q)(0) C(t, i),
+    reads off normal_i = (Delta^i q)(0) and offset = -q(0).
+    """
+    values = [math.prod(m - r for r in roots) for m in range(len(roots) + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return OrientedHyperplane(tuple(diffs[1:]), -diffs[0]).canonical()
+
+
 def curve_restriction(h: OrientedHyperplane) -> poly.Coeffs:
     """Coefficients of t -> p(moment curve(t)) in the power basis."""
     d = h.dim
@@ -267,33 +280,69 @@ def well_separated_family(d: int, k: int, ell: int = 0) -> IntervalFamily:
                           anchor_count=ell)
 
 
+def _interval_roots(h: OrientedHyperplane,
+                    family: IntervalFamily) -> list[tuple[bool, bool, int]]:
+    """(midpoint is a root, that root is simple, open-interval root count)
+    of the curve restriction, for every interval of the family.
+
+    One Sturm chain of the square-free part serves all intervals.  With
+    V(x) the sign variations of the chain at x (zeros skipped), V drops by
+    one exactly at each distinct root and V(root) equals V just after it,
+    so V(a) - V(b) counts the roots in (a, b]; a root at b is taken off.
+    """
+    q = curve_restriction(h)
+    chain = poly.sturm_chain(poly.squarefree_part(q))
+    s = chain[0]
+    variations = {t: poly.sign_variations(chain, t) for t in family.parameters}
+    out = []
+    for (a, b), mid in zip(family.intervals(), family.midpoints()):
+        at_mid = poly.sign_at(s, mid) == 0
+        simple = at_mid and poly.evaluate(poly.derivative(q), mid) != 0
+        count = variations[a] - variations[b] - (poly.sign_at(s, b) == 0)
+        out.append((at_mid, simple, count))
+    return out
+
+
+def _owned_intervals(roots: list[tuple[bool, bool, int]]) -> int | None:
+    """Bitmask of the intervals this hyperplane cuts once, simply, at the
+    midpoint; None if it enters some other interval or meets a midpoint
+    badly, which no arrangement containing it survives."""
+    mask = 0
+    for r, (at_mid, simple, count) in enumerate(roots):
+        if at_mid and simple and count == 1:
+            mask |= 1 << r
+        elif count:  # also when at_mid: the midpoint is inside
+            return None
+    return mask
+
+
+def _cuts_each_once(masks, j: int) -> bool:
+    """Every interval owned by exactly one hyperplane, the rest clear of it."""
+    covered = 0
+    for mask in masks:
+        if mask is None or covered & mask:
+            return False
+        covered |= mask
+    return covered == (1 << j) - 1
+
+
 def verify_bisection(arrangement: Arrangement, family: IntervalFamily) -> bool:
     """Exact check that the arrangement halves every interval measure.
 
-    For each interval the product of the restrictions must have exactly
-    one root strictly inside, located at the midpoint and simple; no
-    other hyperplane may cut into the interval.  Then the sign of the
-    product is constant on each half and opposite across the midpoint,
-    so every interval's mass splits evenly, whatever the orientations.
+    For each interval exactly one hyperplane's restriction vanishes at
+    the midpoint; that root is simple and the only one strictly inside
+    the interval, and no other restriction has a root there.  Then the
+    sign of the product is constant on each half and opposite across the
+    midpoint, so every interval's mass splits evenly, whatever the
+    orientations.  Each hyperplane costs one Sturm chain, whose sign
+    variations at the 2j endpoints give every interval's root count.
     """
     if arrangement.dim != family.d:
         raise ValueError(f"arrangement lives in R^{arrangement.dim}, "
                          f"family in R^{family.d}")
-    qs = [curve_restriction(h) for h in arrangement.hyperplanes]
-    if any(not q for q in qs):
-        return False
-    for (t1, t2), mid in zip(family.intervals(), family.midpoints()):
-        owners = [i for i, q in enumerate(qs) if poly.evaluate(q, mid) == 0]
-        if len(owners) != 1:
-            return False
-        q_owner = qs[owners[0]]
-        if poly.evaluate(poly.derivative(q_owner), mid) == 0:
-            return False
-        for i, q in enumerate(qs):
-            expected = 1 if i == owners[0] else 0
-            if poly.count_roots_open(q, t1, t2) != expected:
-                return False
-    return True
+    return _cuts_each_once(
+        (_owned_intervals(_interval_roots(h, family))
+         for h in arrangement.hyperplanes), family.j)
 
 
 def _equal_partitions(items: tuple, size: int):
@@ -316,23 +365,23 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
     hyperplane through each block of a partition of the j midpoints into
     k blocks of size d.  Anchored families need j == (d-ell)*k + ell and
     k >= 2: one free hyperplane through d midpoints, the rest through
-    d-ell midpoints plus the ell anchors.  Candidates failing exact
-    verification are dropped with a GenericityWarning.
+    d-ell midpoints plus the ell anchors.
+
+    A hyperplane is determined by its roots on the curve, so each block's
+    hyperplane is built once from its root set and checked once with one
+    Sturm chain: C(j, d) distinct hyperplanes in the unanchored case,
+    however many candidates share them.  Every candidate must pass the
+    per-interval predicate of verify_bisection; candidates failing it
+    are dropped with a GenericityWarning.  The result is in canonical
+    form, sorted by Arrangement.sort_key.
     """
     d, ell, j = family.d, family.anchor_count, family.j
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    mids = tuple(family.midpoints())
-    candidates = []
     if ell == 0:
         if j != d * k:
             raise ValueError(f"unanchored case needs j == d*k, got j={j}, "
                              f"d={d}, k={k}")
-        for partition in _equal_partitions(mids, d):
-            candidates.append([
-                hyperplane_through([moment_point(t, d) for t in block])
-                for block in partition
-            ])
     else:
         if k < 2:
             raise ValueError(f"anchored case needs k >= 2, got k={k}")
@@ -341,30 +390,52 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
         if j != (d - ell) * k + ell:
             raise ValueError(f"anchored case needs j == (d-ell)*k + ell, "
                              f"got j={j}, d={d}, k={k}, ell={ell}")
-        anchor_pts = [moment_point(t, d) for t in family.anchors()]
+    mids = tuple(family.midpoints())
+    anchors = tuple(family.anchors())
+    # distinct hyperplanes by id, with the intervals each one owns; the
+    # memo is keyed by root set, which determines the hyperplane
+    planes: list[OrientedHyperplane] = []
+    owned: list[int | None] = []
+    ids: dict[tuple, int] = {}
+
+    def plane(roots: tuple) -> int:
+        i = ids.get(roots)
+        if i is None:
+            h = _root_set_hyperplane(roots)
+            i = ids[roots] = len(planes)
+            planes.append(h)
+            owned.append(_owned_intervals(_interval_roots(h, family)))
+        return i
+
+    # blocks of a candidate are distinct root sets, so its hyperplanes are
+    # distinct and every candidate is essential
+    def candidates():
+        if ell == 0:
+            for partition in _equal_partitions(mids, d):
+                yield [plane(block) for block in partition]
+            return
         for free_block in combinations(mids, d):
+            free = plane(free_block)
             remaining = tuple(t for t in mids if t not in free_block)
-            free_h = hyperplane_through([moment_point(t, d) for t in free_block])
             for partition in _equal_partitions(remaining, d - ell):
-                hs = [free_h]
-                for block in partition:
-                    pts = [moment_point(t, d) for t in block] + anchor_pts
-                    hs.append(hyperplane_through(pts))
-                candidates.append(hs)
+                yield [free, *(plane(block + anchors) for block in partition)]
 
     accepted = []
     rejected = 0
-    for hs in candidates:
-        arr = Arrangement(tuple(hs)).canonical()
-        if arr.is_essential() and verify_bisection(arr, family):
-            accepted.append(arr)
+    for cand in candidates():
+        if _cuts_each_once((owned[i] for i in cand), j):
+            accepted.append(cand)
         else:
             rejected += 1
     if rejected:
         warnings.warn(f"{rejected} candidate arrangement(s) failed exact "
                       f"verification and were dropped", GenericityWarning)
-    accepted.sort(key=Arrangement.sort_key)
-    return accepted
+    # ranks of the distinct hyperplanes in sort_key order, so sorting by
+    # ranks is sorting by Arrangement.sort_key
+    order = sorted(range(len(planes)), key=lambda i: planes[i].sort_key())
+    rank = {i: r for r, i in enumerate(order)}
+    rows = sorted(sorted(rank[i] for i in cand) for cand in accepted)
+    return [Arrangement(tuple(planes[order[r]] for r in row)) for row in rows]
 
 
 def count_bisections(d: int, k: int, ell: int = 0) -> int:

@@ -2,13 +2,15 @@
 
 Coefficient tuples in ascending order, trimmed so the leading entry is
 nonzero; the empty tuple is the zero polynomial.  Everything runs on
-fractions.Fraction, so the Sturm-chain root counter at the bottom gives
-certified answers: count_roots_open(p, a, b) is the exact number of
-distinct real roots of p in the open interval (a, b).
+fractions.Fraction, and Sturm chains are scaled to integer coefficients
+whose signs are evaluated in integers, so the root counter at the bottom
+gives certified answers: count_roots_open(p, a, b) is the exact number
+of distinct real roots of p in the open interval (a, b).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Coeffs = tuple[Fraction, ...]
@@ -105,16 +107,46 @@ def squarefree_part(p: Coeffs) -> Coeffs:
     return divide(p, gcd(p, derivative(p)))[0]
 
 
-def _sign_changes(values) -> int:
-    changes, prev = 0, 0
-    for v in values:
-        if v == 0:
-            continue
-        s = 1 if v > 0 else -1
-        if prev and s != prev:
-            changes += 1
-        prev = s
-    return changes
+def sign_at(p, x) -> int:
+    """Sign of p(x) for integer coefficients, in integer arithmetic.
+
+    With x = n/m and m > 0, m^deg * p(x) = sum c_i n^i m^(deg-i) has the
+    sign of p(x); homogeneous Horner evaluates it without fractions.
+    """
+    x = Fraction(x)
+    n, m = x.numerator, x.denominator
+    acc, mpow = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * mpow
+        mpow *= m
+    return (acc > 0) - (acc < 0)
+
+
+def _integral(p: Coeffs) -> tuple[int, ...]:
+    """p times the lcm of its denominators: integer coefficients, same signs."""
+    lcm = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (lcm // c.denominator) for c in p)
+
+
+def sturm_chain(p: Coeffs) -> list[tuple[int, ...]]:
+    """p, p' and the negated remainders of Euclid's algorithm on them.
+
+    Each member is scaled by a positive constant to integer coefficients,
+    which changes no sign, so sign_variations can stay in integers.
+    """
+    chain = [p, derivative(p)]
+    while chain[-1]:
+        rem = divide(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(scale(rem, -1))
+    return [_integral(q) for q in chain]
+
+
+def sign_variations(chain, x) -> int:
+    """Sign changes along the chain evaluated at x, zeros skipped."""
+    signs = [s for s in (sign_at(q, x) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots_open(p: Coeffs, a, b) -> int:
@@ -131,12 +163,5 @@ def count_roots_open(p: Coeffs, a, b) -> int:
             p = divide(p, make([-end, 1]))[0]
     if degree(p) < 1:
         return 0
-    chain = [p, derivative(p)]
-    while chain[-1]:
-        rem = divide(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(scale(rem, -1))
-    va = _sign_changes(evaluate(s, a) for s in chain)
-    vb = _sign_changes(evaluate(s, b) for s in chain)
-    return va - vb
+    chain = sturm_chain(p)
+    return sign_variations(chain, a) - sign_variations(chain, b)

@@ -50,7 +50,7 @@ class AtInfinityError(ValueError):
 
 @dataclass
 class DiscreteMeasure:
-    """Weighted points in R^d; weights must be strictly positive."""
+    """Weighted finite points in R^d; weights must be finite and positive."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -65,8 +65,10 @@ class DiscreteMeasure:
             raise ValueError("one weight per point required")
         if self.points.shape[0] == 0:
             raise ValueError("measure needs at least one point")
-        if not np.all(self.weights > 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("point coordinates must be finite")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("weights must be finite and strictly positive")
         self.total = float(self.weights.sum())
 
     @property

@@ -164,6 +164,38 @@ def test_enumerate_bad_params_is_input_error(capsys):
     assert code == 3
 
 
+def test_enumerate_refuses_families_over_the_cap(capsys):
+    import time
+    from hyperbisect.cli import ENUMERATE_CAP
+    from hyperbisect.momentcurve import count_bisections
+    fam = well_separated_family(6, 4, 0)  # 48 intervals
+    params = ",".join(str(t) for t in fam.parameters)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["enumerate", "6", "4", "--params", params])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    count = count_bisections(6, 4, 0)
+    assert count == 96_197_645_544 > ENUMERATE_CAP
+    assert err.startswith("error:") and str(count) in err
+    # a family that does not match (d, k, ell) is still malformed input
+    code, _, _ = _run(capsys, ["enumerate", "6", "5", "--params", params])
+    assert code == 3
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_solve_rejects_non_finite_input(capsys, tmp_path, literal):
+    good = '{"x": [0.0, 0.0], "w": 1.0}, {"x": [1.0, 1.0], "w": 1.0}'
+    for bad in ('{"x": [%s, 0.0], "w": 1.0}' % literal,
+                '{"x": [0.5, 0.5], "w": %s}' % literal):
+        path = tmp_path / "bad.json"
+        path.write_text('{"d": 2, "measures": [{"points": [%s, %s]}]}'
+                        % (good, bad))
+        code, out, err = _run(capsys, ["solve", "--input", str(path),
+                                       "--k", "1", "--restarts", "2"])
+        assert code == 3 and out == ""
+        assert err.startswith("error:")
+
+
 def _write_instance(path, seed=0):
     rng = np.random.default_rng(seed)
     measures = []

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +17,23 @@ from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
                                      enumerate_bisections, hyperplane_through,
                                      moment_point, verify_bisection,
                                      well_separated_family)
+from hyperbisect.momentcurve import (_equal_partitions, _interval_roots,
+                                     _root_set_hyperplane)
 from hyperbisect import polynomials as poly
+
+# the acceptance suite's count-law tuples (d, k, ell)
+COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
+             (2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1))
+
+
+def _rational_family(rng, d, k, ell):
+    """Seeded endpoints p/q, about one unit apart, after the anchors."""
+    j = d * k if ell == 0 else (d - ell) * k + ell
+    params = []
+    for i in range(2 * j):
+        q = rng.randint(11, 97)
+        params.append(Fraction(round((ell + i + rng.uniform(0.1, 0.9)) * q), q))
+    return IntervalFamily(d, tuple(params), ell)
 
 
 def test_moment_point_examples():
@@ -216,3 +234,141 @@ def test_essentiality_detects_flipped_duplicates():
     assert not Arrangement((h, h.flipped())).is_essential()
     g = hyperplane_through([(0, 0), (1, 1)])
     assert Arrangement((h, g)).is_essential()
+
+
+def test_root_set_hyperplane_matches_gaussian_elimination():
+    rng = random.Random(5)
+    for d in range(1, 6):
+        for ell in range(d):
+            for _ in range(4):
+                den = rng.randint(1, 7)
+                mids = rng.sample(range(1, 60), d - ell)
+                roots = tuple(ell + Fraction(m, den) for m in mids)
+                roots += tuple(map(Fraction, range(ell)))
+                expected = hyperplane_through([moment_point(t, d)
+                                               for t in roots])
+                assert _root_set_hyperplane(roots) == expected
+                assert curve_roots_check(expected, roots)
+
+
+def _restriction_oracle(h, family):
+    q = curve_restriction(h)
+    out = []
+    for (a, b), mid in zip(family.intervals(), family.midpoints()):
+        at_mid = poly.evaluate(q, mid) == 0
+        simple = at_mid and poly.evaluate(poly.derivative(q), mid) != 0
+        out.append((at_mid, simple, poly.count_roots_open(q, a, b)))
+    return out
+
+
+def test_interval_roots_match_count_roots_open():
+    fam = IntervalFamily(2, (1, 2, 3, 4))
+    endpointed = hyperplane_through([moment_point(1, 2), moment_point(2, 2)])
+    cuts_both = hyperplane_through([moment_point(Fraction(3, 2), 2),
+                                    moment_point(Fraction(7, 2), 2)])
+    for h in (endpointed, cuts_both):
+        assert _interval_roots(h, fam) == _restriction_oracle(h, fam)
+    assert _interval_roots(endpointed, fam) == [(False, False, 0)] * 2
+    double = _root_set_hyperplane((Fraction(3, 2), Fraction(3, 2)))
+    assert _interval_roots(double, fam) == [(True, False, 1),
+                                            (False, False, 0)]
+    on_left_end = _root_set_hyperplane((Fraction(3), Fraction(13, 4)))
+    assert _interval_roots(on_left_end, fam) == [(False, False, 0),
+                                                 (False, False, 1)]
+
+    # seeded root multisets drawn from endpoints, midpoints, interior and
+    # outside points, repeats allowed
+    rng = random.Random(11)
+    for d in range(1, 5):
+        fam = _rational_family(rng, d, 2, 0)
+        ps = fam.parameters
+        pool = list(ps) + fam.midpoints() + [ps[0] - 1, ps[-1] + 1]
+        pool += [(a + 2 * b) / 3 for a, b in fam.intervals()]
+        for _ in range(15):
+            h = _root_set_hyperplane(tuple(rng.choice(pool) for _ in range(d)))
+            assert _interval_roots(h, fam) == _restriction_oracle(h, fam)
+
+
+def _verify_oracle(arrangement, family):
+    """verify_bisection's predicate with one count_roots_open per
+    hyperplane and interval."""
+    qs = [curve_restriction(h) for h in arrangement.hyperplanes]
+    for (a, b), mid in zip(family.intervals(), family.midpoints()):
+        owners = [q for q in qs if poly.evaluate(q, mid) == 0]
+        if len(owners) != 1 or poly.evaluate(poly.derivative(owners[0]),
+                                             mid) == 0:
+            return False
+        if [poly.count_roots_open(q, a, b) for q in qs] != [
+                int(q is owners[0]) for q in qs]:
+            return False
+    return True
+
+
+def test_verify_bisection_rejects_owner_with_extra_or_double_root():
+    fam = IntervalFamily(2, (1, 2, 3, 4))
+    other = _root_set_hyperplane((Fraction(7, 2), Fraction(10)))
+    twice = _root_set_hyperplane((Fraction(3, 2), Fraction(7, 4)))
+    assert verify_bisection(Arrangement((twice, other)), fam) is False
+    double = _root_set_hyperplane((Fraction(3, 2), Fraction(3, 2)))
+    assert verify_bisection(Arrangement((double, other)), fam) is False
+    once = _root_set_hyperplane((Fraction(3, 2), Fraction(-1)))
+    assert verify_bisection(Arrangement((once, other)), fam) is True
+
+
+def test_verify_bisection_matches_oracle_on_seeded_arrangements():
+    rng = random.Random(7)
+    for d in (1, 2, 3):
+        fam = _rational_family(rng, d, 2, 0)
+        ps = fam.parameters
+        pool = list(ps) + [ps[0] - 1, ps[-1] + 1]
+        pool += [(2 * a + b) / 3 for a, b in fam.intervals()]
+        verdicts = set()
+        for _ in range(25):
+            # a bisecting partition of the midpoints, some roots moved
+            roots = [rng.choice(pool) if rng.random() < 0.15 else t
+                     for t in rng.sample(fam.midpoints(), 2 * d)]
+            arr = Arrangement((_root_set_hyperplane(tuple(roots[:d])),
+                               _root_set_hyperplane(tuple(roots[d:]))))
+            verdict = verify_bisection(arr, fam)
+            assert verdict == _verify_oracle(arr, fam)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def _reference_enumeration(family, k):
+    """Every candidate by Gaussian elimination, kept if verify_bisection
+    accepts it."""
+    d, ell = family.d, family.anchor_count
+    mids = tuple(family.midpoints())
+    anchor_pts = [moment_point(t, d) for t in family.anchors()]
+
+    def through(block, extra=()):
+        return hyperplane_through([moment_point(t, d) for t in block]
+                                  + list(extra))
+
+    candidates = []
+    if ell == 0:
+        for partition in _equal_partitions(mids, d):
+            candidates.append([through(b) for b in partition])
+    else:
+        for free in combinations(mids, d):
+            rest = tuple(t for t in mids if t not in free)
+            for partition in _equal_partitions(rest, d - ell):
+                candidates.append([through(free)] + [through(b, anchor_pts)
+                                                     for b in partition])
+    arrs = [Arrangement(tuple(hs)).canonical() for hs in candidates]
+    good = [a for a in arrs if a.is_essential() and verify_bisection(a, family)]
+    return sorted(good, key=Arrangement.sort_key)
+
+
+def test_enumerate_matches_reference_on_count_law_families():
+    rng = random.Random(3)
+    for d, k, ell in COUNT_LAW:
+        for fam in (well_separated_family(d, k, ell),
+                    _rational_family(rng, d, k, ell)):
+            got = [arrangement_to_jsonable(a)
+                   for a in enumerate_bisections(fam, k)]
+            want = [arrangement_to_jsonable(a)
+                    for a in _reference_enumeration(fam, k)]
+            assert got == want
+            assert len(got) == count_bisections(d, k, ell)

@@ -100,3 +100,21 @@ def test_count_roots_randomized_against_known_roots():
         b = a + Fraction(rnd.randint(1, 20), rnd.randint(1, 2))
         want = len({r for r in roots if a < r < b})
         assert poly.count_roots_open(p, a, b) == want
+
+
+def test_sign_at_and_sturm_chain_in_integers():
+    # chain members are positive integer multiples of p and p', so
+    # sign_at on them gives the signs of p and p' at rational points
+    rng = random.Random(4)
+    for _ in range(50):
+        p = poly.make(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                      for _ in range(rng.randint(2, 6)))
+        if poly.degree(p) < 1:
+            continue
+        chain = poly.sturm_chain(p)
+        assert all(isinstance(c, int) for q in chain for c in q)
+        for _ in range(5):
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+            for q, member in ((p, chain[0]), (poly.derivative(p), chain[1])):
+                value = poly.evaluate(q, x)
+                assert poly.sign_at(member, x) == (value > 0) - (value < 0)

@@ -78,6 +78,18 @@ def test_measure_validation():
     assert m.total == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_non_finite_input(bad):
+    points = np.ones((3, 2))
+    points[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(points, np.ones(3))
+    weights = np.ones(3)
+    weights[2] = bad
+    with pytest.raises(ValueError):
+        DiscreteMeasure(np.ones((3, 2)), weights)
+
+
 def test_phi_balanced_and_boundary():
     m = DiscreteMeasure(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 5.0]]),
                         np.array([1.0, 1.0, 7.0]))
