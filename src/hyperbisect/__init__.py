@@ -7,12 +7,11 @@ interval measures on the moment curve, and a seeded numerical solver
 for concrete point clouds.
 """
 
-from .parity import (Parity, PadicProfile, anchored_blocks_parity, digit_sum,
+from .parity import (Parity, anchored_blocks_parity, digit_sum,
                      equal_blocks_parity, is_carry_free, legendre_valuation,
-                     multinomial_parity, multinomial_valuation, padic_profile)
-from .gf2poly import (F2Poly, carry_free_composition, ideal_member,
-                      ideal_member_by_expansion, surviving_monomials,
-                      truncated_power_of_sum)
+                     multinomial_parity, multinomial_valuation)
+from .gf2poly import (F2Poly, ideal_member, ideal_member_by_expansion,
+                      surviving_monomials, truncated_power_of_sum)
 from .verdicts import (Certificate, FrontierRow, FrontierTable, LambdaVerdict,
                        Status, certificate_checks, frontier_csv, frontier_json,
                        frontier_table, is_power_of_two, verdict)
@@ -37,19 +36,17 @@ __all__ = [
     "AT_INFINITY", "Arrangement", "AtInfinityError", "Certificate",
     "DegenerateInputError", "DiscreteMeasure", "F2Poly", "FrontierRow",
     "FrontierTable", "GenericityWarning", "GroupElement", "IntervalFamily",
-    "JoinPoint", "LambdaVerdict", "NOT_FOUND", "OrientedHyperplane",
-    "PadicProfile", "Parity", "SolveResult", "SolverConfig",
-    "Status", "act_on_join", "act_on_target", "anchored_blocks_parity",
-    "arrangement_from_jsonable", "arrangement_to_jsonable", "boundary_mass",
-    "carry_free_composition", "certificate_checks", "count_bisections",
-    "curve_restriction", "curve_roots_check", "digit_sum",
+    "JoinPoint", "LambdaVerdict", "NOT_FOUND", "OrientedHyperplane", "Parity",
+    "SolveResult", "SolverConfig", "Status", "act_on_join", "act_on_target",
+    "anchored_blocks_parity", "arrangement_from_jsonable",
+    "arrangement_to_jsonable", "boundary_mass", "certificate_checks",
+    "count_bisections", "curve_restriction", "curve_roots_check", "digit_sum",
     "enumerate_bisections", "equal_blocks_parity", "frontier_csv",
-    "frontier_json", "frontier_svg", "frontier_table",
-    "hyperplane_through", "hyperplane_to_sphere_point", "ideal_member",
-    "ideal_member_by_expansion", "interval_quadrature_measures",
-    "is_carry_free", "is_power_of_two", "legendre_valuation",
-    "measures_from_jsonable", "measures_to_jsonable", "moment_point",
-    "multinomial_parity", "multinomial_valuation", "padic_profile", "phi",
+    "frontier_json", "frontier_svg", "frontier_table", "hyperplane_through",
+    "hyperplane_to_sphere_point", "ideal_member", "ideal_member_by_expansion",
+    "interval_quadrature_measures", "is_carry_free", "is_power_of_two",
+    "legendre_valuation", "measures_from_jsonable", "measures_to_jsonable",
+    "moment_point", "multinomial_parity", "multinomial_valuation", "phi",
     "psi", "solve_bisection", "sphere_to_hyperplane", "surviving_monomials",
     "truncated_power_of_sum", "verdict", "verify_bisection",
     "well_separated_family",

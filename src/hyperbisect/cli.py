@@ -3,8 +3,9 @@
 Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
 membership check queried with --expect-in is not IN; 2 on usage errors
 and on an enumeration whose arrangement count exceeds ENUMERATE_CAP;
-3 on malformed input files or parameter strings.  Output for a fixed
-argv and seed is byte-identical across runs.
+3 on malformed input files or parameter strings; EXIT_BROKEN_PIPE when
+stdout is closed before all output is written (``| head``).  Output for
+a fixed argv and seed is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .figures import frontier_svg
 
 # enumerate refuses families with more arrangements than this
 ENUMERATE_CAP = 100_000
+
+# 128 + SIGPIPE: what a shell reports for a command killed by a closed pipe
+EXIT_BROKEN_PIPE = 141
 
 
 class _InputFormatError(Exception):
@@ -266,7 +270,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early; send what is still buffered to devnull so
+        # that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,9 @@ addition is symmetric difference.  The quantity of interest is the j-th
 power of t_1 + ... + t_k: it reduces to zero exactly when no exponent
 vector (a_1, ..., a_k) with sum j and all a_i <= d has an odd
 multinomial coefficient, i.e. when j admits no carry-free binary
-composition into k parts each at most d.
+composition into k parts each at most d.  That happens exactly for
+d < least_surviving_d(j, k), which ideal_member uses; the expansion backs
+surviving_monomials and serves as the reference path.
 """
 
 from __future__ import annotations
@@ -99,50 +101,31 @@ def truncated_power_of_sum(j: int, k: int, d: int) -> F2Poly:
     return acc
 
 
-def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
-    """A composition of j into k parts <= d whose binary digits are disjoint.
+def least_surviving_d(j: int, k: int) -> int:
+    """Least d at which the j-th power of the variable sum survives.
 
-    Such a composition exists iff C(j; a) is odd for some admissible
-    exponent vector, i.e. iff the truncated power above is nonzero.
-    Returns one witness or None.  Search distributes the set bits of j
-    over the parts, high bit first, pruning parts that exceed d.
+    The power survives truncation at the (d+1)-st powers exactly when j
+    has a carry-free composition into k parts each <= d.  With one part
+    that part is j itself.  With k >= 2 parts, the part holding the top
+    bit 2^m of j is at least 2^m, and (2^m, j - 2^m, 0, ...) is such a
+    composition because j - 2^m < 2^m; so the least d is 2^m.  For
+    j = 0 the power is 1 and survives at every d >= 0.
     """
-    _check_args(j, k, d)
-    bits = [1 << b for b in range(j.bit_length()) if j >> b & 1]
-    bits.reverse()
-    parts = [0] * k
-
-    def place(idx: int) -> bool:
-        if idx == len(bits):
-            return True
-        bit = bits[idx]
-        seen: set[int] = set()
-        for i in range(k):
-            if parts[i] in seen:
-                continue  # identical prefixes only need one branch
-            seen.add(parts[i])
-            if parts[i] + bit > d:
-                continue
-            parts[i] += bit
-            if place(idx + 1):
-                return True
-            parts[i] -= bit
-        return False
-
-    if j == 0:
-        return tuple(parts)
-    return tuple(parts) if place(0) else None
+    if j == 0 or k == 1:
+        return j
+    return 1 << (j.bit_length() - 1)
 
 
 def ideal_member(j: int, k: int, d: int) -> bool:
     """Whether the j-th power of the variable sum lies in the cap ideal.
 
-    Fast path: membership fails exactly when a carry-free composition of
-    j into k parts each <= d exists.  The expansion path below decides
-    the same predicate and the two are kept in agreement by tests.
+    Closed form: the power is a member exactly for d below
+    least_surviving_d(j, k).  The expansion path below decides the same
+    predicate from scratch; tests keep the two in agreement, together
+    with a search for carry-free compositions.
     """
     _check_args(j, k, d)
-    return carry_free_composition(j, k, d) is None
+    return d < least_surviving_d(j, k)
 
 
 def ideal_member_by_expansion(j: int, k: int, d: int) -> bool:

@@ -21,7 +21,6 @@ when d and d - ell share no binary digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -87,26 +86,6 @@ def legendre_valuation(n: int, p: int) -> int:
     digit_form = (n - digit_sum(n, p)) // (p - 1)
     assert floor_sum == digit_form
     return floor_sum
-
-
-@dataclass(frozen=True)
-class PadicProfile:
-    """Valuation and digit sum of n! at a prime p, bundled together."""
-
-    n: int
-    p: int
-    valuation: int
-    digit_sum: int
-
-    def __post_init__(self) -> None:
-        # the Legendre identity ties the two fields together
-        if self.valuation * (self.p - 1) != self.n - self.digit_sum:
-            raise ValueError("inconsistent profile")
-
-
-def padic_profile(n: int, p: int) -> PadicProfile:
-    return PadicProfile(n=n, p=p, valuation=legendre_valuation(n, p),
-                        digit_sum=digit_sum(n, p))
 
 
 def multinomial_valuation(n: int, parts: list[int], p: int) -> int:

@@ -9,13 +9,16 @@ can and says UNKNOWN otherwise:
     each hyperplane at most d times, so d*k >= j is required; d*k < j is
     a definite NO.
   * k = 1, d >= j is the classical ham-sandwich YES.
-  * sufficiency criteria, each monotone in d, scanned from d0 = 1 up to
-    the queried d:
-      THM25_I   j == d0*k with d0 a power of two;
+  * sufficiency criteria, each monotone in d and each firing from a least
+    dimension d0 computed in closed form, O(log j):
+      THM25_I   j == d0*k with d0 a power of two, so d0 = j/k;
       THM25_II  j == (d0-ell)*k + ell with k odd, d0 = 2^a + ell,
-                a >= 1, 1 <= ell <= 2^a - 1;
+                a >= 1, 1 <= ell <= 2^a - 1: a short scan over a;
       THM1_IDEAL the j-th power of a k-fold variable sum survives
-                truncation at degree d0 (see gf2poly).
+                truncation at degree d0, so d0 = 2^floor(log2 j) for
+                k >= 2 (see gf2poly.least_surviving_d).
+    A criterion applies to (d, j, k) when its d0 <= d, and the
+    certificate names that least d0.
 
 Certificates carry their parameters so a checker can re-derive the
 claim; the preference order is HAM_SANDWICH, THM25_I, THM25_II,
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .gf2poly import ideal_member
+from .gf2poly import ideal_member, least_surviving_d
 
 
 class Status(Enum):
@@ -149,24 +152,24 @@ def verdict(d: int, j: int, k: int) -> LambdaVerdict:
         return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH),
                              witness_d0=j)
 
-    for d0 in range(1, d + 1):
-        a = _thm25i_fires(d0, j, k)
-        if a is not None:
-            return LambdaVerdict(d, j, k, Status.IN,
-                                 Certificate(THM25_I, d0=d0, a=a),
-                                 witness_d0=d0)
-    for d0 in range(1, d + 1):
-        hit = _thm25ii_fires(d0, j, k)
-        if hit is not None:
-            a, ell = hit
-            return LambdaVerdict(d, j, k, Status.IN,
-                                 Certificate(THM25_II, d0=d0, a=a, ell=ell),
-                                 witness_d0=d0)
-    for d0 in range(1, d + 1):
-        if _thm1_fires(d0, j, k):
-            return LambdaVerdict(d, j, k, Status.IN,
-                                 Certificate(THM1_IDEAL, d0=d0),
-                                 witness_d0=d0)
+    d0 = _min_d_thm25i(j, k, d)
+    if d0 is not None:
+        return LambdaVerdict(d, j, k, Status.IN,
+                             Certificate(THM25_I, d0=d0,
+                                         a=_thm25i_fires(d0, j, k)),
+                             witness_d0=d0)
+    d0 = _min_d_thm25ii(j, k, d)
+    if d0 is not None:
+        a, ell = _thm25ii_fires(d0, j, k)
+        return LambdaVerdict(d, j, k, Status.IN,
+                             Certificate(THM25_II, d0=d0, a=a, ell=ell),
+                             witness_d0=d0)
+    # membership is monotone in d, so one query at d decides THM1
+    if _thm1_fires(d, j, k):
+        d0 = least_surviving_d(j, k)
+        return LambdaVerdict(d, j, k, Status.IN,
+                             Certificate(THM1_IDEAL, d0=d0),
+                             witness_d0=d0)
 
     return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
 
@@ -220,10 +223,8 @@ class FrontierTable:
 
 
 def _min_d_thm1(j: int, k: int, bound: int) -> int | None:
-    for d in range(1, bound + 1):
-        if _thm1_fires(d, j, k):
-            return d
-    return None
+    d = least_surviving_d(j, k)
+    return d if d <= bound else None
 
 
 def _min_d_thm25i(j: int, k: int, bound: int) -> int | None:
@@ -238,17 +239,16 @@ def _min_d_thm25i(j: int, k: int, bound: int) -> int | None:
 def _min_d_thm25ii(j: int, k: int, bound: int) -> int | None:
     if k < 3 or k % 2 == 0:
         return None
-    # d = j - 2^a*(k-1) shrinks as a grows, so collect all valid a
-    best: int | None = None
+    # 1 <= ell = j - 2^a*k <= 2^a - 1 means 2^a*k < j < 2^a*(k+1); these
+    # ranges are disjoint for distinct a, so at most one a qualifies
     a = 1
     while (1 << a) * k + 1 <= j:
         ell = j - (1 << a) * k
-        if 1 <= ell <= (1 << a) - 1:
+        if ell <= (1 << a) - 1:
             d = (1 << a) + ell
-            if d <= bound and (best is None or d < best):
-                best = d
+            return d if d <= bound else None
         a += 1
-    return best
+    return None
 
 
 def frontier_table(k: int, j_max: int,

@@ -30,6 +30,7 @@ from hyperbisect import (DiscreteMeasure, GroupElement, JoinPoint, Parity,
                          solve_bisection, verdict, verify_bisection,
                          well_separated_family)
 from hyperbisect.cli import main as cli_main
+from oracles import carry_free_composition
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -151,14 +152,16 @@ def test_criterion_04_membership_oracle_equivalence(capsys):
             for d in range(1, 7):
                 fast = ideal_member(j, k, d)
                 slow = ideal_member_by_expansion(j, k, d)
+                search = carry_free_composition(j, k, d) is None
                 checked += 1
                 members += fast
-                if fast != slow:
+                if not fast == slow == search:
                     disagreements += 1
     elapsed = time.perf_counter() - start
     ok = disagreements == 0 and elapsed < 30.0
     _report(capsys, 4, ok,
-            f"{checked - disagreements}/{checked} triples agree "
+            f"closed form, expansion and composition search agree on "
+            f"{checked - disagreements}/{checked} triples "
             f"({members} members), {elapsed:.3f}s < 30s")
     assert disagreements == 0
     assert elapsed < 30.0

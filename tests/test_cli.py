@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from hyperbisect.cli import main
+import hyperbisect
+from hyperbisect.cli import EXIT_BROKEN_PIPE, main
 from hyperbisect.momentcurve import (arrangement_from_jsonable,
                                      verify_bisection, well_separated_family)
 
@@ -180,6 +185,64 @@ def test_enumerate_refuses_families_over_the_cap(capsys):
     # a family that does not match (d, k, ell) is still malformed input
     code, _, _ = _run(capsys, ["enumerate", "6", "5", "--params", params])
     assert code == 3
+
+
+def test_lambda_check_absurd_dimension_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["lambda", "check", "1000000000",
+                                 "1500000000", "2"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out == ("(d=1000000000, j=1500000000, k=2): UNKNOWN\n"
+                   "certificate: NONE\n")
+
+
+def test_lambda_table_large_jmax_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["lambda", "table", "--k", "3",
+                                 "--jmax", "20000"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    lines = out.split("\n")
+    assert len(lines) == 20002 and lines[-1] == ""
+    assert lines[-2] == "20000,6667,16384,,"
+
+
+def _cli_child(argv, **kwargs):
+    # the child imports the same hyperbisect as this process
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hyperbisect.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "hyperbisect.cli", *argv],
+                            stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+def test_stdout_closed_after_first_line_exits_quietly():
+    # like `hyperbisect enumerate 3 3 --params 0,...,17 | head -1`: the
+    # 100 kB of JSON do not fit in the pipe, so the child hits the closed end
+    params = ",".join(str(t) for t in range(18))
+    proc = _cli_child(["enumerate", "3", "3", "--params", params],
+                      stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert err == b""  # no traceback
+
+
+def test_stdout_closed_before_start_exits_quietly():
+    # the reader is gone before the first write; the short output only
+    # reaches the pipe when main flushes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_child(["lambda", "check", "2", "4", "2"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert err == b""  # no traceback
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

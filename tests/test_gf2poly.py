@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from hyperbisect.gf2poly import (F2Poly, carry_free_composition, ideal_member,
-                                 ideal_member_by_expansion,
+from hyperbisect.gf2poly import (F2Poly, ideal_member,
+                                 ideal_member_by_expansion, least_surviving_d,
                                  surviving_monomials, truncated_power_of_sum)
+from oracles import carry_free_composition
 
 
 def _multinomial(n, parts):
@@ -79,7 +80,18 @@ def test_ideal_member_paths_agree():
     for j in range(0, 13):
         for k in range(1, 4):
             for d in range(1, 6):
-                assert ideal_member(j, k, d) == ideal_member_by_expansion(j, k, d)
+                member = ideal_member(j, k, d)
+                assert member == ideal_member_by_expansion(j, k, d)
+                assert member == (carry_free_composition(j, k, d) is None)
+
+
+def test_least_surviving_d_is_the_first_non_member():
+    # the closed form against a scan of the composition search over d
+    for j in range(0, 130):
+        for k in range(1, 7):
+            first = next(d for d in range(0, j + 1)
+                         if carry_free_composition(j, k, d) is not None)
+            assert least_surviving_d(j, k) == first
 
 
 def test_carry_free_composition_witness():
@@ -87,8 +99,8 @@ def test_carry_free_composition_witness():
         for k in range(1, 4):
             for d in range(1, 7):
                 comp = carry_free_composition(j, k, d)
+                assert (comp is None) == ideal_member(j, k, d)
                 if comp is None:
-                    assert ideal_member(j, k, d)
                     continue
                 assert len(comp) == k
                 assert sum(comp) == j

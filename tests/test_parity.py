@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from hyperbisect.parity import (Parity, anchored_blocks_parity, digit_sum,
                                 equal_blocks_parity, is_carry_free,
                                 legendre_valuation, multinomial_parity,
-                                multinomial_valuation, padic_profile)
+                                multinomial_valuation)
 
 
 def _factorial_valuation(n, p):
@@ -25,6 +26,26 @@ def _multinomial(n, parts):
     for k in parts:
         r //= math.factorial(k)
     return r
+
+
+@dataclass(frozen=True)
+class PadicProfile:
+    """Valuation and digit sum of n! at a prime p, bundled together."""
+
+    n: int
+    p: int
+    valuation: int
+    digit_sum: int
+
+    def __post_init__(self) -> None:
+        # the Legendre identity ties the two fields together
+        if self.valuation * (self.p - 1) != self.n - self.digit_sum:
+            raise ValueError("inconsistent profile")
+
+
+def padic_profile(n: int, p: int) -> PadicProfile:
+    return PadicProfile(n=n, p=p, valuation=legendre_valuation(n, p),
+                        digit_sum=digit_sum(n, p))
 
 
 def test_legendre_examples():

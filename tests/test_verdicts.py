@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -9,9 +10,69 @@ import pytest
 
 from hyperbisect.verdicts import (HAM_SANDWICH, MOMENT_CURVE_NECESSITY, NONE,
                                   THM1_IDEAL, THM25_I, THM25_II, Certificate,
-                                  Status, certificate_checks, frontier_csv,
+                                  FrontierRow, FrontierTable, LambdaVerdict,
+                                  Status, _thm25i_fires, _thm25ii_fires,
+                                  certificate_checks, frontier_csv,
                                   frontier_json, frontier_table,
                                   is_power_of_two, verdict)
+from oracles import carry_free_composition
+
+
+@functools.cache  # the scans ask the same (d0, j, k) many times
+def _thm1_fires_by_search(d0, j, k):
+    return carry_free_composition(j, k, d0) is not None
+
+
+def _verdict_by_scan(d, j, k):
+    """The engine before its closed forms: each criterion scanned over
+    d0 = 1..d, THM1 decided by the composition search."""
+    if d * k < j:
+        return LambdaVerdict(d, j, k, Status.NOT_IN,
+                             Certificate(MOMENT_CURVE_NECESSITY))
+    if k == 1:
+        return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH),
+                             witness_d0=j)
+    for d0 in range(1, d + 1):
+        a = _thm25i_fires(d0, j, k)
+        if a is not None:
+            return LambdaVerdict(d, j, k, Status.IN,
+                                 Certificate(THM25_I, d0=d0, a=a),
+                                 witness_d0=d0)
+    for d0 in range(1, d + 1):
+        hit = _thm25ii_fires(d0, j, k)
+        if hit is not None:
+            a, ell = hit
+            return LambdaVerdict(d, j, k, Status.IN,
+                                 Certificate(THM25_II, d0=d0, a=a, ell=ell),
+                                 witness_d0=d0)
+    for d0 in range(1, d + 1):
+        if _thm1_fires_by_search(d0, j, k):
+            return LambdaVerdict(d, j, k, Status.IN,
+                                 Certificate(THM1_IDEAL, d0=d0),
+                                 witness_d0=d0)
+    return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
+
+
+def _first_d(fires, bound):
+    return next((d for d in range(1, bound + 1) if fires(d)), None)
+
+
+def _frontier_by_scan(k, j_max, d_search_bound=None):
+    """Frontier rows from scans of d = 1..bound for every criterion."""
+    rows = []
+    for j in range(1, j_max + 1):
+        bound = d_search_bound if d_search_bound is not None else 4 * j
+        rows.append(FrontierRow(
+            j=j,
+            d_conjecture=math.ceil(j / k),
+            d_thm1=_first_d(lambda d: _thm1_fires_by_search(d, j, k), bound),
+            d_thm25i=_first_d(lambda d: _thm25i_fires(d, j, k) is not None,
+                              bound),
+            d_thm25ii=_first_d(lambda d: _thm25ii_fires(d, j, k) is not None,
+                               bound),
+        ))
+    return FrontierTable(k=k, j_max=j_max, search_bound=d_search_bound,
+                         rows=tuple(rows))
 
 
 def test_power_of_two_helper():
@@ -170,3 +231,22 @@ def test_json_round_trip():
     assert data["k"] == 3 and data["j_max"] == 7
     assert len(data["rows"]) == 7
     assert data["rows"][6]["d_thm25ii"] == 3
+
+
+def test_verdict_matches_the_scan():
+    for k in range(1, 7):
+        for j in range(1, 65):
+            for d in range(1, 2 * j + 2):
+                v = verdict(d, j, k)
+                assert v.to_jsonable() == _verdict_by_scan(d, j, k).to_jsonable()
+                assert certificate_checks(v)
+
+
+@pytest.mark.parametrize("bound", [None, 5])
+def test_frontier_matches_the_scan(bound):
+    for k in range(1, 7):
+        table = frontier_table(k, 64, bound)
+        expect = _frontier_by_scan(k, 64, bound)
+        assert table == expect
+        assert frontier_csv(table) == frontier_csv(expect)
+        assert frontier_json(table) == frontier_json(expect)
