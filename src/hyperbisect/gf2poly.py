@@ -8,12 +8,14 @@ power of t_1 + ... + t_k: it reduces to zero exactly when no exponent
 vector (a_1, ..., a_k) with sum j and all a_i <= d has an odd
 multinomial coefficient, i.e. when j admits no carry-free binary
 composition into k parts each at most d.  That happens exactly for
-d < least_surviving_d(j, k), which ideal_member uses; the expansion backs
-surviving_monomials and serves as the reference path.
+d < least_surviving_d(j, k), which ideal_member uses, and the number of
+such compositions has a digit DP, count_surviving_monomials; the
+expansion backs surviving_monomials and serves as the reference path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .parity import multinomial_parity, Parity
@@ -131,6 +133,33 @@ def ideal_member(j: int, k: int, d: int) -> bool:
 def ideal_member_by_expansion(j: int, k: int, d: int) -> bool:
     """Reference path: expand, reduce, test for the zero polynomial."""
     return truncated_power_of_sum(j, k, d).is_zero
+
+
+def count_surviving_monomials(j: int, k: int, d: int) -> int:
+    """len(surviving_monomials(j, k, d)) without the expansion.
+
+    A survivor is a carry-free composition of j into k parts each <= d,
+    i.e. a way to deal the set bits of j to k labelled parts so that no
+    part exceeds d.  A digit DP over the bit positions, high to low,
+    counts the deals; its state is the number of parts whose bits so far
+    equal d's prefix (the others are already below d and take any bit),
+    which is only ever k, 1 or 0.  Cost O(log max(j, d)).
+    """
+    _check_args(j, k, d)
+    ways = Counter({k: 1})  # parts still equal to d's prefix -> deals
+    for b in reversed(range(max(j, d).bit_length())):
+        d_bit, j_bit = d >> b & 1, j >> b & 1
+        nxt: Counter[int] = Counter()
+        for tight, count in ways.items():
+            # where d has a 1, a part at d's prefix without it drops below
+            rest = 0 if d_bit else tight
+            # j's bit goes nowhere, or to one of the parts already below d ...
+            nxt[rest] += count * (k - tight) if j_bit else count
+            if j_bit and d_bit:
+                # ... or to a part at d's prefix, which stays there alone
+                nxt[1] += count * tight
+        ways = nxt
+    return sum(ways.values())
 
 
 def surviving_monomials(j: int, k: int, d: int) -> list[tuple[int, ...]]:

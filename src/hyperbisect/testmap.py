@@ -21,6 +21,16 @@ version of phi (tanh instead of sign) with the temperature annealed
 downward over stages, multi-starting from seeded random directions, and
 accepts only candidates whose exact sign imbalance passes the
 tolerance.
+
+Kernel layout: the lifted points of all j measures sit in one array
+(_Pool), built once per solve from the centred cloud, with one work
+buffer of the pooled length and, per measure, a view of that buffer with
+the measure's weights and total.  Scoring a proposal is one matrix
+product, the k rows multiplied into the buffer, one elementwise pass
+(tanh or sign) and one dot product per measure view.  Every step does
+the same floating-point operations, in the same order, as scoring each
+measure on its own, so solver output is bit-identical to the
+per-measure kernel kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -74,11 +84,6 @@ class DiscreteMeasure:
     @property
     def dim(self) -> int:
         return int(self.points.shape[1])
-
-    def lifted(self) -> np.ndarray:
-        """Points with a trailing 1, so p(x) = lifted @ w."""
-        n = self.points.shape[0]
-        return np.hstack([self.points, np.ones((n, 1))])
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,61 @@ def _direction_matrix(directions, d: int | None = None) -> np.ndarray:
     return W
 
 
-def _signed_products(measure: DiscreteMeasure, W: np.ndarray) -> np.ndarray:
-    return np.prod(measure.lifted() @ W.T, axis=1)
+def _common_dim(measures) -> int:
+    """The dimension every measure lives in."""
+    if not measures:
+        raise ValueError("need at least one measure")
+    d = measures[0].dim
+    if any(m.dim != d for m in measures):
+        raise ValueError("measures of mixed dimension")
+    return d
+
+
+class _Pool:
+    """The lifted points (x, 1) of all measures in one array, for k
+    hyperplanes, so that p(x) = <(x, 1), w>.
+
+    products(W) writes the product of the k functional values of every
+    point into one buffer of the pooled length N; parts holds, per
+    measure, its view of that buffer, its weights and its total.  The
+    lifted points are kept (N, d+1) row-major for k = 1 and as the
+    contiguous (d+1, N) transpose for k >= 2.  These are the fastest
+    layouts whose BLAS products equal lifted @ W.T taken per measure, bit
+    for bit (at k = 1 the transpose takes another BLAS path and differs).
+    The exception is a one-point measure, which numpy multiplies as a
+    vector on yet another path; its column is recomputed that way.
+    """
+
+    def __init__(self, measures, k: int, points: np.ndarray | None = None):
+        if points is None:
+            points = np.vstack([m.points for m in measures])
+        X = np.hstack([points, np.ones((len(points), 1))])
+        self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
+        self.buf = np.empty(len(X))
+        self.parts = []
+        self.lone_points = []  # (column, (1, d+1) lifted row)
+        start = 0
+        for m in measures:
+            stop = start + len(m.weights)
+            self.parts.append((self.buf[start:stop], m.weights, m.total))
+            if stop - start == 1:
+                self.lone_points.append((start, X[start:stop].copy()))
+            start = stop
+
+    def products(self, W: np.ndarray) -> np.ndarray:
+        """Per point, the product of its k functional values (in buf).
+
+        The rows are multiplied left to right, the order np.prod(axis=1)
+        uses on the per-measure (n, k) values.
+        """
+        values = (self.lifted @ W.T).T if len(W) == 1 else W @ self.lifted
+        for col, x in self.lone_points:
+            values[:, col] = (x @ W.T)[0]
+        buf = self.buf
+        np.copyto(buf, values[0])
+        for row in values[1:]:
+            np.multiply(buf, row, out=buf)
+        return buf
 
 
 def phi(measures, directions) -> np.ndarray:
@@ -191,22 +249,18 @@ def phi(measures, directions) -> np.ndarray:
     Component i is sum_points weight * sign(product functional); zero
     for measure i means the arrangement bisects it.
     """
-    if not measures:
-        raise ValueError("need at least one measure")
-    d = measures[0].dim
-    if any(m.dim != d for m in measures):
-        raise ValueError("measures of mixed dimension")
-    W = _direction_matrix(directions, d)
-    return np.array([float(np.sign(_signed_products(m, W)) @ m.weights)
-                     for m in measures])
+    W = _direction_matrix(directions, _common_dim(measures))
+    pool = _Pool(measures, len(W))
+    np.sign(pool.products(W), out=pool.buf)
+    return np.array([float(view @ w) for view, w, _ in pool.parts])
 
 
 def boundary_mass(measures, directions) -> np.ndarray:
     """Mass sitting exactly on the union of the hyperplanes, per measure."""
-    d = measures[0].dim
-    W = _direction_matrix(directions, d)
-    return np.array([float(m.weights[_signed_products(m, W) == 0.0].sum())
-                     for m in measures])
+    W = _direction_matrix(directions, _common_dim(measures))
+    pool = _Pool(measures, len(W))
+    pool.products(W)
+    return np.array([float(w[view == 0.0].sum()) for view, w, _ in pool.parts])
 
 
 def psi(measures, join_point: JoinPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -336,13 +390,13 @@ def _normalize_rows(W: np.ndarray) -> np.ndarray:
     return W / np.linalg.norm(W, axis=1, keepdims=True)
 
 
-def _data_diameter(measures) -> float:
-    pts = np.vstack([m.points for m in measures])
+def _data_diameter(pts: np.ndarray) -> float:
+    """Diagonal of the bounding box: the temperature scale of the search."""
     spread = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     return spread if spread > 0 else 1.0
 
 
-def _centering(measures) -> tuple[np.ndarray, float]:
+def _centering(pts: np.ndarray) -> tuple[np.ndarray, float]:
     """Centroid and radius of the pooled point cloud.
 
     Searching in centered unit-radius coordinates keeps the offset
@@ -350,7 +404,6 @@ def _centering(measures) -> tuple[np.ndarray, float]:
     data sits; a cloud far from the origin would otherwise need directions
     crowded against the poles.
     """
-    pts = np.vstack([m.points for m in measures])
     center = pts.mean(axis=0)
     radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
     return center, radius if radius > 0 else 1.0
@@ -366,58 +419,76 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
     return _normalize_rows(np.hstack([u, v * radius - u @ center[:, None]]))
 
 
-def _soft_imbalance(lifted, weights, totals, W, temp) -> float:
+def _soft_imbalance(pool: _Pool, W, temp) -> float:
+    """Sum over measures of the squared relative tanh imbalance.
+
+    One pooled product pass, then tanh(product / temp) in place in the
+    pool's buffer and one weighted dot product per measure view.
+    """
+    buf = pool.products(W)
+    np.divide(buf, temp, out=buf)
+    np.tanh(buf, out=buf)
     obj = 0.0
-    for X, w, tot in zip(lifted, weights, totals):
-        prods = np.prod(X @ W.T, axis=1)
-        s = float(np.tanh(prods / temp) @ w) / tot
+    for view, w, tot in pool.parts:
+        s = float(view @ w) / tot
         obj += s * s
     return obj
 
 
-def _hard_worst(lifted, weights, totals, W) -> float:
+def _hard_worst(pool: _Pool, W) -> float:
+    """Largest relative exact sign imbalance over the measures.
+
+    One pooled product pass, then sign in place in the pool's buffer and
+    one weighted dot product per measure view.
+    """
+    buf = pool.products(W)
+    np.sign(buf, out=buf)
     worst = 0.0
-    for X, w, tot in zip(lifted, weights, totals):
-        prods = np.prod(X @ W.T, axis=1)
-        worst = max(worst, abs(float(np.sign(prods) @ w)) / tot)
+    for view, w, tot in pool.parts:
+        worst = max(worst, abs(float(view @ w)) / tot)
     return worst
 
 
-def _single_search(rng, lifted, weights, totals, k, d, diameter,
+def _propose(rng, W: np.ndarray, step: float) -> np.ndarray | None:
+    """W with one seeded row moved by a seeded Gaussian step and renormalized;
+    None when that row lands on zero or on a pole."""
+    r = int(rng.integers(len(W)))
+    cand = W.copy()
+    cand[r] = cand[r] + step * rng.normal(size=W.shape[1])
+    norm = math.sqrt(cand[r] @ cand[r])
+    if norm == 0 or np.all(cand[r][:-1] == 0.0):
+        return None
+    cand[r] /= norm
+    return cand
+
+
+def _single_search(rng, pool: _Pool, k, d, diameter,
                    config: SolverConfig) -> np.ndarray:
     W = _normalize_rows(rng.normal(size=(k, d + 1)))
     step = config.initial_step
     for factor in config.stage_factors:
         temp = factor * diameter
-        cur = _soft_imbalance(lifted, weights, totals, W, temp)
+        cur = _soft_imbalance(pool, W, temp)
         for _ in range(config.iterations_per_stage):
-            r = int(rng.integers(k))
-            cand = W.copy()
-            cand[r] = cand[r] + step * rng.normal(size=d + 1)
-            norm = np.linalg.norm(cand[r])
-            if norm == 0 or np.all(cand[r][:-1] == 0.0):
+            cand = _propose(rng, W, step)
+            if cand is None:
                 continue
-            cand[r] /= norm
-            val = _soft_imbalance(lifted, weights, totals, cand, temp)
+            val = _soft_imbalance(pool, cand, temp)
             if val <= cur:
                 W, cur = cand, val
                 step = min(step * 1.25, 2.0)
             else:
                 step = max(step * 0.85, config.min_step)
     # hard-sign polish: walk directly on the exact imbalance
-    cur = _hard_worst(lifted, weights, totals, W)
+    cur = _hard_worst(pool, W)
     step = 0.1
     for _ in range(config.polish_iterations):
         if cur == 0.0:
             break
-        r = int(rng.integers(k))
-        cand = W.copy()
-        cand[r] = cand[r] + step * rng.normal(size=d + 1)
-        norm = np.linalg.norm(cand[r])
-        if norm == 0 or np.all(cand[r][:-1] == 0.0):
+        cand = _propose(rng, W, step)
+        if cand is None:
             continue
-        cand[r] /= norm
-        val = _hard_worst(lifted, weights, totals, cand)
+        val = _hard_worst(pool, cand)
         if val <= cur:
             if val < cur:
                 step = min(step * 1.2, 0.5)
@@ -439,27 +510,24 @@ def solve_bisection(measures, k: int,
     config = config or SolverConfig()
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not measures:
-        raise ValueError("need at least one measure")
-    d = measures[0].dim
-    if any(m.dim != d for m in measures):
-        raise ValueError("measures of mixed dimension")
+    d = _common_dim(measures)
 
-    center, radius = _centering(measures)
-    centered = [DiscreteMeasure((m.points - center) / radius, m.weights)
-                for m in measures]
-    lifted = [m.lifted() for m in centered]
-    weights = [m.weights for m in centered]
-    totals = [m.total for m in centered]
+    pts = np.vstack([m.points for m in measures])
+    center, radius = _centering(pts)
+    centered = (pts - center) / radius
+    if not np.all(np.isfinite(centered)):  # the centroid overflowed
+        raise ValueError("point coordinates must be finite")
+    pool = _Pool(measures, k, centered)
     diameter = _data_diameter(centered)
+    totals = np.array([m.total for m in measures])
     children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
 
     for idx, child in enumerate(children):
         rng = np.random.default_rng(child)
-        W = _single_search(rng, lifted, weights, totals, k, d, diameter, config)
+        W = _single_search(rng, pool, k, d, diameter, config)
         W = _uncenter_directions(W, center, radius)
         imb = phi(measures, W)
-        rel = np.abs(imb) / np.array(totals)
+        rel = np.abs(imb) / totals
         if float(rel.max()) <= config.tolerance:
             return SolveResult(status="SUCCESS", directions=W, imbalances=imb,
                                relative_imbalances=rel, restarts_used=idx + 1,

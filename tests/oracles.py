@@ -1,9 +1,14 @@
-"""Search oracles the closed forms in the package are tested against.
+"""Reference paths the package's fast paths are tested against.
+
+Search oracles for the closed forms, and the per-measure solver kernel
+that the pooled kernel in hyperbisect.testmap must match bit for bit.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
@@ -38,3 +43,39 @@ def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
         return False
 
     return tuple(parts) if place(0) else None
+
+
+def centred_lifted(measures) -> list[np.ndarray]:
+    """Each measure's points in the solver's centred unit-radius frame,
+    lifted to (x, 1): the per-measure input of the kernels below."""
+    pts = np.vstack([m.points for m in measures])
+    center = pts.mean(axis=0)
+    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    radius = radius if radius > 0 else 1.0
+    return [np.hstack([(m.points - center) / radius,
+                       np.ones((len(m.points), 1))]) for m in measures]
+
+
+def signed_products(measure, W) -> np.ndarray:
+    """Per point of one measure, the product of its k functional values."""
+    lifted = np.hstack([measure.points, np.ones((len(measure.points), 1))])
+    return np.prod(lifted @ W.T, axis=1)
+
+
+def soft_imbalance(lifted, weights, totals, W, temp) -> float:
+    """The solver's smoothed objective, one measure at a time."""
+    obj = 0.0
+    for X, w, tot in zip(lifted, weights, totals):
+        prods = np.prod(X @ W.T, axis=1)
+        s = float(np.tanh(prods / temp) @ w) / tot
+        obj += s * s
+    return obj
+
+
+def hard_worst(lifted, weights, totals, W) -> float:
+    """The solver's worst relative sign imbalance, one measure at a time."""
+    worst = 0.0
+    for X, w, tot in zip(lifted, weights, totals):
+        prods = np.prod(X @ W.T, axis=1)
+        worst = max(worst, abs(float(np.sign(prods) @ w)) / tot)
+    return worst

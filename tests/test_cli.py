@@ -116,6 +116,14 @@ def test_ideal_member_false(capsys):
     assert out.strip() == "member=false surviving_monomials=2"
 
 
+def test_ideal_member_large_j_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["ideal", "member", "4000", "4000", "3"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert out == "member=false surviving_monomials=729\n"
+
+
 def test_ideal_member_json(capsys):
     code, out, _ = _run(capsys, ["ideal", "member", "2", "3", "2",
                                  "--format", "json"])

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
-from hyperbisect.gf2poly import (F2Poly, ideal_member,
-                                 ideal_member_by_expansion, least_surviving_d,
-                                 surviving_monomials, truncated_power_of_sum)
+from hyperbisect.gf2poly import (F2Poly, count_surviving_monomials,
+                                 ideal_member, ideal_member_by_expansion,
+                                 least_surviving_d, surviving_monomials,
+                                 truncated_power_of_sum)
 from oracles import carry_free_composition
 
 
@@ -68,6 +70,42 @@ def test_truncated_power_matches_brute_force():
 def test_surviving_monomials_sorted():
     surv = surviving_monomials(3, 2, 2)
     assert surv == [(1, 2), (2, 1)]
+
+
+def test_count_surviving_monomials_matches_the_expansion():
+    for k, j_max in ((1, 20), (2, 20), (3, 20), (4, 10), (5, 10)):
+        for j in range(0, j_max):
+            for d in range(0, 2 * j + 3):
+                count = count_surviving_monomials(j, k, d)
+                assert count == len(surviving_monomials(j, k, d))
+                assert (count == 0) == ideal_member(j, k, d)
+
+
+def _dealt_bits(j, k, d):
+    # brute force: every way to hand each set bit of j to one of k parts
+    bits = [1 << b for b in range(j.bit_length()) if j >> b & 1]
+    count = 0
+    for owners in itertools.product(range(k), repeat=len(bits)):
+        parts = [0] * k
+        for bit, owner in zip(bits, owners):
+            parts[owner] += bit
+        count += max(parts) <= d
+    return count
+
+
+def test_count_surviving_monomials_large_j():
+    rng = random.Random(5)
+    for _ in range(60):
+        j = rng.choice([rng.randrange(1, 1 << 12) & rng.randrange(1 << 12),
+                        rng.randrange(1, 300)])
+        k = rng.randrange(1, 5)
+        d = rng.randrange(0, 2 * j + 2)
+        assert count_surviving_monomials(j, k, d) == _dealt_bits(j, k, d)
+    # d >= j: every deal fits, so the count is k ** popcount(j)
+    assert count_surviving_monomials(4000, 3, 4000) == 3 ** 6 == 729
+    assert count_surviving_monomials(2**40 + 5, 2, 2**41) == 2 ** 3
+    with pytest.raises(ValueError):
+        count_surviving_monomials(3, 0, 2)
 
 
 def test_ideal_member_examples():

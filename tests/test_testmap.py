@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperbisect.momentcurve import well_separated_family
 from hyperbisect.testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
                                  GroupElement, JoinPoint, SolverConfig,
                                  act_on_join, act_on_target, boundary_mass,
@@ -14,7 +13,11 @@ from hyperbisect.testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
                                  measures_from_jsonable, measures_to_jsonable,
                                  phi, psi, solve_bisection,
                                  sphere_to_hyperplane)
-from hyperbisect.momentcurve import enumerate_bisections
+from hyperbisect.momentcurve import (enumerate_bisections,
+                                     well_separated_family)
+from hyperbisect import testmap
+from oracles import (centred_lifted, hard_worst, signed_products,
+                     soft_imbalance)
 
 
 def _unit(v):
@@ -104,6 +107,16 @@ def test_phi_counts_signed_mass():
                         np.array([1.0, 1.0, 1.0]))
     dirs = np.array([_unit([1.0, 0.0])])  # hyperplane x = 0
     assert phi([m], dirs)[0] == pytest.approx(1.0)  # 2 right, 1 left
+
+
+@pytest.mark.parametrize("fn", [phi, boundary_mass])
+def test_phi_and_boundary_mass_validate_measures(fn):
+    with pytest.raises(ValueError, match="at least one measure"):
+        fn([], np.array([[1.0, 0.0, 0.0]]))
+    mixed = [DiscreteMeasure(np.ones((2, 2)), np.ones(2)),
+             DiscreteMeasure(np.ones((2, 3)), np.ones(2))]
+    with pytest.raises(ValueError, match="mixed dimension"):
+        fn(mixed, np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_phi_rejects_poles():
@@ -313,3 +326,122 @@ def test_measure_json_rejects_malformed():
     with pytest.raises(ValueError):
         measures_from_jsonable(
             {"d": 1, "measures": [{"points": [{"x": [1.0], "w": -2.0}]}]})
+
+
+def test_solver_validates_measures():
+    with pytest.raises(ValueError, match="at least one measure"):
+        solve_bisection([], 1)
+    mixed = [DiscreteMeasure(np.ones((2, 1)), np.ones(2)),
+             DiscreteMeasure(np.ones((2, 2)), np.ones(2))]
+    with pytest.raises(ValueError, match="mixed dimension"):
+        solve_bisection(mixed, 1)
+
+
+def test_solver_rejects_a_cloud_whose_centroid_overflows():
+    # finite points whose mean is not: the centred frame would be NaN
+    ms = [DiscreteMeasure(np.full((2, 2), 1e308), np.ones(2)),
+          DiscreteMeasure(np.full((3, 2), 1.5e308), np.ones(3))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            solve_bisection(ms, 1, SolverConfig(max_restarts=1))
+
+
+def _kernel_instance(rng, d):
+    """Measures of unequal sizes, one of them a single point, with
+    non-uniform weights, plus their per-measure oracle input."""
+    sizes = [1] + [int(n) for n in rng.integers(2, 60, size=3)]
+    rng.shuffle(sizes)
+    ms = [DiscreteMeasure(rng.normal(size=(n, d)) * 4 + 7,
+                          rng.uniform(0.2, 3.0, n)) for n in sizes]
+    return ms, centred_lifted(ms)
+
+
+def _pool(ms, k):
+    pts = np.vstack([m.points for m in ms])
+    center, radius = testmap._centering(pts)
+    return testmap._Pool(ms, k, (pts - center) / radius)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pooled_kernel_equals_per_measure_kernel(k, d):
+    # exact equality, not closeness: solver output must not change
+    rng = np.random.default_rng(100 * k + d)
+    for _ in range(5):
+        ms, lifted = _kernel_instance(rng, d)
+        weights = [m.weights for m in ms]
+        totals = [m.total for m in ms]
+        pool = _pool(ms, k)
+        for _ in range(4):
+            W = _random_directions(rng, k, d)
+            for temp in (2.5, 0.3, 0.02, 1e-4):
+                assert (testmap._soft_imbalance(pool, W, temp)
+                        == soft_imbalance(lifted, weights, totals, W, temp))
+            assert (testmap._hard_worst(pool, W)
+                    == hard_worst(lifted, weights, totals, W))
+        W = _random_directions(rng, k, d)
+        prods = [signed_products(m, W) for m in ms]
+        assert phi(ms, W).tolist() == [float(np.sign(p) @ m.weights)
+                                       for p, m in zip(prods, ms)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_boundary_mass_equals_per_measure_reference(k):
+    # lattice points and axis hyperplanes through lattice values, so that
+    # many products are exactly zero
+    rng = np.random.default_rng(40 + k)
+    d = 2
+    ms = [DiscreteMeasure(rng.integers(-3, 4, size=(n, d)).astype(float),
+                          rng.uniform(0.5, 2.0, n)) for n in (1, 17, 30)]
+    for _ in range(10):
+        W = np.zeros((k, d + 1))
+        for row in W:
+            row[rng.integers(d)] = 1.0
+            row[d] = float(rng.integers(-3, 4))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        prods = [signed_products(m, W) for m in ms]
+        assert boundary_mass(ms, W).tolist() == [
+            float(m.weights[p == 0.0].sum()) for p, m in zip(prods, ms)]
+        assert phi(ms, W).tolist() == [float(np.sign(p) @ m.weights)
+                                       for p, m in zip(prods, ms)]
+
+
+def test_pooled_kernel_single_one_point_measure():
+    # a pooled length of 1 sends every product down numpy's vector paths
+    m = DiscreteMeasure(np.array([[0.5, -1.5]]), np.array([2.0]))
+    for k in (1, 2, 3):
+        W = _random_directions(np.random.default_rng(k), k, 2)
+        lifted = centred_lifted([m])
+        assert (testmap._soft_imbalance(_pool([m], k), W, 0.7)
+                == soft_imbalance(lifted, [m.weights], [m.total], W, 0.7))
+        assert (testmap._hard_worst(_pool([m], k), W)
+                == hard_worst(lifted, [m.weights], [m.total], W))
+
+
+@pytest.mark.parametrize("k,d", [(1, 1), (1, 2), (2, 2)])
+def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
+    # solve once with the pooled kernel and once with the per-measure
+    # oracle in its place: identical directions, bit for bit
+    rng = np.random.default_rng(30 + 10 * k + d)
+    ms = [DiscreteMeasure(rng.normal(size=(n, d)) + 3, np.ones(n))
+          for n in (40, 24)[:d]]
+    cfg = SolverConfig(seed=5, max_restarts=4)
+    pooled = solve_bisection(ms, k, cfg)
+    assert pooled.success
+
+    lifted = centred_lifted(ms)
+    weights = [m.weights for m in ms]
+    totals = [m.total for m in ms]
+    calls = []
+
+    def soft(pool, W, temp):
+        calls.append(1)
+        return soft_imbalance(lifted, weights, totals, W, temp)
+
+    monkeypatch.setattr(testmap, "_soft_imbalance", soft)
+    monkeypatch.setattr(testmap, "_hard_worst",
+                        lambda pool, W: hard_worst(lifted, weights, totals, W))
+    oracle = solve_bisection(ms, k, cfg)
+    assert calls
+    assert oracle.directions.tobytes() == pooled.directions.tobytes()
+    assert oracle.to_jsonable() == pooled.to_jsonable()
