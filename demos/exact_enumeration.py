@@ -6,8 +6,10 @@ Interval measures strung along the binomial moment curve
 t -> (C(t,1), ..., C(t,d)) are rigid enough that every bisecting
 arrangement is forced to cut each interval at its midpoint.  That turns
 "find all bisections" into finite combinatorics: partition the midpoints
-into blocks, pass one hyperplane through each block, and check the
-geometry in exact rational arithmetic.
+into blocks and pass one hyperplane through each block.  The hyperplane
+through a block's midpoints meets the curve there and nowhere else, so
+the enumeration checks nothing; below, verify_bisection re-checks every
+arrangement in exact rational arithmetic with Sturm sequences.
 """
 
 from fractions import Fraction

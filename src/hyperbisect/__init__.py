@@ -10,8 +10,8 @@ for concrete point clouds.
 from .parity import (Parity, anchored_blocks_parity, digit_sum,
                      equal_blocks_parity, is_carry_free, legendre_valuation,
                      multinomial_parity, multinomial_valuation)
-from .gf2poly import (F2Poly, ideal_member, ideal_member_by_expansion,
-                      surviving_monomials, truncated_power_of_sum)
+from .gf2poly import (F2Poly, ideal_member, surviving_monomials,
+                      truncated_power_of_sum)
 from .verdicts import (Certificate, FrontierRow, FrontierTable, LambdaVerdict,
                        Status, certificate_checks, frontier_csv, frontier_json,
                        frontier_table, is_power_of_two, verdict)
@@ -20,8 +20,8 @@ from .momentcurve import (Arrangement, DegenerateInputError, GenericityWarning,
                           IntervalFamily, OrientedHyperplane,
                           arrangement_from_jsonable, arrangement_to_jsonable,
                           count_bisections, curve_restriction,
-                          curve_roots_check, enumerate_bisections,
-                          hyperplane_through, moment_point, verify_bisection,
+                          enumerate_bisections, hyperplane_through,
+                          moment_point, verify_bisection,
                           well_separated_family)
 from .testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
                       GroupElement, JoinPoint, NOT_FOUND, SolveResult,
@@ -40,10 +40,10 @@ __all__ = [
     "SolveResult", "SolverConfig", "Status", "act_on_join", "act_on_target",
     "anchored_blocks_parity", "arrangement_from_jsonable",
     "arrangement_to_jsonable", "boundary_mass", "certificate_checks",
-    "count_bisections", "curve_restriction", "curve_roots_check", "digit_sum",
+    "count_bisections", "curve_restriction", "digit_sum",
     "enumerate_bisections", "equal_blocks_parity", "frontier_csv",
     "frontier_json", "frontier_svg", "frontier_table", "hyperplane_through",
-    "hyperplane_to_sphere_point", "ideal_member", "ideal_member_by_expansion",
+    "hyperplane_to_sphere_point", "ideal_member",
     "interval_quadrature_measures", "is_carry_free", "is_power_of_two",
     "legendre_valuation", "measures_from_jsonable", "measures_to_jsonable",
     "moment_point", "multinomial_parity", "multinomial_valuation", "phi",

@@ -9,8 +9,9 @@ vector (a_1, ..., a_k) with sum j and all a_i <= d has an odd
 multinomial coefficient, i.e. when j admits no carry-free binary
 composition into k parts each at most d.  That happens exactly for
 d < least_surviving_d(j, k), which ideal_member uses, and the number of
-such compositions has a digit DP, count_surviving_monomials; the
-expansion backs surviving_monomials and serves as the reference path.
+such compositions has a digit DP, count_surviving_monomials.  The
+expansion, truncated_power_of_sum, backs surviving_monomials; the tests
+also decide membership by expansion, as the reference path.
 """
 
 from __future__ import annotations
@@ -122,17 +123,13 @@ def ideal_member(j: int, k: int, d: int) -> bool:
     """Whether the j-th power of the variable sum lies in the cap ideal.
 
     Closed form: the power is a member exactly for d below
-    least_surviving_d(j, k).  The expansion path below decides the same
-    predicate from scratch; tests keep the two in agreement, together
-    with a search for carry-free compositions.
+    least_surviving_d(j, k).  Expanding with truncated_power_of_sum and
+    testing for zero decides the same predicate from scratch; the tests
+    keep the two in agreement, together with a search for carry-free
+    compositions.
     """
     _check_args(j, k, d)
     return d < least_surviving_d(j, k)
-
-
-def ideal_member_by_expansion(j: int, k: int, d: int) -> bool:
-    """Reference path: expand, reduce, test for the zero polynomial."""
-    return truncated_power_of_sum(j, k, d).is_zero
 
 
 def count_surviving_monomials(j: int, k: int, d: int) -> int:

@@ -10,17 +10,18 @@ intervals.  An arrangement of k hyperplanes bisects all j interval
 measures exactly when, for every interval, the product of the composed
 functionals flips sign once, at the interval's parameter midpoint.
 That reduces bisection to a statement about polynomial roots, checked
-below with exact rational arithmetic, and reduces the enumeration of
-bisecting arrangements to combinatorics: partition the j midpoints into
-blocks and pass one hyperplane through each block (plus, in the
-anchored variant, ell fixed early curve points shared by all but one
-block).
+below with exact rational arithmetic and one Sturm chain per hyperplane,
+and reduces the enumeration of bisecting arrangements to combinatorics:
+partition the j midpoints into blocks and pass one hyperplane through
+each block (plus, in the anchored variant, ell fixed early curve points
+shared by all but one block).  The hyperplane through a root set meets
+the curve there and nowhere else, so enumeration builds each one from
+its roots and checks nothing.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,7 +34,11 @@ class DegenerateInputError(ValueError):
 
 
 class GenericityWarning(UserWarning):
-    """Some enumerated candidate failed exact verification and was dropped."""
+    """Once raised when an enumerated candidate failed exact verification.
+
+    No candidate can fail, so the package no longer raises it; the class
+    stays for callers that still filter on it.
+    """
 
 
 @dataclass(frozen=True)
@@ -203,25 +208,6 @@ def curve_restriction(h: OrientedHyperplane) -> poly.Coeffs:
     return q
 
 
-def curve_roots_check(h: OrientedHyperplane, params) -> bool:
-    """True iff the restriction vanishes exactly at params and nowhere else.
-
-    Exact polynomial division: the restriction must factor as a nonzero
-    constant times the product of (t - param).
-    """
-    params = [Fraction(t) for t in params]
-    if len(set(params)) != len(params):
-        raise ValueError("parameters must be distinct")
-    q = curve_restriction(h)
-    if not q:
-        return False
-    for t in params:
-        q, rem = poly.divide(q, poly.make([-t, 1]))
-        if rem or not q:
-            return False
-    return poly.degree(q) == 0
-
-
 @dataclass(frozen=True)
 class IntervalFamily:
     """Disjoint parameter intervals on the moment curve, plus anchors.
@@ -303,29 +289,6 @@ def _interval_roots(h: OrientedHyperplane,
     return out
 
 
-def _owned_intervals(roots: list[tuple[bool, bool, int]]) -> int | None:
-    """Bitmask of the intervals this hyperplane cuts once, simply, at the
-    midpoint; None if it enters some other interval or meets a midpoint
-    badly, which no arrangement containing it survives."""
-    mask = 0
-    for r, (at_mid, simple, count) in enumerate(roots):
-        if at_mid and simple and count == 1:
-            mask |= 1 << r
-        elif count:  # also when at_mid: the midpoint is inside
-            return None
-    return mask
-
-
-def _cuts_each_once(masks, j: int) -> bool:
-    """Every interval owned by exactly one hyperplane, the rest clear of it."""
-    covered = 0
-    for mask in masks:
-        if mask is None or covered & mask:
-            return False
-        covered |= mask
-    return covered == (1 << j) - 1
-
-
 def verify_bisection(arrangement: Arrangement, family: IntervalFamily) -> bool:
     """Exact check that the arrangement halves every interval measure.
 
@@ -340,9 +303,15 @@ def verify_bisection(arrangement: Arrangement, family: IntervalFamily) -> bool:
     if arrangement.dim != family.d:
         raise ValueError(f"arrangement lives in R^{arrangement.dim}, "
                          f"family in R^{family.d}")
-    return _cuts_each_once(
-        (_owned_intervals(_interval_roots(h, family))
-         for h in arrangement.hyperplanes), family.j)
+    covered = 0  # the intervals owned so far, as a bitmask
+    for h in arrangement.hyperplanes:
+        for r, (at_mid, simple, count) in enumerate(_interval_roots(h, family)):
+            bit = 1 << r
+            if at_mid and simple and count == 1 and not covered & bit:
+                covered |= bit
+            elif count:  # a second owner, a bad midpoint root or another root
+                return False
+    return covered == (1 << family.j) - 1
 
 
 def _equal_partitions(items: tuple, size: int):
@@ -359,21 +328,25 @@ def _equal_partitions(items: tuple, size: int):
 
 
 def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
-    """All k-hyperplane arrangements bisecting the family, exactly verified.
+    """All k-hyperplane arrangements bisecting the family, in exact arithmetic.
 
-    Unanchored families need j == d*k: each candidate passes one
+    Unanchored families need j == d*k: each arrangement passes one
     hyperplane through each block of a partition of the j midpoints into
     k blocks of size d.  Anchored families need j == (d-ell)*k + ell and
     k >= 2: one free hyperplane through d midpoints, the rest through
     d-ell midpoints plus the ell anchors.
 
     A hyperplane is determined by its roots on the curve, so each block's
-    hyperplane is built once from its root set and checked once with one
-    Sturm chain: C(j, d) distinct hyperplanes in the unanchored case,
-    however many candidates share them.  Every candidate must pass the
-    per-interval predicate of verify_bisection; candidates failing it
-    are dropped with a GenericityWarning.  The result is in canonical
-    form, sorted by Arrangement.sort_key.
+    hyperplane is built once from its root set: C(j, d) distinct
+    hyperplanes in the unanchored case, however many partitions share
+    them.  No partition needs a root check.  A block's hyperplane meets
+    the curve exactly at its root set: simple roots at the block's
+    midpoints, each inside its own interval, and the anchors, which
+    precede the first interval.  So every hyperplane owns its block's
+    intervals and enters no other, and every partition passes
+    verify_bisection.  The cost is the distinct root sets plus the
+    partitions.  The result is in canonical form, sorted by
+    Arrangement.sort_key.
     """
     d, ell, j = family.d, family.anchor_count, family.j
     if k < 1:
@@ -392,49 +365,35 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
                              f"got j={j}, d={d}, k={k}, ell={ell}")
     mids = tuple(family.midpoints())
     anchors = tuple(family.anchors())
-    # distinct hyperplanes by id, with the intervals each one owns; the
-    # memo is keyed by root set, which determines the hyperplane
+    # distinct hyperplanes by id; the memo is keyed by root set, which
+    # determines the hyperplane
     planes: list[OrientedHyperplane] = []
-    owned: list[int | None] = []
     ids: dict[tuple, int] = {}
 
     def plane(roots: tuple) -> int:
         i = ids.get(roots)
         if i is None:
-            h = _root_set_hyperplane(roots)
             i = ids[roots] = len(planes)
-            planes.append(h)
-            owned.append(_owned_intervals(_interval_roots(h, family)))
+            planes.append(_root_set_hyperplane(roots))
         return i
 
     # blocks of a candidate are distinct root sets, so its hyperplanes are
     # distinct and every candidate is essential
-    def candidates():
-        if ell == 0:
-            for partition in _equal_partitions(mids, d):
-                yield [plane(block) for block in partition]
-            return
+    if ell == 0:
+        cands = [[plane(block) for block in partition]
+                 for partition in _equal_partitions(mids, d)]
+    else:
+        cands = []
         for free_block in combinations(mids, d):
             free = plane(free_block)
             remaining = tuple(t for t in mids if t not in free_block)
-            for partition in _equal_partitions(remaining, d - ell):
-                yield [free, *(plane(block + anchors) for block in partition)]
-
-    accepted = []
-    rejected = 0
-    for cand in candidates():
-        if _cuts_each_once((owned[i] for i in cand), j):
-            accepted.append(cand)
-        else:
-            rejected += 1
-    if rejected:
-        warnings.warn(f"{rejected} candidate arrangement(s) failed exact "
-                      f"verification and were dropped", GenericityWarning)
+            cands.extend([free, *(plane(block + anchors) for block in partition)]
+                         for partition in _equal_partitions(remaining, d - ell))
     # ranks of the distinct hyperplanes in sort_key order, so sorting by
     # ranks is sorting by Arrangement.sort_key
     order = sorted(range(len(planes)), key=lambda i: planes[i].sort_key())
     rank = {i: r for r, i in enumerate(order)}
-    rows = sorted(sorted(rank[i] for i in cand) for cand in accepted)
+    rows = sorted(sorted(rank[i] for i in cand) for cand in cands)
     return [Arrangement(tuple(planes[order[r]] for r in row)) for row in rows]
 
 

@@ -341,8 +341,9 @@ class SolverConfig:
     polish_iterations: int = 400
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, "
+                             f"got {self.tolerance}")
         if self.max_restarts < 1:
             raise ValueError("need at least one restart")
 

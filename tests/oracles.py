@@ -1,14 +1,26 @@
 """Reference paths the package's fast paths are tested against.
 
-Search oracles for the closed forms, and the per-measure solver kernel
-that the pooled kernel in hyperbisect.testmap must match bit for bit.
+Search and expansion oracles for the closed forms, an exact root check
+for moment-curve hyperplanes, and the per-measure solver kernel that
+the pooled kernel in hyperbisect.testmap must match bit for bit.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
+
+from hyperbisect import polynomials as poly
+from hyperbisect.gf2poly import truncated_power_of_sum
+from hyperbisect.momentcurve import OrientedHyperplane, curve_restriction
+
+
+def ideal_member_by_expansion(j: int, k: int, d: int) -> bool:
+    """Ideal membership the slow way: expand, reduce, test for zero."""
+    return truncated_power_of_sum(j, k, d).is_zero
 
 
 def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
@@ -43,6 +55,25 @@ def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
         return False
 
     return tuple(parts) if place(0) else None
+
+
+def curve_roots_check(h: OrientedHyperplane, params) -> bool:
+    """True iff the restriction vanishes exactly at params and nowhere else.
+
+    Exact polynomial division: the restriction must factor as a nonzero
+    constant times the product of (t - param).
+    """
+    params = [Fraction(t) for t in params]
+    if len(set(params)) != len(params):
+        raise ValueError("parameters must be distinct")
+    q = curve_restriction(h)
+    if not q:
+        return False
+    for t in params:
+        q, rem = poly.divide(q, poly.make([-t, 1]))
+        if rem or not q:
+            return False
+    return poly.degree(q) == 0
 
 
 def centred_lifted(measures) -> list[np.ndarray]:

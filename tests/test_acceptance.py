@@ -26,11 +26,10 @@ from hyperbisect import (DiscreteMeasure, GroupElement, JoinPoint, Parity,
                          SolverConfig, Status, act_on_join, act_on_target,
                          anchored_blocks_parity, count_bisections,
                          enumerate_bisections, equal_blocks_parity,
-                         ideal_member, ideal_member_by_expansion, phi, psi,
-                         solve_bisection, verdict, verify_bisection,
-                         well_separated_family)
+                         ideal_member, phi, psi, solve_bisection, verdict,
+                         verify_bisection, well_separated_family)
 from hyperbisect.cli import main as cli_main
-from oracles import carry_free_composition
+from oracles import carry_free_composition, ideal_member_by_expansion
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -319,6 +319,18 @@ def test_solve_not_found_exit_code(capsys, tmp_path):
     assert json.loads(out)["status"] == "NOT_FOUND"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_solve_non_finite_tolerance_is_usage_error(capsys, tmp_path, tol):
+    # a NaN tolerance fails every restart and an infinite one passes any
+    # arrangement, so both are refused before the solver starts
+    instance = tmp_path / "disks.json"
+    _write_instance(instance)
+    code, out, err = _run(capsys, ["solve", "--input", str(instance),
+                                   "--k", "2", "--tol", tol])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "tolerance" in err
+
+
 def test_solve_missing_file(capsys, tmp_path):
     code, _, err = _run(capsys, ["solve", "--input",
                                  str(tmp_path / "nope.json"), "--k", "2"])

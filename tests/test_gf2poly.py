@@ -9,10 +9,9 @@ import random
 import pytest
 
 from hyperbisect.gf2poly import (F2Poly, count_surviving_monomials,
-                                 ideal_member, ideal_member_by_expansion,
-                                 least_surviving_d, surviving_monomials,
-                                 truncated_power_of_sum)
-from oracles import carry_free_composition
+                                 ideal_member, least_surviving_d,
+                                 surviving_monomials, truncated_power_of_sum)
+from oracles import carry_free_composition, ideal_member_by_expansion
 
 
 def _multinomial(n, parts):

@@ -13,13 +13,13 @@ from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
                                      IntervalFamily, OrientedHyperplane,
                                      arrangement_from_jsonable,
                                      arrangement_to_jsonable, count_bisections,
-                                     curve_restriction, curve_roots_check,
-                                     enumerate_bisections, hyperplane_through,
-                                     moment_point, verify_bisection,
-                                     well_separated_family)
+                                     curve_restriction, enumerate_bisections,
+                                     hyperplane_through, moment_point,
+                                     verify_bisection, well_separated_family)
 from hyperbisect.momentcurve import (_equal_partitions, _interval_roots,
                                      _root_set_hyperplane)
 from hyperbisect import polynomials as poly
+from oracles import curve_roots_check
 
 # the acceptance suite's count-law tuples (d, k, ell)
 COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
@@ -333,6 +333,29 @@ def test_verify_bisection_matches_oracle_on_seeded_arrangements():
             assert verdict == _verify_oracle(arr, fam)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def test_every_root_set_candidate_bisects():
+    # the proof obligation behind enumerate_bisections checking nothing:
+    # a random partition of the midpoints, each block's hyperplane built
+    # from its root set with the anchors appended, as enumeration does
+    rng = random.Random(13)
+    for d in range(1, 6):
+        for ell in range(d):
+            for k in range(2 if ell else 1, 4):
+                fam = _rational_family(rng, d, k, ell)
+                anchors = tuple(fam.anchors())
+                size = d - ell
+                for _ in range(20):
+                    mids = rng.sample(fam.midpoints(), fam.j)
+                    free, rest = (mids[:d], mids[d:]) if ell else ([], mids)
+                    root_sets = [tuple(sorted(free))] if ell else []
+                    root_sets += [tuple(sorted(rest[i:i + size])) + anchors
+                                  for i in range(0, len(rest), size)]
+                    arr = Arrangement(tuple(map(_root_set_hyperplane,
+                                                root_sets)))
+                    assert arr.k == k and arr.is_essential()
+                    assert verify_bisection(arr, fam), (d, k, ell, root_sets)
 
 
 def _reference_enumeration(family, k):

@@ -328,6 +328,13 @@ def test_measure_json_rejects_malformed():
             {"d": 1, "measures": [{"points": [{"x": [1.0], "w": -2.0}]}]})
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"),
+                                 0.0, -1e-3])
+def test_solver_config_rejects_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        SolverConfig(tolerance=tol)
+
+
 def test_solver_validates_measures():
     with pytest.raises(ValueError, match="at least one measure"):
         solve_bisection([], 1)
