@@ -23,12 +23,17 @@ from .momentcurve import (Arrangement, DegenerateInputError, GenericityWarning,
                           enumerate_bisections, hyperplane_through,
                           moment_point, verify_bisection,
                           well_separated_family)
-from .testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
-                      GroupElement, JoinPoint, NOT_FOUND, SolveResult,
-                      SolverConfig, act_on_join, act_on_target, boundary_mass,
-                      hyperplane_to_sphere_point, interval_quadrature_measures,
-                      measures_from_jsonable, measures_to_jsonable, phi, psi,
-                      solve_bisection, sphere_to_hyperplane)
+
+# the numerical solver is the package's only numpy user; its names load
+# on first access (PEP 562), so the exact layers start without numpy
+_TESTMAP_NAMES = frozenset({
+    "AT_INFINITY", "AtInfinityError", "DiscreteMeasure", "GroupElement",
+    "JoinPoint", "NOT_FOUND", "SolveResult", "SolverConfig", "act_on_join",
+    "act_on_target", "boundary_mass", "hyperplane_to_sphere_point",
+    "interval_quadrature_measures", "measures_from_jsonable",
+    "measures_to_jsonable", "phi", "psi", "solve_bisection",
+    "sphere_to_hyperplane",
+})
 
 __version__ = "0.1.0"
 
@@ -51,3 +56,14 @@ __all__ = [
     "truncated_power_of_sum", "verdict", "verify_bisection",
     "well_separated_family",
 ]
+
+
+def __getattr__(name: str):
+    if name in _TESTMAP_NAMES:
+        from . import testmap
+        return getattr(testmap, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _TESTMAP_NAMES)

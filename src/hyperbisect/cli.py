@@ -23,7 +23,6 @@ from .gf2poly import (count_surviving_monomials, ideal_member,
 from .momentcurve import (IntervalFamily, arrangement_to_jsonable,
                           count_bisections, enumerate_bisections)
 from .parity import anchored_blocks_parity, equal_blocks_parity
-from .testmap import SolverConfig, measures_from_jsonable, solve_bisection
 from .verdicts import (Status, frontier_csv, frontier_json, frontier_table,
                        verdict)
 from .figures import frontier_svg
@@ -31,8 +30,20 @@ from .figures import frontier_svg
 # enumerate refuses families with more arrangements than this
 ENUMERATE_CAP = 100_000
 
+# solve's names come from testmap, the only module that needs numpy; they
+# load on first access (PEP 562), so the other commands start without it
+_TESTMAP_NAMES = frozenset({"SolverConfig", "measures_from_jsonable",
+                            "solve_bisection"})
+
 # 128 + SIGPIPE: what a shell reports for a command killed by a closed pipe
 EXIT_BROKEN_PIPE = 141
+
+
+def __getattr__(name: str):
+    if name in _TESTMAP_NAMES:
+        from . import testmap
+        return getattr(testmap, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _InputFormatError(Exception):
@@ -159,6 +170,9 @@ def _resolve_seed(args_seed: int | None) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # through the module's attributes, where a wrapper set from outside
+    # (perfbench/tracer.py) replaces solve_bisection
+    this = sys.modules[__name__]
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -167,12 +181,13 @@ def _cmd_solve(args) -> int:
     except json.JSONDecodeError as exc:
         raise _InputFormatError(f"invalid JSON in {args.input}: {exc}") from exc
     try:
-        d, measures = measures_from_jsonable(data)
+        d, measures = this.measures_from_jsonable(data)
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
-    config = SolverConfig(tolerance=args.tol, seed=_resolve_seed(args.seed),
-                          max_restarts=args.restarts)
-    result = solve_bisection(measures, args.k, config)
+    config = this.SolverConfig(tolerance=args.tol,
+                               seed=_resolve_seed(args.seed),
+                               max_restarts=args.restarts)
+    result = this.solve_bisection(measures, args.k, config)
     _emit(json.dumps(result.to_jsonable(), indent=2))
     return 0 if result.success else 1
 

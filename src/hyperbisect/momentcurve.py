@@ -363,31 +363,36 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
         if j != (d - ell) * k + ell:
             raise ValueError(f"anchored case needs j == (d-ell)*k + ell, "
                              f"got j={j}, d={d}, k={k}, ell={ell}")
-    mids = tuple(family.midpoints())
-    anchors = tuple(family.anchors())
-    # distinct hyperplanes by id; the memo is keyed by root set, which
-    # determines the hyperplane
+    mids = family.midpoints()
+    anchors = family.anchors()
+    # distinct hyperplanes by id; the memo is keyed by block, a tuple of
+    # midpoint indices, whose root set determines the hyperplane (an
+    # anchored block, the one with fewer than d midpoints, adds the anchors)
     planes: list[OrientedHyperplane] = []
-    ids: dict[tuple, int] = {}
+    ids: dict[tuple[int, ...], int] = {}
 
-    def plane(roots: tuple) -> int:
-        i = ids.get(roots)
+    def plane(block: tuple[int, ...]) -> int:
+        i = ids.get(block)
         if i is None:
-            i = ids[roots] = len(planes)
+            i = ids[block] = len(planes)
+            roots = [mids[m] for m in block]
+            if len(block) < d:
+                roots += anchors
             planes.append(_root_set_hyperplane(roots))
         return i
 
     # blocks of a candidate are distinct root sets, so its hyperplanes are
     # distinct and every candidate is essential
+    indices = tuple(range(j))
     if ell == 0:
         cands = [[plane(block) for block in partition]
-                 for partition in _equal_partitions(mids, d)]
+                 for partition in _equal_partitions(indices, d)]
     else:
         cands = []
-        for free_block in combinations(mids, d):
+        for free_block in combinations(indices, d):
             free = plane(free_block)
-            remaining = tuple(t for t in mids if t not in free_block)
-            cands.extend([free, *(plane(block + anchors) for block in partition)]
+            remaining = tuple(m for m in indices if m not in free_block)
+            cands.extend([free, *(plane(block) for block in partition)]
                          for partition in _equal_partitions(remaining, d - ell))
     # ranks of the distinct hyperplanes in sort_key order, so sorting by
     # ranks is sorting by Arrangement.sort_key

@@ -60,13 +60,6 @@ def multiply(p: Coeffs, q: Coeffs) -> Coeffs:
     return make(out)
 
 
-def from_roots(roots) -> Coeffs:
-    p = make([1])
-    for r in roots:
-        p = multiply(p, make([-Fraction(r), 1]))
-    return p
-
-
 def divide(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
     """Quotient and remainder; exact since Fraction is a field."""
     if not q:

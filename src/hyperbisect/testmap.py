@@ -331,7 +331,7 @@ NOT_FOUND = "NOT_FOUND"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tolerance: float = 1e-2          # max allowed relative imbalance
+    tolerance: float = 1e-2          # max allowed relative imbalance, in (0, 1)
     seed: int = 0
     max_restarts: int = 20
     stage_factors: tuple[float, ...] = (1.0, 0.1, 0.01)  # times data diameter
@@ -341,8 +341,10 @@ class SolverConfig:
     polish_iterations: int = 400
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, "
+        # a relative imbalance is never above 1, so a tolerance of 1 or
+        # more would pass any arrangement; NaN fails both comparisons
+        if not 0 < self.tolerance < 1:
+            raise ValueError(f"tolerance must lie strictly between 0 and 1, "
                              f"got {self.tolerance}")
         if self.max_restarts < 1:
             raise ValueError("need at least one restart")

@@ -1,8 +1,9 @@
 """Reference paths the package's fast paths are tested against.
 
-Search and expansion oracles for the closed forms, an exact root check
-for moment-curve hyperplanes, and the per-measure solver kernel that
-the pooled kernel in hyperbisect.testmap must match bit for bit.
+Search and expansion oracles for the closed forms, polynomials built
+from their roots, an exact root check for moment-curve hyperplanes, and
+the per-measure solver kernel that the pooled kernel in
+hyperbisect.testmap must match bit for bit.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -55,6 +56,14 @@ def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
         return False
 
     return tuple(parts) if place(0) else None
+
+
+def from_roots(roots) -> poly.Coeffs:
+    """The monic polynomial prod (t - r) over the given roots."""
+    p = poly.make([1])
+    for r in roots:
+        p = poly.multiply(p, poly.make([-Fraction(r), 1]))
+    return p
 
 
 def curve_roots_check(h: OrientedHyperplane, params) -> bool:

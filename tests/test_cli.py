@@ -319,10 +319,11 @@ def test_solve_not_found_exit_code(capsys, tmp_path):
     assert json.loads(out)["status"] == "NOT_FOUND"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "2"])
 def test_solve_non_finite_tolerance_is_usage_error(capsys, tmp_path, tol):
-    # a NaN tolerance fails every restart and an infinite one passes any
-    # arrangement, so both are refused before the solver starts
+    # a NaN tolerance fails every restart, and one of 1 or more passes any
+    # arrangement (a relative imbalance is at most 1), so all are refused
+    # before the solver starts
     instance = tmp_path / "disks.json"
     _write_instance(instance)
     code, out, err = _run(capsys, ["solve", "--input", str(instance),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hyperbisect import polynomials as poly
+from oracles import from_roots
 
 
 def test_make_trims():
@@ -43,13 +44,13 @@ def test_divide_by_zero():
 
 
 def test_gcd_of_known_factors():
-    p = poly.from_roots([1, 2])
-    q = poly.from_roots([2, 3])
-    assert poly.gcd(p, q) == poly.from_roots([2])
+    p = from_roots([1, 2])
+    q = from_roots([2, 3])
+    assert poly.gcd(p, q) == from_roots([2])
 
 
 def test_squarefree_part():
-    p = poly.multiply(poly.from_roots([1, 1, 2]), poly.make([1]))
+    p = poly.multiply(from_roots([1, 1, 2]), poly.make([1]))
     sf = poly.squarefree_part(p)
     assert poly.evaluate(sf, Fraction(1)) == 0
     assert poly.evaluate(sf, Fraction(2)) == 0
@@ -57,21 +58,21 @@ def test_squarefree_part():
 
 
 def test_count_roots_simple():
-    p = poly.from_roots([1, 2, 3])
+    p = from_roots([1, 2, 3])
     assert poly.count_roots_open(p, 0, 4) == 3
     assert poly.count_roots_open(p, Fraction(3, 2), Fraction(5, 2)) == 1
     assert poly.count_roots_open(p, 4, 10) == 0
 
 
 def test_count_roots_excludes_endpoints():
-    p = poly.from_roots([1, 2])
+    p = from_roots([1, 2])
     assert poly.count_roots_open(p, 1, 2) == 0
     assert poly.count_roots_open(p, 1, 3) == 1
     assert poly.count_roots_open(p, 0, 2) == 1
 
 
 def test_count_roots_handles_multiplicity():
-    p = poly.from_roots([1, 1, 1])
+    p = from_roots([1, 1, 1])
     assert poly.count_roots_open(p, 0, 2) == 1
 
 
@@ -92,7 +93,7 @@ def test_count_roots_randomized_against_known_roots():
     for _ in range(80):
         roots = sorted(Fraction(rnd.randint(-8, 8), rnd.randint(1, 3))
                        for _ in range(rnd.randint(1, 4)))
-        p = poly.from_roots(roots)
+        p = from_roots(roots)
         # optionally multiply in a rootless quadratic
         if rnd.random() < 0.5:
             p = poly.multiply(p, poly.make([rnd.randint(1, 3), 0, 1]))

@@ -329,7 +329,7 @@ def test_measure_json_rejects_malformed():
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"),
-                                 0.0, -1e-3])
+                                 0.0, -1e-3, 1.0, 2.0])
 def test_solver_config_rejects_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tolerance"):
         SolverConfig(tolerance=tol)
