@@ -21,7 +21,7 @@ from fractions import Fraction
 from .gf2poly import (count_surviving_monomials, ideal_member,
                       surviving_monomials)
 from .momentcurve import (IntervalFamily, arrangement_to_jsonable,
-                          count_bisections, enumerate_bisections)
+                          check_shape, count_bisections, enumerate_bisections)
 from .parity import anchored_blocks_parity, equal_blocks_parity
 from .verdicts import (Status, frontier_csv, frontier_json, frontier_table,
                        verdict)
@@ -136,8 +136,9 @@ def _parse_params(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_enumerate(args) -> int:
-    params = _parse_params(args.params)
     d, k, ell = args.d, args.k, args.ell
+    check_shape(d, k, ell)  # a bad (d, k, ell) is a usage error, like count's
+    params = _parse_params(args.params)
     try:
         family = IntervalFamily(d=d, parameters=params, anchor_count=ell)
         # a family of the size (d, k, ell) asks for has exactly

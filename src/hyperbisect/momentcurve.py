@@ -186,14 +186,22 @@ def _root_set_hyperplane(roots) -> OrientedHyperplane:
 
     Its restriction is q(t) = prod (t - r).  Newton's forward-difference
     formula in the binomial basis, q(t) = sum_i (Delta^i q)(0) C(t, i),
-    reads off normal_i = (Delta^i q)(0) and offset = -q(0).
+    reads off normal_i = (Delta^i q)(0) and offset = -q(0).  With D the
+    lcm of the roots' denominators, the integers Q(m) = prod (m*D - r*D)
+    equal D^d q(m), so the differences run in ints and D^d cancels when
+    canonicalizing: the result is the exact rational hyperplane.
     """
-    values = [math.prod(m - r for r in roots) for m in range(len(roots) + 1)]
+    den = math.lcm(*(r.denominator for r in roots))
+    scaled = [r.numerator * (den // r.denominator) for r in roots]
+    values = [math.prod(m * den - r for r in scaled)
+              for m in range(len(scaled) + 1)]
     diffs = []
     while values:
         diffs.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
-    return OrientedHyperplane(tuple(diffs[1:]), -diffs[0]).canonical()
+    pivot = next(u for u in diffs[1:] if u)  # normal_d = d! D^d is never zero
+    return OrientedHyperplane(tuple(Fraction(u, pivot) for u in diffs[1:]),
+                              Fraction(-diffs[0], pivot))
 
 
 def curve_restriction(h: OrientedHyperplane) -> poly.Coeffs:
@@ -337,32 +345,22 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
     d-ell midpoints plus the ell anchors.
 
     A hyperplane is determined by its roots on the curve, so each block's
-    hyperplane is built once from its root set: C(j, d) distinct
-    hyperplanes in the unanchored case, however many partitions share
-    them.  No partition needs a root check.  A block's hyperplane meets
-    the curve exactly at its root set: simple roots at the block's
-    midpoints, each inside its own interval, and the anchors, which
-    precede the first interval.  So every hyperplane owns its block's
-    intervals and enters no other, and every partition passes
-    verify_bisection.  The cost is the distinct root sets plus the
-    partitions.  The result is in canonical form, sorted by
-    Arrangement.sort_key.
+    hyperplane is built once from its root set, in integer arithmetic
+    (_root_set_hyperplane): C(j, d) distinct hyperplanes in the
+    unanchored case, however many partitions share them.  No partition
+    needs a root check.  A block's hyperplane meets the curve exactly at
+    its root set: simple roots at the block's midpoints, each inside its
+    own interval, and the anchors, which precede the first interval.  So
+    every hyperplane owns its block's intervals and enters no other, and
+    every partition passes verify_bisection.  The cost is the distinct
+    root sets plus the partitions.  The result is in canonical form,
+    sorted by Arrangement.sort_key.
     """
     d, ell, j = family.d, family.anchor_count, family.j
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if ell == 0:
-        if j != d * k:
-            raise ValueError(f"unanchored case needs j == d*k, got j={j}, "
-                             f"d={d}, k={k}")
-    else:
-        if k < 2:
-            raise ValueError(f"anchored case needs k >= 2, got k={k}")
-        if not 1 <= ell <= d - 1:
-            raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
-        if j != (d - ell) * k + ell:
-            raise ValueError(f"anchored case needs j == (d-ell)*k + ell, "
-                             f"got j={j}, d={d}, k={k}, ell={ell}")
+    check_shape(d, k, ell)
+    if j != (d - ell) * k + ell:
+        raise ValueError(f"(d, k, ell) = ({d}, {k}, {ell}) needs "
+                         f"j == (d-ell)*k + ell, got j={j}")
     mids = family.midpoints()
     anchors = family.anchors()
     # distinct hyperplanes by id; the memo is keyed by block, a tuple of
@@ -395,28 +393,38 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
             cands.extend([free, *(plane(block) for block in partition)]
                          for partition in _equal_partitions(remaining, d - ell))
     # ranks of the distinct hyperplanes in sort_key order, so sorting by
-    # ranks is sorting by Arrangement.sort_key
-    order = sorted(range(len(planes)), key=lambda i: planes[i].sort_key())
+    # ranks is sorting by Arrangement.sort_key; the planes are canonical,
+    # so each one's sort_key is its own (*normal, offset)
+    order = sorted(range(len(planes)),
+                   key=lambda i: (*planes[i].normal, planes[i].offset))
     rank = {i: r for r, i in enumerate(order)}
     rows = sorted(sorted(rank[i] for i in cand) for cand in cands)
     return [Arrangement(tuple(planes[order[r]] for r in row)) for row in rows]
 
 
-def count_bisections(d: int, k: int, ell: int = 0) -> int:
-    """Closed-form count of the arrangements enumerate_bisections yields."""
+def check_shape(d: int, k: int, ell: int = 0) -> None:
+    """Raise ValueError unless (d, k, ell) names a family of the count law:
+    d >= 1 and k >= 1 unanchored, k >= 2 and 1 <= ell <= d-1 anchored."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if ell == 0:
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
-        count = math.factorial(d * k)
-        for _ in range(k):
-            count //= math.factorial(d)
-        return count // math.factorial(k)
+        return
     if k < 2:
         raise ValueError(f"anchored case needs k >= 2, got k={k}")
     if not 1 <= ell <= d - 1:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
+
+
+def count_bisections(d: int, k: int, ell: int = 0) -> int:
+    """Closed-form count of the arrangements enumerate_bisections yields."""
+    check_shape(d, k, ell)
+    if ell == 0:
+        count = math.factorial(d * k)
+        for _ in range(k):
+            count //= math.factorial(d)
+        return count // math.factorial(k)
     j = (d - ell) * k + ell
     count = math.factorial((d - ell) * (k - 1))
     for _ in range(k - 1):

@@ -459,7 +459,7 @@ def _propose(rng, W: np.ndarray, step: float) -> np.ndarray | None:
     cand = W.copy()
     cand[r] = cand[r] + step * rng.normal(size=W.shape[1])
     norm = math.sqrt(cand[r] @ cand[r])
-    if norm == 0 or np.all(cand[r][:-1] == 0.0):
+    if norm == 0 or not cand[r, :-1].any():
         return None
     cand[r] /= norm
     return cand

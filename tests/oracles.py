@@ -1,15 +1,17 @@
 """Reference paths the package's fast paths are tested against.
 
 Search and expansion oracles for the closed forms, polynomials built
-from their roots, an exact root check for moment-curve hyperplanes, and
-the per-measure solver kernel that the pooled kernel in
-hyperbisect.testmap must match bit for bit.
+from their roots, the Fraction kernel for root-set hyperplanes, an exact
+root check for moment-curve hyperplanes, and the per-measure solver
+kernel that the pooled kernel in hyperbisect.testmap must match bit for
+bit.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +66,18 @@ def from_roots(roots) -> poly.Coeffs:
     for r in roots:
         p = poly.multiply(p, poly.make([-Fraction(r), 1]))
     return p
+
+
+def root_set_hyperplane_by_fractions(roots) -> OrientedHyperplane:
+    """The canonical hyperplane meeting the curve at the given parameters,
+    by forward differences of prod (t - r) in Fraction arithmetic."""
+    roots = list(roots)
+    values = [math.prod(m - r for r in roots) for m in range(len(roots) + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return OrientedHyperplane(tuple(diffs[1:]), -diffs[0]).canonical()
 
 
 def curve_roots_check(h: OrientedHyperplane, params) -> bool:

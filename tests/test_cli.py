@@ -177,6 +177,18 @@ def test_enumerate_bad_params_is_input_error(capsys):
     assert code == 3
 
 
+def test_enumerate_bad_shape_is_usage_error(capsys):
+    # the (d, k, ell) that count rejects, whatever the endpoints
+    for argv in (["2", "0"], ["0", "2"], ["2", "2", "--ell", "-1"],
+                 ["2", "2", "--ell", "5"], ["3", "1", "--ell", "1"]):
+        code, _, err = _run(capsys, ["count", *argv])
+        assert code == 2 and err.startswith("error:")
+        for params in ("1,2,3,4,5,6,7,8", "1,2,x"):
+            code, out, err = _run(capsys, ["enumerate", *argv,
+                                           "--params", params])
+            assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_enumerate_refuses_families_over_the_cap(capsys):
     import time
     from hyperbisect.cli import ENUMERATE_CAP

@@ -19,19 +19,19 @@ from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
 from hyperbisect.momentcurve import (_equal_partitions, _interval_roots,
                                      _root_set_hyperplane)
 from hyperbisect import polynomials as poly
-from oracles import curve_roots_check
+from oracles import curve_roots_check, root_set_hyperplane_by_fractions
 
 # the acceptance suite's count-law tuples (d, k, ell)
 COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
              (2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1))
 
 
-def _rational_family(rng, d, k, ell):
+def _rational_family(rng, d, k, ell, qmin=11, qmax=97):
     """Seeded endpoints p/q, about one unit apart, after the anchors."""
     j = d * k if ell == 0 else (d - ell) * k + ell
     params = []
     for i in range(2 * j):
-        q = rng.randint(11, 97)
+        q = rng.randint(qmin, qmax)
         params.append(Fraction(round((ell + i + rng.uniform(0.1, 0.9)) * q), q))
     return IntervalFamily(d, tuple(params), ell)
 
@@ -251,6 +251,33 @@ def test_root_set_hyperplane_matches_gaussian_elimination():
                 assert curve_roots_check(expected, roots)
 
 
+def test_root_set_hyperplane_matches_fraction_kernel():
+    # seeded root sets: negative, zero and repeated roots, the anchors
+    # 0..ell-1, and denominators up to 10**6, so that the lcm of d of them
+    # spans several machine words
+    def agree(roots):
+        # the oracle gets Fractions: on int roots it would divide to floats
+        return (_root_set_hyperplane(roots)
+                == root_set_hyperplane_by_fractions(map(Fraction, roots)))
+
+    rng = random.Random(17)
+    for d in range(1, 7):
+        for ell in range(d):
+            for _ in range(6):
+                pool = [Fraction(rng.randint(-10**7, 10**7),
+                                 rng.choice((1, rng.randint(1, 10**6))))
+                        for _ in range(d)] + [0, -1]
+                roots = [rng.choice(pool) for _ in range(d - ell)]
+                roots += [Fraction(i) for i in range(ell)]
+                assert agree(roots)
+    den = 999_983 * 999_979 * 999_961
+    for roots in ((0,), (-3, -3), (Fraction(-1, den), 0, Fraction(1, den)),
+                  (Fraction(5, 7),) * 6):
+        assert agree(roots)
+    h = _root_set_hyperplane((-3, 2))
+    assert all(type(x) is Fraction for x in (*h.normal, h.offset))
+
+
 def _restriction_oracle(h, family):
     q = curve_restriction(h)
     out = []
@@ -382,6 +409,20 @@ def _reference_enumeration(family, k):
     arrs = [Arrangement(tuple(hs)).canonical() for hs in candidates]
     good = [a for a in arrs if a.is_essential() and verify_bisection(a, family)]
     return sorted(good, key=Arrangement.sort_key)
+
+
+def test_enumerate_matches_reference_with_large_denominators():
+    # endpoints p/q with q up to 10**6: the integer kernel's lcm of d
+    # denominators no longer fits one machine word
+    rng = random.Random(19)
+    for d, k, ell in ((2, 3, 0), (3, 2, 1)):
+        fam = _rational_family(rng, d, k, ell, 10**5, 10**6)
+        got = [arrangement_to_jsonable(a)
+               for a in enumerate_bisections(fam, k)]
+        want = [arrangement_to_jsonable(a)
+                for a in _reference_enumeration(fam, k)]
+        assert got == want
+        assert len(got) == count_bisections(d, k, ell)
 
 
 def test_enumerate_matches_reference_on_count_law_families():
