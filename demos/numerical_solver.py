@@ -3,11 +3,11 @@ Finding bisections numerically, with receipts
 =============================================
 
 The solver works on finite weighted point clouds.  It minimizes a softened
-sign-imbalance in stages, polishes against the exact imbalance, and only
-reports SUCCESS after the candidate hyperplanes pass a hard verification:
-for every measure, the signed mass difference across the arrangement must
-sit within the requested tolerance.  Everything is seeded, so reruns are
-bit-identical.
+sign-imbalance in stages, polishes against the sign imbalance, and only
+reports SUCCESS after the candidate hyperplanes pass a check: for every
+measure, the signed mass difference across the arrangement, taken from
+float signs of float products, must sit within the requested tolerance.
+Everything is seeded, so reruns are bit-identical.
 """
 
 import json

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
-membership check queried with --expect-in is not IN; 2 on usage errors
-and on an enumeration whose arrangement count exceeds ENUMERATE_CAP;
+membership check queried with --expect-in is not IN; 2 on usage errors,
+on an enumeration whose arrangement count exceeds ENUMERATE_CAP and on
+a count with more digits than Python converts to a string;
 3 on malformed input files or parameter strings; EXIT_BROKEN_PIPE when
 stdout is closed before all output is written (``| head``).  Output for
 a fixed argv and seed is byte-identical across runs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -118,7 +120,32 @@ def _cmd_parity_lemma2(args) -> int:
     return 0
 
 
+def _count_digits(d: int, k: int, ell: int) -> int:
+    """Decimal digits of count_bisections(d, k, ell), from the log of its
+    closed form (math.lgamma), without computing it."""
+    def log_factorial(n: int) -> float:
+        return math.lgamma(n + 1)
+
+    if ell == 0:
+        ln = log_factorial(d * k) - k * log_factorial(d) - log_factorial(k)
+    else:
+        j, m = (d - ell) * k + ell, d - ell
+        ln = (log_factorial(j) - log_factorial(d) - log_factorial(j - d)
+              + log_factorial(m * (k - 1)) - (k - 1) * log_factorial(m)
+              - log_factorial(k - 1))
+    return int(ln / math.log(10)) + 1
+
+
 def _cmd_count(args) -> int:
+    check_shape(args.d, args.k, args.ell)
+    # a count Python will not print is refused before it is computed
+    # (the limit is 0, none, before Python 3.10.7 and 3.11)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = _count_digits(args.d, args.k, args.ell)
+    if limit and digits > limit:
+        raise ValueError(f"the count has about {digits} decimal digits, more "
+                         f"than the {limit} Python converts to a string "
+                         f"(sys.get_int_max_str_digits())")
     n = count_bisections(args.d, args.k, args.ell)
     if args.format == "json":
         _emit(json.dumps({"d": args.d, "k": args.k, "ell": args.ell,

@@ -417,19 +417,23 @@ def check_shape(d: int, k: int, ell: int = 0) -> None:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
 
 
+def _equal_splits(m: int, blocks: int) -> int:
+    """(blocks*m)! / (m!^blocks * blocks!): the ways to split blocks*m
+    items into unlabelled blocks of m.  The block holding the least item
+    left takes m - 1 of the others, so it is a product of binomials (all
+    1 when m = 1), with no factorial of blocks*m."""
+    if m == 1:
+        return 1
+    return math.prod(math.comb(i * m - 1, m - 1) for i in range(2, blocks + 1))
+
+
 def count_bisections(d: int, k: int, ell: int = 0) -> int:
     """Closed-form count of the arrangements enumerate_bisections yields."""
     check_shape(d, k, ell)
     if ell == 0:
-        count = math.factorial(d * k)
-        for _ in range(k):
-            count //= math.factorial(d)
-        return count // math.factorial(k)
+        return _equal_splits(d, k)
     j = (d - ell) * k + ell
-    count = math.factorial((d - ell) * (k - 1))
-    for _ in range(k - 1):
-        count //= math.factorial(d - ell)
-    return math.comb(j, d) * (count // math.factorial(k - 1))
+    return math.comb(j, d) * _equal_splits(d - ell, k - 1)
 
 
 def _frac_str(x) -> str:

@@ -19,8 +19,8 @@ lambda_i = 1/k is exactly a bisecting arrangement.
 The solver looks for such zeros directly: it minimizes a softened
 version of phi (tanh instead of sign) with the temperature annealed
 downward over stages, multi-starting from seeded random directions, and
-accepts only candidates whose exact sign imbalance passes the
-tolerance.
+accepts only candidates whose phi -- float signs of float products, a
+numerical check and not an exact one -- passes the tolerance.
 
 Kernel layout: the lifted points of all j measures sit in one array
 (_Pool), built once per solve from the centred cloud, with one work
@@ -31,6 +31,16 @@ product, the k rows multiplied into the buffer, one elementwise pass
 the same floating-point operations, in the same order, as scoring each
 measure on its own, so solver output is bit-identical to the
 per-measure kernel kept in tests/oracles.py.
+
+Restarts after the first run in lockstep batches: each iteration, every
+member draws its own proposal from its own generator, and the batch's
+proposals are built and scored together in stacked numpy calls (one
+stacked matrix product, one tanh or sign over the batch, one stacked dot
+product per measure), so the per-call overhead that dominates a small
+proposal is paid once per batch.  Each stacked call runs the same BLAS
+routine or elementwise operation per member as the single-restart path,
+so every member ends bit for bit where it would alone; tests/oracles.py
+keeps the sequential restart loop as the reference.
 """
 
 from __future__ import annotations
@@ -217,12 +227,15 @@ class _Pool:
         X = np.hstack([points, np.ones((len(points), 1))])
         self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
         self.buf = np.empty(len(X))
+        self.stack = np.empty((0, k, len(X)))
         self.parts = []
+        self.spans = []
         self.lone_points = []  # (column, (1, d+1) lifted row)
         start = 0
         for m in measures:
             stop = start + len(m.weights)
             self.parts.append((self.buf[start:stop], m.weights, m.total))
+            self.spans.append((start, stop))
             if stop - start == 1:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
@@ -241,6 +254,35 @@ class _Pool:
         for row in values[1:]:
             np.multiply(buf, row, out=buf)
         return buf
+
+    def stacked_products(self, W: np.ndarray) -> np.ndarray:
+        """products for each arrangement of a (B, k, d+1) stack, as (B, N).
+
+        Row b equals products(W[b]) bit for bit: the stacked matmul runs
+        the same BLAS call per arrangement, on the same layouts.  The
+        result is a view of a work array reused while B does not grow.
+        """
+        B, k = W.shape[:2]
+        if len(self.stack) < B:
+            self.stack = np.empty((B, k, len(self.buf)))
+        values = self.stack[:B]
+        if k == 1:
+            np.matmul(self.lifted, W.transpose(0, 2, 1),
+                      out=values.reshape(B, -1, 1))
+        else:
+            np.matmul(W, self.lifted, out=values)
+        for col, x in self.lone_points:
+            values[:, :, col] = (x @ W.transpose(0, 2, 1))[:, 0]
+        buf = values[:, 0]
+        for r in range(1, k):
+            np.multiply(buf, values[:, r], out=buf)
+        return buf
+
+    def stacked_sums(self, buf: np.ndarray):
+        """Per measure, its total and the (B,) weighted sums of its columns
+        of buf, each the dot product view @ w takes."""
+        for (_, w, tot), (start, stop) in zip(self.parts, self.spans):
+            yield tot, (buf[:, None, start:stop] @ w[:, None])[:, 0, 0]
 
 
 def phi(measures, directions) -> np.ndarray:
@@ -354,7 +396,7 @@ class SolverConfig:
 class SolveResult:
     status: str                      # "SUCCESS" or NOT_FOUND
     directions: np.ndarray | None    # (k, d+1) rows, unit length
-    imbalances: np.ndarray | None    # exact signed-mass phi values
+    imbalances: np.ndarray | None    # phi: float signed mass per measure
     relative_imbalances: np.ndarray | None
     restarts_used: int
     seed: int
@@ -439,7 +481,7 @@ def _soft_imbalance(pool: _Pool, W, temp) -> float:
 
 
 def _hard_worst(pool: _Pool, W) -> float:
-    """Largest relative exact sign imbalance over the measures.
+    """Largest relative sign imbalance over the measures.
 
     One pooled product pass, then sign in place in the pool's buffer and
     one weighted dot product per measure view.
@@ -449,6 +491,28 @@ def _hard_worst(pool: _Pool, W) -> float:
     worst = 0.0
     for view, w, tot in pool.parts:
         worst = max(worst, abs(float(view @ w)) / tot)
+    return worst
+
+
+def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
+    """_soft_imbalance of each arrangement of a (B, k, d+1) stack."""
+    buf = pool.stacked_products(W)
+    np.divide(buf, temp, out=buf)
+    np.tanh(buf, out=buf)
+    obj = np.zeros(len(W))
+    for tot, sums in pool.stacked_sums(buf):
+        s = sums / tot
+        obj += s * s
+    return obj
+
+
+def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
+    """_hard_worst of each arrangement of a (B, k, d+1) stack."""
+    buf = pool.stacked_products(W)
+    np.sign(buf, out=buf)
+    worst = np.zeros(len(W))
+    for tot, sums in pool.stacked_sums(buf):
+        np.maximum(worst, np.abs(sums) / tot, out=worst)
     return worst
 
 
@@ -482,7 +546,7 @@ def _single_search(rng, pool: _Pool, k, d, diameter,
                 step = min(step * 1.25, 2.0)
             else:
                 step = max(step * 0.85, config.min_step)
-    # hard-sign polish: walk directly on the exact imbalance
+    # hard-sign polish: walk directly on the sign imbalance
     cur = _hard_worst(pool, W)
     step = 0.1
     for _ in range(config.polish_iterations):
@@ -501,14 +565,115 @@ def _single_search(rng, pool: _Pool, k, d, diameter,
     return W
 
 
+def _propose_stacked(rngs, W: np.ndarray, steps: np.ndarray):
+    """_propose for each arrangement of a (B, k, d+1) stack, W[b] drawing
+    from rngs[b]: the candidates and a mask of those _propose returns.
+
+    Each generator draws what _propose draws, in the same order; the
+    arithmetic runs once over the stack.  A rejected candidate keeps
+    its row unnormalised (divided by 1), to be ignored by the caller.
+    """
+    B, k, n = W.shape
+    rows = np.empty(B, dtype=np.intp)
+    z = np.empty((B, n))
+    for b, rng in enumerate(rngs):
+        rows[b] = rng.integers(k)
+        rng.standard_normal(out=z[b])
+    z += 0.0  # normal() returns 0.0 + 1.0 * standard_normal(): -0.0 -> 0.0
+    at = (np.arange(B), rows)
+    moved = W[at] + steps[:, None] * z
+    norms = np.sqrt((moved[:, None, :] @ moved[:, :, None])[:, 0, 0])
+    ok = (norms != 0) & moved[:, :-1].any(axis=1)
+    moved /= np.where(ok, norms, 1.0)[:, None]
+    cand = W.copy()
+    cand[at] = moved
+    return cand, ok
+
+
+def _lockstep_search(rngs, pool: _Pool, k, d, diameter,
+                     config: SolverConfig) -> np.ndarray:
+    """_single_search for every generator of rngs, all in one stack.
+
+    Every arrangement takes its own accept and reject decisions, and
+    leaves the polish once its worst imbalance is 0, so row b of the
+    (B, k, d+1) result is what _single_search(rngs[b], ...) returns, bit
+    for bit; proposals and scoring run once per iteration for all.
+    """
+    W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
+                  for rng in rngs])
+    step = np.full(len(rngs), config.initial_step)
+    for factor in config.stage_factors:
+        temp = factor * diameter
+        cur = _soft_imbalances(pool, W, temp)
+        for _ in range(config.iterations_per_stage):
+            cand, ok = _propose_stacked(rngs, W, step)
+            val = _soft_imbalances(pool, cand, temp)
+            accept = ok & (val <= cur)
+            np.copyto(W, cand, where=accept[:, None, None])
+            np.copyto(cur, val, where=accept)
+            step = np.where(accept, np.minimum(step * 1.25, 2.0),
+                            np.where(ok, np.maximum(step * 0.85, config.min_step),
+                                     step))
+    # hard-sign polish; `live` indexes the stack members still walking
+    out = W
+    live = np.arange(len(rngs))
+    cur = _hard_worsts(pool, W)
+    step = np.full(len(rngs), 0.1)
+    for _ in range(config.polish_iterations):
+        done = cur == 0.0
+        if done.any():
+            out[live[done]] = W[done]
+            keep = ~done
+            live, W, cur, step = live[keep], W[keep], cur[keep], step[keep]
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+            if not len(live):
+                return out
+        cand, ok = _propose_stacked(rngs, W, step)
+        val = _hard_worsts(pool, cand)
+        accept = ok & (val <= cur)
+        step = np.where(accept & (val < cur), np.minimum(step * 1.2, 0.5),
+                        np.where(ok & ~accept,
+                                 np.maximum(step * 0.9, config.min_step), step))
+        np.copyto(W, cand, where=accept[:, None, None])
+        np.copyto(cur, val, where=accept)
+    out[live] = W
+    return out
+
+
+# Restarts after the first run in lockstep batches of at most this many
+# (bounding the stacked work arrays at O(32·k·N)); a batch of one runs
+# _single_search, which is faster alone.
+_LOCKSTEP_BATCH = 32
+
+
+def _restart_batches(seed: int, max_restarts: int):
+    """Restart indices and their generators, the first restart alone and
+    then up to _LOCKSTEP_BATCH at a time.  Restart i is seeded with the
+    child SeedSequence(seed).spawn(max_restarts)[i], built with its
+    batch rather than all up front."""
+    root = np.random.SeedSequence(seed)
+    start = 0
+    while start < max_restarts:
+        batch = range(start, min(start + (_LOCKSTEP_BATCH if start else 1),
+                                 max_restarts))
+        yield batch, [np.random.default_rng(np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (i,),
+            pool_size=root.pool_size)) for i in batch]
+        start = batch.stop
+
+
 def solve_bisection(measures, k: int,
                     config: SolverConfig | None = None) -> SolveResult:
     """Search for k hyperplanes bisecting all measures at once.
 
     Deterministic in (measures, k, config): restart r uses the r-th
-    spawn of the seed sequence, restarts run in index order, and the
-    first exact success wins.  Every SUCCESS is re-verified with the
-    exact sign imbalance before being returned.
+    spawn of the seed sequence.  The first restart runs alone, the
+    others in lockstep batches of up to _LOCKSTEP_BATCH; each batch is
+    checked in index order and the first success wins, so the result is
+    the one running every restart alone, in order, gives.  Success means
+    that phi of the directions, mapped back to the input frame, is
+    within the tolerance relative to each measure's total: float signs
+    of float products, not an exact re-check.
     """
     config = config or SolverConfig()
     if k < 1:
@@ -523,18 +688,19 @@ def solve_bisection(measures, k: int,
     pool = _Pool(measures, k, centered)
     diameter = _data_diameter(centered)
     totals = np.array([m.total for m in measures])
-    children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
-
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        W = _single_search(rng, pool, k, d, diameter, config)
-        W = _uncenter_directions(W, center, radius)
-        imb = phi(measures, W)
-        rel = np.abs(imb) / totals
-        if float(rel.max()) <= config.tolerance:
-            return SolveResult(status="SUCCESS", directions=W, imbalances=imb,
-                               relative_imbalances=rel, restarts_used=idx + 1,
-                               seed=config.seed)
+    for batch, rngs in _restart_batches(config.seed, config.max_restarts):
+        if len(rngs) == 1:
+            found = [_single_search(rngs[0], pool, k, d, diameter, config)]
+        else:
+            found = _lockstep_search(rngs, pool, k, d, diameter, config)
+        for idx, W in zip(batch, found):
+            W = _uncenter_directions(W, center, radius)
+            imb = phi(measures, W)
+            rel = np.abs(imb) / totals
+            if float(rel.max()) <= config.tolerance:
+                return SolveResult(status="SUCCESS", directions=W,
+                                   imbalances=imb, relative_imbalances=rel,
+                                   restarts_used=idx + 1, seed=config.seed)
     return SolveResult(status=NOT_FOUND, directions=None, imbalances=None,
                        relative_imbalances=None,
                        restarts_used=config.max_restarts, seed=config.seed)

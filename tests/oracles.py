@@ -2,9 +2,9 @@
 
 Search and expansion oracles for the closed forms, polynomials built
 from their roots, the Fraction kernel for root-set hyperplanes, an exact
-root check for moment-curve hyperplanes, and the per-measure solver
-kernel that the pooled kernel in hyperbisect.testmap must match bit for
-bit.
+root check for moment-curve hyperplanes, the per-measure solver kernel
+that the pooled kernel in hyperbisect.testmap must match bit for bit,
+and the sequential restart loop that its lockstep batches must match.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from hyperbisect import polynomials as poly
+from hyperbisect import testmap
 from hyperbisect.gf2poly import truncated_power_of_sum
 from hyperbisect.momentcurve import OrientedHyperplane, curve_restriction
 
@@ -80,6 +81,18 @@ def root_set_hyperplane_by_fractions(roots) -> OrientedHyperplane:
     return OrientedHyperplane(tuple(diffs[1:]), -diffs[0]).canonical()
 
 
+def count_bisections_by_factorials(d: int, k: int, ell: int = 0) -> int:
+    """The count law as quotients of factorials: (dk)!/(d!^k k!)
+    unanchored, C(j, d) times the split of the other blocks anchored."""
+    if ell == 0:
+        return math.factorial(d * k) // (math.factorial(d) ** k
+                                         * math.factorial(k))
+    j, m = (d - ell) * k + ell, d - ell
+    return math.comb(j, d) * (math.factorial(m * (k - 1))
+                              // (math.factorial(m) ** (k - 1)
+                                  * math.factorial(k - 1)))
+
+
 def curve_roots_check(h: OrientedHyperplane, params) -> bool:
     """True iff the restriction vanishes exactly at params and nowhere else.
 
@@ -133,3 +146,42 @@ def hard_worst(lifted, weights, totals, W) -> float:
         prods = np.prod(X @ W.T, axis=1)
         worst = max(worst, abs(float(np.sign(prods) @ w)) / tot)
     return worst
+
+
+def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
+    """Each restart of solve_bisection run alone, in index order: yields
+    its directions in the input frame, their phi, and their relative
+    imbalances.  Restart r searches with _single_search and the r-th
+    child of SeedSequence(seed).spawn(max_restarts)."""
+    d = testmap._common_dim(measures)
+    pts = np.vstack([m.points for m in measures])
+    center, radius = testmap._centering(pts)
+    centered = (pts - center) / radius
+    pool = testmap._Pool(measures, k, centered)
+    diameter = testmap._data_diameter(centered)
+    totals = np.array([m.total for m in measures])
+    children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
+    for child in children:
+        rng = np.random.default_rng(child)
+        W = testmap._single_search(rng, pool, k, d, diameter, config)
+        W = testmap._uncenter_directions(W, center, radius)
+        imb = testmap.phi(measures, W)
+        yield W, imb, np.abs(imb) / totals
+
+
+def solve_bisection_sequentially(measures, k: int,
+                                 config: testmap.SolverConfig
+                                 ) -> testmap.SolveResult:
+    """solve_bisection with one restart at a time: the first restart
+    whose worst relative imbalance passes the tolerance wins."""
+    for idx, (W, imb, rel) in enumerate(sequential_restarts(measures, k,
+                                                            config)):
+        if float(rel.max()) <= config.tolerance:
+            return testmap.SolveResult(
+                status="SUCCESS", directions=W, imbalances=imb,
+                relative_imbalances=rel, restarts_used=idx + 1,
+                seed=config.seed)
+    return testmap.SolveResult(
+        status=testmap.NOT_FOUND, directions=None, imbalances=None,
+        relative_imbalances=None, restarts_used=config.max_restarts,
+        seed=config.seed)

@@ -155,6 +155,50 @@ def test_count_command(capsys):
     assert code == 0 and out.strip() == "105"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("argv", [["300", "300"], ["1000", "1000"],
+                                  ["300", "300", "--format", "json"],
+                                  ["100000", "2"],
+                                  ["3000", "4", "--ell", "1"]])
+def test_count_too_long_to_print_is_refused_at_once(capsys, argv):
+    # more digits than Python converts to a string: refused before the
+    # count is computed, with its size (1000 1000 ran factorial(10**6))
+    from hyperbisect.cli import _count_digits
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["count", *argv])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    d, k = int(argv[0]), int(argv[1])
+    ell = int(argv[3]) if "--ell" in argv else 0
+    digits = _count_digits(d, k, ell)
+    assert digits > sys.get_int_max_str_digits()
+    assert err.startswith("error:") and f"about {digits} decimal digits" in err
+
+
+@pytest.mark.parametrize("argv", [["40", "40"], ["3000", "3", "--ell", "1"],
+                                  ["1000000", "1"], ["1", "1000000000"]])
+def test_count_large_but_printable_prints_at_once(capsys, argv):
+    from hyperbisect.momentcurve import count_bisections
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["count", *argv])
+    assert time.perf_counter() - start < 0.5
+    ell = int(argv[3]) if "--ell" in argv else 0
+    assert code == 0
+    assert out == f"{count_bisections(int(argv[0]), int(argv[1]), ell)}\n"
+
+
+def test_count_digits_estimate_is_exact():
+    from hyperbisect.cli import _count_digits
+    from hyperbisect.momentcurve import count_bisections
+    for d in range(1, 41):
+        for k in range(1, 41):
+            for ell in range(d) if k >= 2 else (0,):
+                assert _count_digits(d, k, ell) == len(str(count_bisections(d, k, ell)))
+    # next to the default limit of 4300 digits
+    assert _count_digits(3000, 3, 1) == len(str(count_bisections(3000, 3, 1))) == 4289
+
+
 def test_enumerate_round_trip(capsys):
     fam = well_separated_family(2, 2, 0)
     params = ",".join(str(t) for t in fam.parameters)

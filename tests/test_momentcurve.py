@@ -19,7 +19,8 @@ from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
 from hyperbisect.momentcurve import (_equal_partitions, _interval_roots,
                                      _root_set_hyperplane)
 from hyperbisect import polynomials as poly
-from oracles import curve_roots_check, root_set_hyperplane_by_fractions
+from oracles import (count_bisections_by_factorials, curve_roots_check,
+                     root_set_hyperplane_by_fractions)
 
 # the acceptance suite's count-law tuples (d, k, ell)
 COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
@@ -167,6 +168,14 @@ def test_count_examples():
     assert count_bisections(2, 3, 1) == 6
     assert count_bisections(1, 1, 0) == 1
     assert count_bisections(3, 3, 1) == 105
+
+
+def test_count_matches_the_factorial_formula():
+    for d in range(1, 16):
+        for k in range(1, 16):
+            for ell in range(d) if k >= 2 else (0,):
+                assert (count_bisections(d, k, ell)
+                        == count_bisections_by_factorials(d, k, ell))
 
 
 def test_count_rejects_bad_ranges():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,9 @@ from hyperbisect.testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
 from hyperbisect.momentcurve import (enumerate_bisections,
                                      well_separated_family)
 from hyperbisect import testmap
-from oracles import (centred_lifted, hard_worst, signed_products,
-                     soft_imbalance)
+from oracles import (centred_lifted, hard_worst, sequential_restarts,
+                     signed_products, soft_imbalance,
+                     solve_bisection_sequentially)
 
 
 def _unit(v):
@@ -452,3 +456,176 @@ def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
     assert calls
     assert oracle.directions.tobytes() == pooled.directions.tobytes()
     assert oracle.to_jsonable() == pooled.to_jsonable()
+
+
+# a short schedule, so that lockstep batches can be checked on many shapes
+_SHORT = SolverConfig(seed=3, max_restarts=5, iterations_per_stage=40,
+                      polish_iterations=60)
+
+
+def _search_args(ms, k, config=_SHORT):
+    pts = np.vstack([m.points for m in ms])
+    center, radius = testmap._centering(pts)
+    centered = (pts - center) / radius
+    return (testmap._Pool(ms, k, centered), k, ms[0].dim,
+            testmap._data_diameter(centered), config)
+
+
+def _assert_lockstep_equals_single(make_rngs, ms, k, config=_SHORT):
+    # make_rngs() gives a fresh batch of generators on each call
+    rngs = make_rngs()
+    stacked = testmap._lockstep_search(rngs, *_search_args(ms, k, config))
+    assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
+    for W, rng in zip(stacked, make_rngs(), strict=True):
+        alone = testmap._single_search(rng, *_search_args(ms, k, config))
+        assert W.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lockstep_search_equals_single_searches(k, d):
+    # every member of a batch ends exactly where it would alone; the
+    # instance has a one-point measure and non-uniform weights
+    ms, _ = _kernel_instance(np.random.default_rng(200 + 10 * k + d), d)
+    seeds = [7 * k + d + i for i in range(4)]
+    _assert_lockstep_equals_single(
+        lambda: [np.random.default_rng(s) for s in seeds], ms, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_solver_matches_sequential_restarts(k, d):
+    # tolerances at the restarts' own relative imbalances, so that the
+    # first success falls on various restarts (a one-point measure could
+    # never pass; _kernel_instance's are checked above)
+    rng = np.random.default_rng(300 + 10 * k + d)
+    ms = [DiscreteMeasure(rng.normal(size=(n, d)) * 4 + 7,
+                          rng.uniform(0.2, 3.0, n)) for n in (23, 31)]
+    rels = [float(rel.max()) for _, _, rel in sequential_restarts(ms, k, _SHORT)]
+    for tol in sorted({r for r in rels if r < 1})[:3] + [1e-3]:
+        config = dataclasses.replace(_SHORT, tolerance=tol)
+        batched = solve_bisection(ms, k, config)
+        reference = solve_bisection_sequentially(ms, k, config)
+        assert batched.to_jsonable() == reference.to_jsonable()
+        if reference.success:
+            assert batched.directions.tobytes() == reference.directions.tobytes()
+
+
+class _FirstProposalRejected:
+    """A seeded generator whose first proposal is rejected: its Gaussian
+    step cancels the moved row exactly (zero norm), or all of the row but
+    the offset (a pole).  The initial step must be a power of two, so
+    that step * (-row / step) == -row."""
+
+    def __init__(self, seed: int, step: float, pole: bool):
+        self.rng = np.random.default_rng(seed)
+        self.step, self.pole = step, pole
+        self.W = self.row = None
+
+    def integers(self, high):
+        self.row = self.rng.integers(high)
+        return self.row
+
+    def normal(self, size):
+        z = self.rng.normal(size=size)
+        if self.W is None:  # the initial directions
+            self.W = testmap._normalize_rows(z)
+        elif self.row is not None:
+            cancel = -self.W[self.row] / self.step
+            if self.pole:
+                z[:-1] = cancel[:-1]
+            else:
+                z[:] = cancel
+            self.row = None  # only the first proposal
+        return z
+
+    def standard_normal(self, out):
+        out[...] = self.normal(out.shape)
+
+
+def test_lockstep_keeps_rejected_proposals_apart():
+    # a batch in which some members' first proposal is rejected (zero
+    # norm or a pole) while the others' is scored
+    rng = np.random.default_rng(61)
+    ms = [DiscreteMeasure(rng.normal(size=(30, 2)), rng.uniform(0.5, 2, 30))
+          for _ in range(2)]
+    config = dataclasses.replace(_SHORT, initial_step=0.5)
+    for pole in (False, True):
+        fake = _FirstProposalRejected(5, 0.5, pole)
+        W = testmap._normalize_rows(fake.normal((2, 3)))
+        assert testmap._propose(fake, W, 0.5) is None
+    for k in (1, 2):
+        def members():
+            return [np.random.default_rng(1), _FirstProposalRejected(2, 0.5, False),
+                    np.random.default_rng(3), _FirstProposalRejected(4, 0.5, True),
+                    _FirstProposalRejected(5, 0.5, False)]
+        _assert_lockstep_equals_single(members, ms, k, config)
+
+
+def test_lockstep_polish_drops_members_that_reach_zero():
+    # 40 equal atoms on a line: a cut between the middle two balances
+    # them exactly, which a short polish reaches on some restarts only
+    m = DiscreteMeasure(np.random.default_rng(62).normal(size=(40, 1)),
+                        np.ones(40))
+    config = SolverConfig(iterations_per_stage=3, polish_iterations=25)
+    seeds = range(10)
+    _assert_lockstep_equals_single(
+        lambda: [np.random.default_rng(s) for s in seeds], [m], 1, config)
+    pool = _search_args([m], 1, config)[0]
+    worst = [testmap._hard_worst(pool, testmap._single_search(
+        np.random.default_rng(s), *_search_args([m], 1, config)))
+        for s in seeds]
+    assert 0.0 in worst and max(worst) > 0.0
+
+
+def test_first_success_wins_inside_a_batch():
+    # choose the tolerance so that restarts 1 and 2 fail, and the first
+    # success sits inside the lockstep batch with a later success behind
+    rng = np.random.default_rng(64)
+    ms = [DiscreteMeasure(rng.normal(size=(25, 2)) + 3 * i, np.ones(25))
+          for i in range(3)]
+    config = dataclasses.replace(_SHORT, max_restarts=8)
+    rels = [float(rel.max()) for _, _, rel in
+            sequential_restarts(ms, 2, config)]
+    picks = [(first, max(rels[first], rels[later]))
+             for first in range(2, 7) for later in range(first + 1, 8)
+             if min(rels[:first]) > max(rels[first], rels[later])]
+    assert picks
+    first, tol = picks[0]
+    config = dataclasses.replace(config, tolerance=tol)
+    res = solve_bisection(ms, 2, config)
+    assert res.success and res.restarts_used == first + 1
+    reference = solve_bisection_sequentially(ms, 2, config)
+    assert res.to_jsonable() == reference.to_jsonable()
+    assert res.directions.tobytes() == reference.directions.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**70 + 3])
+def test_restart_batches_seed_restarts_with_the_spawned_children(seed):
+    for n in (1, 2, 20, 33, 34, 70):
+        batches = list(testmap._restart_batches(seed, n))
+        assert [i for b, _ in batches for i in b] == list(range(n))
+        assert len(batches[0][0]) == 1
+        assert all(len(b) == len(rngs) <= testmap._LOCKSTEP_BATCH
+                   for b, rngs in batches)
+        built = [rng.bit_generator.seed_seq for _, rngs in batches
+                 for rng in rngs]
+        for a, b in zip(np.random.SeedSequence(seed).spawn(n), built,
+                        strict=True):
+            assert a.spawn_key == b.spawn_key and a.entropy == b.entropy
+            assert a.generate_state(8).tolist() == b.generate_state(8).tolist()
+
+
+def test_solver_spawns_children_lazily():
+    # a million restarts cost nothing when the first one succeeds: spawning
+    # every child up front took seconds and hundreds of MB
+    m = DiscreteMeasure(np.random.default_rng(6).normal(2.0, 1.0, size=(50, 1)),
+                        np.full(50, 1.0))
+    tracemalloc.start()
+    try:
+        res = solve_bisection([m], 1, SolverConfig(seed=0, max_restarts=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.success and res.restarts_used == 1
+    assert peak < 20 * 2**20
