@@ -10,8 +10,7 @@ for concrete point clouds.
 from .parity import (Parity, anchored_blocks_parity, digit_sum,
                      equal_blocks_parity, is_carry_free, legendre_valuation,
                      multinomial_parity, multinomial_valuation)
-from .gf2poly import (F2Poly, ideal_member, surviving_monomials,
-                      truncated_power_of_sum)
+from .gf2poly import ideal_member, surviving_monomials
 from .verdicts import (Certificate, FrontierRow, FrontierTable, LambdaVerdict,
                        Status, certificate_checks, frontier_csv, frontier_json,
                        frontier_table, is_power_of_two, verdict)
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AT_INFINITY", "Arrangement", "AtInfinityError", "Certificate",
-    "DegenerateInputError", "DiscreteMeasure", "F2Poly", "FrontierRow",
+    "DegenerateInputError", "DiscreteMeasure", "FrontierRow",
     "FrontierTable", "GenericityWarning", "GroupElement", "IntervalFamily",
     "JoinPoint", "LambdaVerdict", "NOT_FOUND", "OrientedHyperplane", "Parity",
     "SolveResult", "SolverConfig", "Status", "act_on_join", "act_on_target",
@@ -53,8 +52,7 @@ __all__ = [
     "legendre_valuation", "measures_from_jsonable", "measures_to_jsonable",
     "moment_point", "multinomial_parity", "multinomial_valuation", "phi",
     "psi", "solve_bisection", "sphere_to_hyperplane", "surviving_monomials",
-    "truncated_power_of_sum", "verdict", "verify_bisection",
-    "well_separated_family",
+    "verdict", "verify_bisection", "well_separated_family",
 ]
 
 

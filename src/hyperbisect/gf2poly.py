@@ -1,85 +1,23 @@
-"""Truncated polynomial algebra over F2.
+"""The truncated power of the variable sum over F2, by its monomials.
 
 Work happens in F2[t_1, ..., t_k] modulo the ideal generated by the
-(d+1)-st powers of the variables.  Monomials with any exponent above d
-die, so a polynomial is just the set of surviving exponent vectors and
-addition is symmetric difference.  The quantity of interest is the j-th
-power of t_1 + ... + t_k: it reduces to zero exactly when no exponent
-vector (a_1, ..., a_k) with sum j and all a_i <= d has an odd
-multinomial coefficient, i.e. when j admits no carry-free binary
-composition into k parts each at most d.  That happens exactly for
-d < least_surviving_d(j, k), which ideal_member uses, and the number of
-such compositions has a digit DP, count_surviving_monomials.  The
-expansion, truncated_power_of_sum, backs surviving_monomials; the tests
-also decide membership by expansion, as the reference path.
+(d+1)-st powers of the variables.  The quantity of interest is the j-th
+power of t_1 + ... + t_k.  Its surviving monomials are the exponent
+vectors (a_1, ..., a_k) with sum j, all a_i <= d and an odd multinomial
+coefficient, i.e. the carry-free binary compositions of j into k parts
+each at most d: the ways to deal the set bits of j to k labelled parts.
+The power is zero exactly for d < least_surviving_d(j, k), which
+ideal_member uses; count_surviving_monomials counts the deals with a
+digit DP and surviving_monomials lists them.  The tests keep the
+expansion of the power, multiplying by the variable sum j times, as the
+reference for all three.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .parity import multinomial_parity, Parity
-
-
-@dataclass(frozen=True)
-class F2Poly:
-    """Multivariate polynomial over F2 with per-variable exponent cap.
-
-    monomials holds exponent vectors of length num_vars; every exponent
-    is between 0 and cap - 1, where cap = d + 1 encodes reduction modulo
-    the ideal of (d+1)-st variable powers.
-    """
-
-    num_vars: int
-    cap: int
-    monomials: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise ValueError(f"need at least one variable, got {self.num_vars}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        for mono in self.monomials:
-            if len(mono) != self.num_vars:
-                raise ValueError(f"monomial {mono} has wrong arity")
-            if any(e < 0 or e >= self.cap for e in mono):
-                raise ValueError(f"monomial {mono} violates cap {self.cap}")
-
-    @classmethod
-    def zero(cls, num_vars: int, cap: int) -> "F2Poly":
-        return cls(num_vars, cap, frozenset())
-
-    @classmethod
-    def one(cls, num_vars: int, cap: int) -> "F2Poly":
-        return cls(num_vars, cap, frozenset({(0,) * num_vars}))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def __add__(self, other: "F2Poly") -> "F2Poly":
-        if (self.num_vars, self.cap) != (other.num_vars, other.cap):
-            raise ValueError("mixed rings")
-        return F2Poly(self.num_vars, self.cap,
-                      self.monomials ^ other.monomials)
-
-    def times_variable_sum(self) -> "F2Poly":
-        """Multiply by t_1 + ... + t_k, dropping capped monomials.
-
-        Characteristic 2: a shifted copy landing on an existing monomial
-        cancels it, hence the symmetric difference.  Dropping a monomial
-        whose exponent hits the cap is sound because every multiple of it
-        would be dropped too.
-        """
-        acc: set[tuple[int, ...]] = set()
-        for mono in self.monomials:
-            for i in range(self.num_vars):
-                if mono[i] + 1 >= self.cap:
-                    continue
-                shifted = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                acc.symmetric_difference_update({shifted})
-        return F2Poly(self.num_vars, self.cap, frozenset(acc))
 
 
 def _check_args(j: int, k: int, d: int) -> None:
@@ -89,19 +27,6 @@ def _check_args(j: int, k: int, d: int) -> None:
         raise ValueError(f"need k >= 1 variables, got {k}")
     if d < 0:
         raise ValueError(f"cap parameter d must be >= 0, got {d}")
-
-
-def truncated_power_of_sum(j: int, k: int, d: int) -> F2Poly:
-    """(t_1 + ... + t_k)^j reduced modulo the (d+1)-st variable powers.
-
-    The result contains exponent vector a iff sum(a) == j, all a_i <= d,
-    and C(j; a_1, ..., a_k) is odd.
-    """
-    _check_args(j, k, d)
-    acc = F2Poly.one(k, d + 1)
-    for _ in range(j):
-        acc = acc.times_variable_sum()
-    return acc
 
 
 def least_surviving_d(j: int, k: int) -> int:
@@ -123,17 +48,16 @@ def ideal_member(j: int, k: int, d: int) -> bool:
     """Whether the j-th power of the variable sum lies in the cap ideal.
 
     Closed form: the power is a member exactly for d below
-    least_surviving_d(j, k).  Expanding with truncated_power_of_sum and
-    testing for zero decides the same predicate from scratch; the tests
-    keep the two in agreement, together with a search for carry-free
-    compositions.
+    least_surviving_d(j, k).  The tests decide the same predicate from
+    scratch by expanding the power and testing for zero, and by a search
+    for carry-free compositions, and keep the three in agreement.
     """
     _check_args(j, k, d)
     return d < least_surviving_d(j, k)
 
 
 def count_surviving_monomials(j: int, k: int, d: int) -> int:
-    """len(surviving_monomials(j, k, d)) without the expansion.
+    """len(surviving_monomials(j, k, d)) without listing them.
 
     A survivor is a carry-free composition of j into k parts each <= d,
     i.e. a way to deal the set bits of j to k labelled parts so that no
@@ -160,9 +84,22 @@ def count_surviving_monomials(j: int, k: int, d: int) -> int:
 
 
 def surviving_monomials(j: int, k: int, d: int) -> list[tuple[int, ...]]:
-    """Sorted exponent vectors that survive the truncated expansion."""
-    surv = truncated_power_of_sum(j, k, d).monomials
-    for mono in surv:
+    """Sorted exponent vectors that survive the truncated expansion.
+
+    The enumerating twin of count_surviving_monomials: each set bit of j,
+    high to low, goes to one of the k parts, and a deal is dropped as
+    soon as a part passes d.  Distinct deals give distinct vectors,
+    because the bits are disjoint.  The work grows with the number of
+    partial deals, one round per set bit of j, not with j itself.
+    """
+    _check_args(j, k, d)
+    deals = [(0,) * k]
+    for b in reversed(range(j.bit_length())):
+        if j >> b & 1:
+            bit = 1 << b
+            deals = [p[:i] + (p[i] + bit,) + p[i + 1:]
+                     for p in deals for i in range(k) if p[i] + bit <= d]
+    for mono in deals:
         # every survivor must pass the odd-multinomial criterion
         assert multinomial_parity(j, list(mono)) is Parity.ODD
-    return sorted(surv)
+    return sorted(deals)

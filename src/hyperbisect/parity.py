@@ -32,10 +32,6 @@ class Parity(Enum):
     def of(cls, n: int) -> "Parity":
         return cls.ODD if n % 2 else cls.EVEN
 
-    @property
-    def is_odd(self) -> bool:
-        return self is Parity.ODD
-
     def __str__(self) -> str:
         return self.value
 

@@ -23,11 +23,11 @@ accepts only candidates whose phi -- float signs of float products, a
 numerical check and not an exact one -- passes the tolerance.
 
 Kernel layout: the lifted points of all j measures sit in one array
-(_Pool), built once per solve from the centred cloud, with one work
-buffer of the pooled length and, per measure, a view of that buffer with
-the measure's weights and total.  Scoring a proposal is one matrix
-product, the k rows multiplied into the buffer, one elementwise pass
-(tanh or sign) and one dot product per measure view.  Every step does
+(_Pool), built once per solve from the centred cloud, with, per
+measure, its span of the pooled columns, its weights and its total.
+Scoring a proposal is one matrix product, the k rows multiplied into
+one row of the pooled length, one elementwise pass (tanh or sign) and
+one dot product per measure's slice of that row.  Every step does
 the same floating-point operations, in the same order, as scoring each
 measure on its own, so solver output is bit-identical to the
 per-measure kernel kept in tests/oracles.py.
@@ -210,13 +210,14 @@ class _Pool:
     """The lifted points (x, 1) of all measures in one array, for k
     hyperplanes, so that p(x) = <(x, 1), w>.
 
-    products(W) writes the product of the k functional values of every
-    point into one buffer of the pooled length N; parts holds, per
-    measure, its view of that buffer, its weights and its total.  The
-    lifted points are kept (N, d+1) row-major for k = 1 and as the
-    contiguous (d+1, N) transpose for k >= 2.  These are the fastest
-    layouts whose BLAS products equal lifted @ W.T taken per measure, bit
-    for bit (at k = 1 the transpose takes another BLAS path and differs).
+    stacked_products(W) gives, for each arrangement of a stack (a single
+    one is a stack of one), a row of the pooled length N; spans holds,
+    per measure, the start and stop of its columns, its weights and its
+    total.  The lifted points are kept (N, d+1) row-major for k = 1 and
+    as the contiguous (d+1, N) transpose for k >= 2.  These are the
+    fastest layouts whose BLAS products equal lifted @ W.T taken per
+    measure, bit for bit (at k = 1 the transpose takes another BLAS path
+    and differs).
     The exception is a one-point measure, which numpy multiplies as a
     vector on yet another path; its column is recomputed that way.
     """
@@ -226,45 +227,30 @@ class _Pool:
             points = np.vstack([m.points for m in measures])
         X = np.hstack([points, np.ones((len(points), 1))])
         self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
-        self.buf = np.empty(len(X))
         self.stack = np.empty((0, k, len(X)))
-        self.parts = []
-        self.spans = []
+        self.spans = []  # (start, stop, weights, total) per measure
         self.lone_points = []  # (column, (1, d+1) lifted row)
         start = 0
         for m in measures:
             stop = start + len(m.weights)
-            self.parts.append((self.buf[start:stop], m.weights, m.total))
-            self.spans.append((start, stop))
+            self.spans.append((start, stop, m.weights, m.total))
             if stop - start == 1:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
 
-    def products(self, W: np.ndarray) -> np.ndarray:
-        """Per point, the product of its k functional values (in buf).
-
-        The rows are multiplied left to right, the order np.prod(axis=1)
-        uses on the per-measure (n, k) values.
-        """
-        values = (self.lifted @ W.T).T if len(W) == 1 else W @ self.lifted
-        for col, x in self.lone_points:
-            values[:, col] = (x @ W.T)[0]
-        buf = self.buf
-        np.copyto(buf, values[0])
-        for row in values[1:]:
-            np.multiply(buf, row, out=buf)
-        return buf
-
     def stacked_products(self, W: np.ndarray) -> np.ndarray:
-        """products for each arrangement of a (B, k, d+1) stack, as (B, N).
+        """Per arrangement of a (B, k, d+1) stack and per point, the
+        product of its k functional values, as (B, N).
 
-        Row b equals products(W[b]) bit for bit: the stacked matmul runs
-        the same BLAS call per arrangement, on the same layouts.  The
+        The rows are multiplied left to right, as np.prod(axis=1) does on
+        the per-measure (n, k) values, and the stacked matmul runs the
+        same BLAS call per arrangement, so row b is the per-measure
+        kernel's product for W[b], bit for bit, whatever B is.  The
         result is a view of a work array reused while B does not grow.
         """
         B, k = W.shape[:2]
         if len(self.stack) < B:
-            self.stack = np.empty((B, k, len(self.buf)))
+            self.stack = np.empty((B, k, self.stack.shape[2]))
         values = self.stack[:B]
         if k == 1:
             np.matmul(self.lifted, W.transpose(0, 2, 1),
@@ -280,8 +266,8 @@ class _Pool:
 
     def stacked_sums(self, buf: np.ndarray):
         """Per measure, its total and the (B,) weighted sums of its columns
-        of buf, each the dot product view @ w takes."""
-        for (_, w, tot), (start, stop) in zip(self.parts, self.spans):
+        of buf, each the dot product buf[b, start:stop] @ w takes."""
+        for start, stop, w, tot in self.spans:
             yield tot, (buf[:, None, start:stop] @ w[:, None])[:, 0, 0]
 
 
@@ -293,16 +279,19 @@ def phi(measures, directions) -> np.ndarray:
     """
     W = _direction_matrix(directions, _common_dim(measures))
     pool = _Pool(measures, len(W))
-    np.sign(pool.products(W), out=pool.buf)
-    return np.array([float(view @ w) for view, w, _ in pool.parts])
+    buf = pool.stacked_products(W[None])[0]
+    np.sign(buf, out=buf)
+    return np.array([float(buf[start:stop] @ w)
+                     for start, stop, w, _ in pool.spans])
 
 
 def boundary_mass(measures, directions) -> np.ndarray:
     """Mass sitting exactly on the union of the hyperplanes, per measure."""
     W = _direction_matrix(directions, _common_dim(measures))
     pool = _Pool(measures, len(W))
-    pool.products(W)
-    return np.array([float(w[view == 0.0].sum()) for view, w, _ in pool.parts])
+    buf = pool.stacked_products(W[None])[0]
+    return np.array([float(w[buf[start:stop] == 0.0].sum())
+                     for start, stop, w, _ in pool.spans])
 
 
 def psi(measures, join_point: JoinPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -370,16 +359,19 @@ def interval_quadrature_measures(family: IntervalFamily, n: int) -> list[Discret
 
 NOT_FOUND = "NOT_FOUND"
 
+# the annealing temperatures, as multiples of the data diameter, and the
+# floor under every step size of the search
+_STAGE_FACTORS = (1.0, 0.1, 0.01)
+_MIN_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-2          # max allowed relative imbalance, in (0, 1)
     seed: int = 0
     max_restarts: int = 20
-    stage_factors: tuple[float, ...] = (1.0, 0.1, 0.01)  # times data diameter
     iterations_per_stage: int = 500
     initial_step: float = 0.6
-    min_step: float = 1e-4
     polish_iterations: int = 400
 
     def __post_init__(self) -> None:
@@ -467,15 +459,15 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
 def _soft_imbalance(pool: _Pool, W, temp) -> float:
     """Sum over measures of the squared relative tanh imbalance.
 
-    One pooled product pass, then tanh(product / temp) in place in the
-    pool's buffer and one weighted dot product per measure view.
+    One pooled product pass, then tanh(product / temp) in place and one
+    weighted dot product per measure's span.
     """
-    buf = pool.products(W)
+    buf = pool.stacked_products(W[None])[0]
     np.divide(buf, temp, out=buf)
     np.tanh(buf, out=buf)
     obj = 0.0
-    for view, w, tot in pool.parts:
-        s = float(view @ w) / tot
+    for start, stop, w, tot in pool.spans:
+        s = float(buf[start:stop] @ w) / tot
         obj += s * s
     return obj
 
@@ -483,14 +475,14 @@ def _soft_imbalance(pool: _Pool, W, temp) -> float:
 def _hard_worst(pool: _Pool, W) -> float:
     """Largest relative sign imbalance over the measures.
 
-    One pooled product pass, then sign in place in the pool's buffer and
-    one weighted dot product per measure view.
+    One pooled product pass, then sign in place and one weighted dot
+    product per measure's span.
     """
-    buf = pool.products(W)
+    buf = pool.stacked_products(W[None])[0]
     np.sign(buf, out=buf)
     worst = 0.0
-    for view, w, tot in pool.parts:
-        worst = max(worst, abs(float(view @ w)) / tot)
+    for start, stop, w, tot in pool.spans:
+        worst = max(worst, abs(float(buf[start:stop] @ w)) / tot)
     return worst
 
 
@@ -533,7 +525,7 @@ def _single_search(rng, pool: _Pool, k, d, diameter,
                    config: SolverConfig) -> np.ndarray:
     W = _normalize_rows(rng.normal(size=(k, d + 1)))
     step = config.initial_step
-    for factor in config.stage_factors:
+    for factor in _STAGE_FACTORS:
         temp = factor * diameter
         cur = _soft_imbalance(pool, W, temp)
         for _ in range(config.iterations_per_stage):
@@ -545,7 +537,7 @@ def _single_search(rng, pool: _Pool, k, d, diameter,
                 W, cur = cand, val
                 step = min(step * 1.25, 2.0)
             else:
-                step = max(step * 0.85, config.min_step)
+                step = max(step * 0.85, _MIN_STEP)
     # hard-sign polish: walk directly on the sign imbalance
     cur = _hard_worst(pool, W)
     step = 0.1
@@ -561,7 +553,7 @@ def _single_search(rng, pool: _Pool, k, d, diameter,
                 step = min(step * 1.2, 0.5)
             W, cur = cand, val
         else:
-            step = max(step * 0.9, config.min_step)
+            step = max(step * 0.9, _MIN_STEP)
     return W
 
 
@@ -602,7 +594,7 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter,
     W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
                   for rng in rngs])
     step = np.full(len(rngs), config.initial_step)
-    for factor in config.stage_factors:
+    for factor in _STAGE_FACTORS:
         temp = factor * diameter
         cur = _soft_imbalances(pool, W, temp)
         for _ in range(config.iterations_per_stage):
@@ -612,7 +604,7 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter,
             np.copyto(W, cand, where=accept[:, None, None])
             np.copyto(cur, val, where=accept)
             step = np.where(accept, np.minimum(step * 1.25, 2.0),
-                            np.where(ok, np.maximum(step * 0.85, config.min_step),
+                            np.where(ok, np.maximum(step * 0.85, _MIN_STEP),
                                      step))
     # hard-sign polish; `live` indexes the stack members still walking
     out = W
@@ -633,7 +625,7 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter,
         accept = ok & (val <= cur)
         step = np.where(accept & (val < cur), np.minimum(step * 1.2, 0.5),
                         np.where(ok & ~accept,
-                                 np.maximum(step * 0.9, config.min_step), step))
+                                 np.maximum(step * 0.9, _MIN_STEP), step))
         np.copyto(W, cand, where=accept[:, None, None])
         np.copyto(cur, val, where=accept)
     out[live] = W
@@ -706,15 +698,26 @@ def solve_bisection(measures, k: int,
                        restarts_used=config.max_restarts, seed=config.seed)
 
 
+def _is_json_number(v) -> bool:
+    # bool is an int subclass, but true and false are not JSON numbers
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
-    """Parse {"d": ..., "measures": [{"points": [{"x": [...], "w": ...}]}]}."""
+    """Parse {"d": ..., "measures": [{"points": [{"x": [...], "w": ...}]}]}.
+
+    d must be a JSON integer, each x a list of d JSON numbers and each w
+    a JSON number; nothing else is converted into one.
+    """
     if not isinstance(data, dict):
         raise ValueError("top level must be an object")
     try:
-        d = int(data["d"])
+        d = data["d"]
         raw_measures = data["measures"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"missing field: {exc}") from exc
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if not isinstance(raw_measures, list) or not raw_measures:
@@ -722,13 +725,19 @@ def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
     measures = []
     for m_idx, m in enumerate(raw_measures):
         try:
-            pts = [[float(v) for v in p["x"]] for p in m["points"]]
-            ws = [float(p["w"]) for p in m["points"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            pts = [p["x"] for p in m["points"]]
+            ws = [p["w"] for p in m["points"]]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"measure {m_idx} malformed: {exc}") from exc
-        if any(len(x) != d for x in pts):
-            raise ValueError(f"measure {m_idx} has points of dimension != {d}")
-        measures.append(DiscreteMeasure(np.array(pts), np.array(ws)))
+        if not all(isinstance(x, list) and len(x) == d
+                   and all(map(_is_json_number, x)) for x in pts):
+            raise ValueError(f"measure {m_idx}: each x must be a list of "
+                             f"{d} numbers")
+        if not all(map(_is_json_number, ws)):
+            raise ValueError(f"measure {m_idx}: each w must be a number")
+        measures.append(DiscreteMeasure(
+            np.array([[float(v) for v in x] for x in pts]),
+            np.array([float(w) for w in ws])))
     return d, measures
 
 

@@ -1,6 +1,8 @@
 """Reference paths the package's fast paths are tested against.
 
-Search and expansion oracles for the closed forms, polynomials built
+The truncated F2 expansion of (t_1 + ... + t_k)^j that
+hyperbisect.gf2poly's closed forms and its bit-dealing listing are
+checked against, search oracles for the closed forms, polynomials built
 from their roots, the Fraction kernel for root-set hyperplanes, an exact
 root check for moment-curve hyperplanes, the per-measure solver kernel
 that the pooled kernel in hyperbisect.testmap must match bit for bit,
@@ -12,14 +14,88 @@ Imported by the test modules (pytest puts this directory on sys.path).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from hyperbisect import polynomials as poly
 from hyperbisect import testmap
-from hyperbisect.gf2poly import truncated_power_of_sum
+from hyperbisect.gf2poly import _check_args
 from hyperbisect.momentcurve import OrientedHyperplane, curve_restriction
+
+
+@dataclass(frozen=True)
+class F2Poly:
+    """Multivariate polynomial over F2 with per-variable exponent cap.
+
+    monomials holds exponent vectors of length num_vars; every exponent
+    is between 0 and cap - 1, where cap = d + 1 encodes reduction modulo
+    the ideal of (d+1)-st variable powers.
+    """
+
+    num_vars: int
+    cap: int
+    monomials: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
+
+    def __post_init__(self) -> None:
+        if self.num_vars < 1:
+            raise ValueError(f"need at least one variable, got {self.num_vars}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be >= 1, got {self.cap}")
+        for mono in self.monomials:
+            if len(mono) != self.num_vars:
+                raise ValueError(f"monomial {mono} has wrong arity")
+            if any(e < 0 or e >= self.cap for e in mono):
+                raise ValueError(f"monomial {mono} violates cap {self.cap}")
+
+    @classmethod
+    def zero(cls, num_vars: int, cap: int) -> "F2Poly":
+        return cls(num_vars, cap, frozenset())
+
+    @classmethod
+    def one(cls, num_vars: int, cap: int) -> "F2Poly":
+        return cls(num_vars, cap, frozenset({(0,) * num_vars}))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.monomials
+
+    def __add__(self, other: "F2Poly") -> "F2Poly":
+        if (self.num_vars, self.cap) != (other.num_vars, other.cap):
+            raise ValueError("mixed rings")
+        return F2Poly(self.num_vars, self.cap,
+                      self.monomials ^ other.monomials)
+
+    def times_variable_sum(self) -> "F2Poly":
+        """Multiply by t_1 + ... + t_k, dropping capped monomials.
+
+        Characteristic 2: a shifted copy landing on an existing monomial
+        cancels it, hence the symmetric difference.  Dropping a monomial
+        whose exponent hits the cap is sound because every multiple of it
+        would be dropped too.
+        """
+        acc: set[tuple[int, ...]] = set()
+        for mono in self.monomials:
+            for i in range(self.num_vars):
+                if mono[i] + 1 >= self.cap:
+                    continue
+                shifted = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                acc.symmetric_difference_update({shifted})
+        return F2Poly(self.num_vars, self.cap, frozenset(acc))
+
+
+def truncated_power_of_sum(j: int, k: int, d: int) -> F2Poly:
+    """(t_1 + ... + t_k)^j reduced modulo the (d+1)-st variable powers.
+
+    The result contains exponent vector a iff sum(a) == j, all a_i <= d,
+    and C(j; a_1, ..., a_k) is odd.
+    """
+    _check_args(j, k, d)
+    acc = F2Poly.one(k, d + 1)
+    for _ in range(j):
+        acc = acc.times_variable_sum()
+    return acc
 
 
 def ideal_member_by_expansion(j: int, k: int, d: int) -> bool:

@@ -401,6 +401,22 @@ def test_solve_malformed_json(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("key, value", [("d", "2.9"), ("x", '"12"'),
+                                        ("w", '"3"'), ("w", "true")])
+def test_solve_rejects_values_of_the_wrong_json_type(capsys, tmp_path, key,
+                                                     value):
+    # each of these used to be coerced into a number and solved
+    fields = {"d": "2", "x": "[1.0, 2.0]", "w": "1.0", key: value}
+    path = tmp_path / "coerced.json"
+    path.write_text('{"d": %(d)s, "measures": [{"points": ['
+                    '{"x": %(x)s, "w": %(w)s}, {"x": [3.0, 1.0], "w": 1.0}]}]}'
+                    % fields)
+    code, out, err = _run(capsys, ["solve", "--input", str(path),
+                                   "--k", "1", "--restarts", "2"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:")
+
+
 def test_solve_schema_violation(capsys, tmp_path):
     bad = tmp_path / "schema.json"
     bad.write_text(json.dumps({"d": 2, "measures": [{"points": []}]}))

@@ -1,4 +1,5 @@
-"""Truncated F2 expansion against brute-force multinomial expansion."""
+"""The bit-dealing closed forms against the truncated F2 expansion and
+brute-force multinomial expansion."""
 
 from __future__ import annotations
 
@@ -8,10 +9,10 @@ import random
 
 import pytest
 
-from hyperbisect.gf2poly import (F2Poly, count_surviving_monomials,
-                                 ideal_member, least_surviving_d,
-                                 surviving_monomials, truncated_power_of_sum)
-from oracles import carry_free_composition, ideal_member_by_expansion
+from hyperbisect.gf2poly import (count_surviving_monomials, ideal_member,
+                                 least_surviving_d, surviving_monomials)
+from oracles import (F2Poly, carry_free_composition, ideal_member_by_expansion,
+                     truncated_power_of_sum)
 
 
 def _multinomial(n, parts):
@@ -71,40 +72,72 @@ def test_surviving_monomials_sorted():
     assert surv == [(1, 2), (2, 1)]
 
 
+# (k, bound on j) for the grid on which the closed forms meet the expansion
+_EXPANSION_GRID = ((1, 20), (2, 20), (3, 20), (4, 10), (5, 10))
+
+
+def test_surviving_monomials_match_the_expansion():
+    for k, j_max in _EXPANSION_GRID:
+        for j in range(0, j_max):
+            for d in range(0, 2 * j + 3):
+                expanded = sorted(truncated_power_of_sum(j, k, d).monomials)
+                assert surviving_monomials(j, k, d) == expanded
+
+
 def test_count_surviving_monomials_matches_the_expansion():
-    for k, j_max in ((1, 20), (2, 20), (3, 20), (4, 10), (5, 10)):
+    for k, j_max in _EXPANSION_GRID:
         for j in range(0, j_max):
             for d in range(0, 2 * j + 3):
                 count = count_surviving_monomials(j, k, d)
+                assert count == len(truncated_power_of_sum(j, k, d).monomials)
                 assert count == len(surviving_monomials(j, k, d))
                 assert (count == 0) == ideal_member(j, k, d)
 
 
-def _dealt_bits(j, k, d):
-    # brute force: every way to hand each set bit of j to one of k parts
+def _deals(j, k, d):
+    # brute force: every way to hand each set bit of j to one of k parts,
+    # kept when no part exceeds d
     bits = [1 << b for b in range(j.bit_length()) if j >> b & 1]
-    count = 0
+    out = []
     for owners in itertools.product(range(k), repeat=len(bits)):
         parts = [0] * k
         for bit, owner in zip(bits, owners):
             parts[owner] += bit
-        count += max(parts) <= d
-    return count
+        if max(parts) <= d:
+            out.append(tuple(parts))
+    return out
 
 
-def test_count_surviving_monomials_large_j():
+def _large_j_sweep():
     rng = random.Random(5)
     for _ in range(60):
         j = rng.choice([rng.randrange(1, 1 << 12) & rng.randrange(1 << 12),
                         rng.randrange(1, 300)])
         k = rng.randrange(1, 5)
         d = rng.randrange(0, 2 * j + 2)
-        assert count_surviving_monomials(j, k, d) == _dealt_bits(j, k, d)
+        yield j, k, d
+
+
+def test_count_surviving_monomials_large_j():
+    for j, k, d in _large_j_sweep():
+        assert count_surviving_monomials(j, k, d) == len(_deals(j, k, d))
     # d >= j: every deal fits, so the count is k ** popcount(j)
     assert count_surviving_monomials(4000, 3, 4000) == 3 ** 6 == 729
     assert count_surviving_monomials(2**40 + 5, 2, 2**41) == 2 ** 3
     with pytest.raises(ValueError):
         count_surviving_monomials(3, 0, 2)
+
+
+def test_surviving_monomials_large_j():
+    for j, k, d in _large_j_sweep():
+        assert surviving_monomials(j, k, d) == sorted(_deals(j, k, d))
+    # far past any expansion: j = 2^40 + 5 has three set bits, each dealt
+    # to either of two parts, and 4000 has six, each to any of three
+    big = surviving_monomials(2**40 + 5, 2, 2**41)
+    assert len(big) == 8
+    assert big[0] == (0, 2**40 + 5) and big[-1] == (2**40 + 5, 0)
+    assert all(sum(mono) == 2**40 + 5 for mono in big)
+    assert len(surviving_monomials(4000, 3, 4000)) == 729
 
 
 def test_ideal_member_examples():
@@ -164,3 +197,6 @@ def test_rejects_bad_arguments():
         truncated_power_of_sum(2, 0, 2)
     with pytest.raises(ValueError):
         ideal_member(2, 2, -1)
+    for args in ((-1, 2, 2), (2, 0, 2), (2, 2, -1)):
+        with pytest.raises(ValueError):
+            surviving_monomials(*args)

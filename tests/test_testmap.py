@@ -332,6 +332,42 @@ def test_measure_json_rejects_malformed():
             {"d": 1, "measures": [{"points": [{"x": [1.0], "w": -2.0}]}]})
 
 
+# values of the wrong JSON type; all but a number x used to be coerced:
+# d = 2.9 read as 2, x = "12" as the point (1, 2), w = "3" and w = true as
+# the weights 3 and 1
+COERCED_INPUTS = {
+    "number x": {"d": 1, "measures": [{"points": [{"x": 1.0, "w": 1.0}]}]},
+    "fractional d": {"d": 2.9, "measures": [{"points": [
+        {"x": [1.0, 2.0], "w": 1.0}]}]},
+    "boolean d": {"d": True, "measures": [{"points": [
+        {"x": [1.0], "w": 1.0}]}]},
+    "string x": {"d": 2, "measures": [{"points": [{"x": "12", "w": 1.0}]}]},
+    "string coordinate": {"d": 2, "measures": [{"points": [
+        {"x": [1.0, "2"], "w": 1.0}]}]},
+    "boolean coordinate": {"d": 2, "measures": [{"points": [
+        {"x": [1.0, False], "w": 1.0}]}]},
+    "string w": {"d": 2, "measures": [{"points": [
+        {"x": [1.0, 2.0], "w": "3"}]}]},
+    "boolean w": {"d": 2, "measures": [{"points": [
+        {"x": [1.0, 2.0], "w": True}]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(COERCED_INPUTS))
+def test_measure_json_rejects_values_of_the_wrong_json_type(case):
+    with pytest.raises(ValueError):
+        measures_from_jsonable(COERCED_INPUTS[case])
+
+
+def test_measure_json_accepts_integer_numbers():
+    d, (m,) = measures_from_jsonable(
+        {"d": 2, "measures": [{"points": [{"x": [0, 5], "w": 2},
+                                          {"x": [1.5, -1], "w": 0.5}]}]})
+    assert d == 2
+    assert m.points.tolist() == [[0.0, 5.0], [1.5, -1.0]]
+    assert m.weights.tolist() == [2.0, 0.5]
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"),
                                  0.0, -1e-3, 1.0, 2.0])
 def test_solver_config_rejects_tolerance_that_is_not_finite_and_positive(tol):
