@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
 membership check queried with --expect-in is not IN; 2 on usage errors,
-on an enumeration whose arrangement count exceeds ENUMERATE_CAP and on
-a count with more digits than Python converts to a string;
-3 on malformed input files or parameter strings; EXIT_BROKEN_PIPE when
-stdout is closed before all output is written (``| head``).  Output for
-a fixed argv and seed is byte-identical across runs.
+on an enumeration whose arrangement count exceeds ENUMERATE_CAP, on
+a count with more digits than Python converts to a string and when a
+figure's --out file cannot be written; 3 on malformed input files or
+parameter strings; EXIT_BROKEN_PIPE when stdout is closed before all
+output is written (``| head``).  Output for a fixed argv and seed is
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -16,36 +17,33 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-# surviving_monomials is not called here; the benchmark's tracer
-# (perfbench/tracer.py) wraps it as a module attribute of this module
-from .gf2poly import (count_surviving_monomials, ideal_member,
-                      surviving_monomials)
-from .momentcurve import (IntervalFamily, arrangement_to_jsonable,
-                          check_shape, count_bisections, enumerate_bisections)
-from .parity import anchored_blocks_parity, equal_blocks_parity
-from .verdicts import (Status, frontier_csv, frontier_json, frontier_table,
-                       verdict)
-from .figures import frontier_svg
+from . import _lazy_names
+
+# the library names the commands call, by home module.  They load on first
+# use (PEP 562), so each command imports only its own layers and only
+# solve loads numpy.  Commands call them as attributes of this module
+# (``this``), where a wrapper set from outside (perfbench/tracer.py, which
+# also wraps surviving_monomials here) replaces them.
+__getattr__, __dir__ = _lazy_names(globals(), {
+    "parity": ("anchored_blocks_parity", "check_shape", "count_bisections",
+               "equal_blocks_parity"),
+    "gf2poly": ("count_surviving_monomials", "ideal_member",
+                "surviving_monomials"),
+    "verdicts": ("Status", "frontier_csv", "frontier_json", "frontier_table",
+                 "verdict"),
+    "figures": ("frontier_svg",),
+    "momentcurve": ("IntervalFamily", "arrangement_to_jsonable",
+                    "enumerate_bisections"),
+    "testmap": ("SolverConfig", "measures_from_jsonable", "solve_bisection"),
+})
+this = sys.modules[__name__]
 
 # enumerate refuses families with more arrangements than this
 ENUMERATE_CAP = 100_000
 
-# solve's names come from testmap, the only module that needs numpy; they
-# load on first access (PEP 562), so the other commands start without it
-_TESTMAP_NAMES = frozenset({"SolverConfig", "measures_from_jsonable",
-                            "solve_bisection"})
-
 # 128 + SIGPIPE: what a shell reports for a command killed by a closed pipe
 EXIT_BROKEN_PIPE = 141
-
-
-def __getattr__(name: str):
-    if name in _TESTMAP_NAMES:
-        from . import testmap
-        return getattr(testmap, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _InputFormatError(Exception):
@@ -59,36 +57,42 @@ def _emit(text: str) -> None:
 
 
 def _cmd_lambda_check(args) -> int:
-    v = verdict(args.d, args.j, args.k)
+    v = this.verdict(args.d, args.j, args.k)
     if args.format == "json":
         _emit(json.dumps(v.to_jsonable(), indent=2))
     else:
         _emit(f"(d={v.d}, j={v.j}, k={v.k}): {v.status}\n"
               f"certificate: {v.certificate}")
-    if args.expect_in and v.status is not Status.IN:
+    if args.expect_in and v.status is not this.Status.IN:
         return 1
     return 0
 
 
 def _cmd_lambda_table(args) -> int:
-    table = frontier_table(args.k, args.jmax, args.dmax_search)
+    table = this.frontier_table(args.k, args.jmax, args.dmax_search)
     if args.format == "json":
-        sys.stdout.write(frontier_json(table))
+        sys.stdout.write(this.frontier_json(table))
     else:
-        sys.stdout.write(frontier_csv(table))
+        sys.stdout.write(this.frontier_csv(table))
     return 0
 
 
 def _cmd_lambda_figure(args) -> int:
-    table = frontier_table(args.k, args.jmax, args.dmax_search)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(frontier_svg(table))
+    table = this.frontier_table(args.k, args.jmax, args.dmax_search)
+    svg = this.frontier_svg(table)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        # a usage error, not the exit code 1 of NOT_FOUND
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def _cmd_ideal_member(args) -> int:
-    member = ideal_member(args.j, args.k, args.d)
-    count = count_surviving_monomials(args.j, args.k, args.d)
+    member = this.ideal_member(args.j, args.k, args.d)
+    count = this.count_surviving_monomials(args.j, args.k, args.d)
     assert member == (count == 0)
     if args.format == "json":
         _emit(json.dumps({"d": args.d, "j": args.j, "k": args.k,
@@ -101,7 +105,7 @@ def _cmd_ideal_member(args) -> int:
 
 
 def _cmd_parity_lemma1(args) -> int:
-    p = equal_blocks_parity(args.d, args.k)
+    p = this.equal_blocks_parity(args.d, args.k)
     if args.format == "json":
         _emit(json.dumps({"d": args.d, "k": args.k, "parity": str(p)},
                          indent=2))
@@ -111,7 +115,7 @@ def _cmd_parity_lemma1(args) -> int:
 
 
 def _cmd_parity_lemma2(args) -> int:
-    p = anchored_blocks_parity(args.d, args.k, args.ell)
+    p = this.anchored_blocks_parity(args.d, args.k, args.ell)
     if args.format == "json":
         _emit(json.dumps({"d": args.d, "k": args.k, "ell": args.ell,
                           "parity": str(p)}, indent=2))
@@ -137,7 +141,7 @@ def _count_digits(d: int, k: int, ell: int) -> int:
 
 
 def _cmd_count(args) -> int:
-    check_shape(args.d, args.k, args.ell)
+    this.check_shape(args.d, args.k, args.ell)
     # a count Python will not print is refused before it is computed
     # (the limit is 0, none, before Python 3.10.7 and 3.11)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -146,7 +150,7 @@ def _cmd_count(args) -> int:
         raise ValueError(f"the count has about {digits} decimal digits, more "
                          f"than the {limit} Python converts to a string "
                          f"(sys.get_int_max_str_digits())")
-    n = count_bisections(args.d, args.k, args.ell)
+    n = this.count_bisections(args.d, args.k, args.ell)
     if args.format == "json":
         _emit(json.dumps({"d": args.d, "k": args.k, "ell": args.ell,
                           "count": n}, indent=2))
@@ -156,6 +160,7 @@ def _cmd_count(args) -> int:
 
 
 def _parse_params(text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction
     try:
         return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -164,22 +169,23 @@ def _parse_params(text: str) -> tuple[Fraction, ...]:
 
 def _cmd_enumerate(args) -> int:
     d, k, ell = args.d, args.k, args.ell
-    check_shape(d, k, ell)  # a bad (d, k, ell) is a usage error, like count's
+    # a bad (d, k, ell) is a usage error, like count's
+    this.check_shape(d, k, ell)
     params = _parse_params(args.params)
     try:
-        family = IntervalFamily(d=d, parameters=params, anchor_count=ell)
+        family = this.IntervalFamily(d=d, parameters=params, anchor_count=ell)
         # a family of the size (d, k, ell) asks for has exactly
         # count_bisections(d, k, ell) arrangements; others fail below
         if family.j == (d - ell) * k + ell:
-            count = count_bisections(d, k, ell)
+            count = this.count_bisections(d, k, ell)
             if count > ENUMERATE_CAP:
                 print(f"error: {count} arrangements exceed the enumeration "
                       f"cap of {ENUMERATE_CAP}", file=sys.stderr)
                 return 2
-        arrangements = enumerate_bisections(family, k)
+        arrangements = this.enumerate_bisections(family, k)
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
-    _emit(json.dumps([arrangement_to_jsonable(a) for a in arrangements],
+    _emit(json.dumps([this.arrangement_to_jsonable(a) for a in arrangements],
                      indent=2))
     return 0
 
@@ -198,9 +204,6 @@ def _resolve_seed(args_seed: int | None) -> int:
 
 
 def _cmd_solve(args) -> int:
-    # through the module's attributes, where a wrapper set from outside
-    # (perfbench/tracer.py) replaces solve_bisection
-    this = sys.modules[__name__]
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)

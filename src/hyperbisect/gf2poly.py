@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .parity import multinomial_parity, Parity
+# not called here; the benchmark's tracer (perfbench/tracer.py) wraps it at
+# this attribute, so it stays importable from this module
+from .parity import multinomial_parity  # noqa: F401
 
 
 def _check_args(j: int, k: int, d: int) -> None:
@@ -89,8 +91,10 @@ def surviving_monomials(j: int, k: int, d: int) -> list[tuple[int, ...]]:
     The enumerating twin of count_surviving_monomials: each set bit of j,
     high to low, goes to one of the k parts, and a deal is dropped as
     soon as a part passes d.  Distinct deals give distinct vectors,
-    because the bits are disjoint.  The work grows with the number of
-    partial deals, one round per set bit of j, not with j itself.
+    because the bits are disjoint, and every deal is carry-free, so each
+    multinomial coefficient is odd with no check.  The work grows with
+    the number of partial deals, one round per set bit of j, not with j
+    itself.
     """
     _check_args(j, k, d)
     deals = [(0,) * k]
@@ -99,7 +103,4 @@ def surviving_monomials(j: int, k: int, d: int) -> list[tuple[int, ...]]:
             bit = 1 << b
             deals = [p[:i] + (p[i] + bit,) + p[i + 1:]
                      for p in deals for i in range(k) if p[i] + bit <= d]
-    for mono in deals:
-        # every survivor must pass the odd-multinomial criterion
-        assert multinomial_parity(j, list(mono)) is Parity.ODD
     return sorted(deals)

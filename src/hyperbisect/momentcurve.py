@@ -27,6 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import polynomials as poly
+# the closed count lives in parity, beside its parities; still importable here
+from .parity import check_shape, count_bisections  # noqa: F401
 
 
 class DegenerateInputError(ValueError):
@@ -336,13 +338,19 @@ def _equal_partitions(items: tuple, size: int):
 
 
 def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
-    """All k-hyperplane arrangements bisecting the family, in exact arithmetic.
+    """k-hyperplane arrangements bisecting the family, in exact arithmetic.
 
     Unanchored families need j == d*k: each arrangement passes one
     hyperplane through each block of a partition of the j midpoints into
-    k blocks of size d.  Anchored families need j == (d-ell)*k + ell and
-    k >= 2: one free hyperplane through d midpoints, the rest through
-    d-ell midpoints plus the ell anchors.
+    k blocks of size d.  These are all the bisecting arrangements, since
+    k hyperplanes meet the curve in at most d*k = j points, one per
+    interval, which must be its midpoint.  Anchored families need
+    j == (d-ell)*k + ell and k >= 2, and get the anchored construction:
+    one free hyperplane through d midpoints, the rest through d-ell
+    midpoints plus the ell anchors.  That is not every bisecting
+    arrangement: on well_separated_family(2, 3, 1) the lines with root
+    sets {5/2, 9/2}, {13/2, 17/2} and {9/4, 9/4}, the last tangent to the
+    curve inside (2, 3), halve every interval and are not listed.
 
     A hyperplane is determined by its roots on the curve, so each block's
     hyperplane is built once from its root set, in integer arithmetic
@@ -400,40 +408,6 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
     rank = {i: r for r, i in enumerate(order)}
     rows = sorted(sorted(rank[i] for i in cand) for cand in cands)
     return [Arrangement(tuple(planes[order[r]] for r in row)) for row in rows]
-
-
-def check_shape(d: int, k: int, ell: int = 0) -> None:
-    """Raise ValueError unless (d, k, ell) names a family of the count law:
-    d >= 1 and k >= 1 unanchored, k >= 2 and 1 <= ell <= d-1 anchored."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if ell == 0:
-        if k < 1:
-            raise ValueError(f"need k >= 1, got {k}")
-        return
-    if k < 2:
-        raise ValueError(f"anchored case needs k >= 2, got k={k}")
-    if not 1 <= ell <= d - 1:
-        raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
-
-
-def _equal_splits(m: int, blocks: int) -> int:
-    """(blocks*m)! / (m!^blocks * blocks!): the ways to split blocks*m
-    items into unlabelled blocks of m.  The block holding the least item
-    left takes m - 1 of the others, so it is a product of binomials (all
-    1 when m = 1), with no factorial of blocks*m."""
-    if m == 1:
-        return 1
-    return math.prod(math.comb(i * m - 1, m - 1) for i in range(2, blocks + 1))
-
-
-def count_bisections(d: int, k: int, ell: int = 0) -> int:
-    """Closed-form count of the arrangements enumerate_bisections yields."""
-    check_shape(d, k, ell)
-    if ell == 0:
-        return _equal_splits(d, k)
-    j = (d - ell) * k + ell
-    return math.comb(j, d) * _equal_splits(d - ell, k - 1)
 
 
 def _frac_str(x) -> str:

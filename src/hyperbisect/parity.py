@@ -8,7 +8,7 @@ n! exceeds the combined valuation of the k_i! by at least r.  For
 p = 2 and r = 1 this gives the carry criterion: the coefficient is odd
 exactly when the parts add without carries in binary.
 
-The two partition-counting quantities at the end drive the membership
+The two partition-counting parities below drive the membership
 certificates elsewhere in the package: the number of ways to split
 d*k items into k unordered blocks of size d is odd exactly when d is a
 power of two, and the anchored variant (one free block of size d, the
@@ -16,11 +16,14 @@ remaining (d-ell)*(k-1) items in k-1 unordered blocks) obeys a similar
 power-of-two rule when 2*ell <= d - 1 and k >= 3: it is odd exactly when
 k is odd and d - ell is a power of two.  At k = 2 the remaining items
 form a single block, the count is C(2d - ell, d), and it is odd exactly
-when d and d - ell share no binary digit.
+when d and d - ell share no binary digit.  count_bisections computes
+these counts themselves, as products of binomials: they are the numbers
+of bisecting arrangements that momentcurve.enumerate_bisections lists.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 
@@ -149,3 +152,38 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
           - (k - 1) * legendre_valuation(d - ell, 2))
     assert v >= 0
     return Parity.EVEN if v > 0 else Parity.ODD
+
+
+def check_shape(d: int, k: int, ell: int = 0) -> None:
+    """Raise ValueError unless (d, k, ell) names a family of the count law:
+    d >= 1 and k >= 1 unanchored, k >= 2 and 1 <= ell <= d-1 anchored."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if ell == 0:
+        if k < 1:
+            raise ValueError(f"need k >= 1, got {k}")
+        return
+    if k < 2:
+        raise ValueError(f"anchored case needs k >= 2, got k={k}")
+    if not 1 <= ell <= d - 1:
+        raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
+
+
+def _equal_splits(m: int, blocks: int) -> int:
+    """(blocks*m)! / (m!^blocks * blocks!): the ways to split blocks*m
+    items into unlabelled blocks of m.  The block holding the least item
+    left takes m - 1 of the others, so it is a product of binomials (all
+    1 when m = 1), with no factorial of blocks*m."""
+    if m == 1:
+        return 1
+    return math.prod(math.comb(i * m - 1, m - 1) for i in range(2, blocks + 1))
+
+
+def count_bisections(d: int, k: int, ell: int = 0) -> int:
+    """Closed-form count of the arrangements that
+    momentcurve.enumerate_bisections yields."""
+    check_shape(d, k, ell)
+    if ell == 0:
+        return _equal_splits(d, k)
+    j = (d - ell) * k + ell
+    return math.comb(j, d) * _equal_splits(d - ell, k - 1)

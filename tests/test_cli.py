@@ -104,6 +104,18 @@ def test_lambda_figure(capsys, tmp_path):
     assert text.rstrip().endswith("</svg>")
 
 
+def test_lambda_figure_unwritable_out_is_usage_error(capsys, tmp_path):
+    # exit 1 means NOT_FOUND or not IN; an --out that cannot be opened is
+    # the caller's mistake, exit 2, with a message and no traceback
+    out_path = tmp_path / "no_such_dir" / "frontier.svg"
+    code, out, err = _run(capsys, ["lambda", "figure", "--k", "2", "--jmax",
+                                   "5", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert not out_path.exists()
+
+
 def test_ideal_member_true(capsys):
     code, out, _ = _run(capsys, ["ideal", "member", "1", "2", "2"])
     assert code == 0

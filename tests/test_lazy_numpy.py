@@ -1,13 +1,19 @@
-"""numpy loads with the solver's names only.
+"""Each import loads only the layers its caller uses; numpy only for solve.
 
 The verdicts, parities, counts and moment-curve enumerations are exact
 and never touch numpy; only hyperbisect.testmap does.  The package and
-the CLI resolve the testmap names on first access (PEP 562), so a
-command that never solves starts without numpy.
+the CLI resolve every library name on first access (PEP 562), so
+``import hyperbisect`` and ``import hyperbisect.cli`` load no library
+module, and each command loads exactly the modules of its own layers,
+which a fresh interpreter per command checks.  Only ``hyperbisect.*``
+modules and numpy are compared, never what ``site`` happens to import.
+The CLI calls those names as its own module attributes, so a wrapper
+set there from outside (the benchmark's tracer) sees every command.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -17,40 +23,46 @@ import pytest
 
 import hyperbisect
 import hyperbisect.cli as cli
-from hyperbisect import testmap
+from hyperbisect import momentcurve, parity, testmap
+from test_tracer_names import _wrapped
 
-# every CLI command that never solves, with a zero exit code
-EXACT_COMMANDS = [
-    ["lambda", "check", "2", "4", "2"],
-    ["lambda", "table", "--k", "2", "--jmax", "6"],
-    ["lambda", "figure", "--k", "2", "--jmax", "6", "--out", "FIGURE"],
-    ["count", "3", "2", "--ell", "1"],
-    ["parity", "lemma1", "3", "2"],
-    ["parity", "lemma2", "3", "2", "1"],
-    ["ideal", "member", "2", "4", "2"],
-    ["enumerate", "2", "2", "--params", "1,2,3,4,5,6,7,8"],
-]
+# every CLI command that never solves (each exits 0), with the library
+# modules it loads besides the CLI
+EXACT_COMMANDS = {
+    "lambda check 2 4 2": {"parity", "gf2poly", "verdicts"},
+    "lambda table --k 2 --jmax 6": {"parity", "gf2poly", "verdicts"},
+    "lambda figure --k 2 --jmax 6 --out FIGURE":
+        {"parity", "gf2poly", "verdicts", "figures"},
+    "count 3 2 --ell 1": {"parity"},
+    "parity lemma1 3 2": {"parity"},
+    "parity lemma2 3 2 1": {"parity"},
+    "ideal member 2 4 2": {"parity", "gf2poly"},
+    "enumerate 2 2 --params 1,2,3,4,5,6,7,8":
+        {"parity", "momentcurve", "polynomials"},
+}
+SOLVE_COMMAND = "solve --input LINE --k 1 --restarts 2"
+SOLVE_MODULES = {"parity", "momentcurve", "polynomials", "testmap"}
 
-# run in a fresh interpreter: argv[1] is a JSON list of exact commands,
-# argv[2] the solve command; prints whether numpy was loaded after each
-# stage, with the exit codes
+# run in a fresh interpreter: argv[1] is a JSON list of commands, run in
+# order; prints the hyperbisect.* modules (and numpy, if loaded) after
+# importing the package, after importing the CLI and after each command,
+# with the exit codes
 _CHILD = """
 import contextlib, io, json, sys
-loaded = lambda: 'numpy' in sys.modules
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("hyperbisect."))
 import hyperbisect
 after_package = loaded()
 import hyperbisect.cli as cli
 after_cli = loaded()
-codes = []
+codes, after = [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-after_exact = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    solve_code = cli.main(json.loads(sys.argv[2]))
+    after.append(loaded())
 print(json.dumps({"after_package": after_package, "after_cli": after_cli,
-                  "codes": codes, "after_exact": after_exact,
-                  "solve_code": solve_code, "after_solve": loaded()}))
+                  "codes": codes, "after": after}))
 """
 
 
@@ -61,27 +73,48 @@ def _write_line_instance(path) -> None:
     path.write_text(json.dumps({"d": 1, "measures": measures}))
 
 
-def test_numpy_loads_only_when_the_cli_solves(tmp_path):
-    figure = str(tmp_path / "frontier.svg")
-    exact = [[figure if a == "FIGURE" else a for a in argv]
-             for argv in EXACT_COMMANDS]
-    instance = tmp_path / "line.json"
-    _write_line_instance(instance)
-    solve = ["solve", "--input", str(instance), "--k", "1", "--restarts", "2"]
+def _argv(command: str, tmp_path) -> list[str]:
+    """The command's argv, with FIGURE and LINE made paths in tmp_path."""
+    line = tmp_path / "line.json"
+    if not line.exists():
+        _write_line_instance(line)
+    paths = {"FIGURE": str(tmp_path / "frontier.svg"), "LINE": str(line)}
+    return [paths.get(a, a) for a in command.split()]
+
+
+def _in_fresh_interpreter(commands: list[list[str]]) -> dict:
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(hyperbisect.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(exact),
-                           json.dumps(solve)], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    got = json.loads(proc.stdout)
-    assert got["after_package"] is False, "import hyperbisect loads numpy"
-    assert got["after_cli"] is False, "import hyperbisect.cli loads numpy"
-    assert got["codes"] == [0] * len(EXACT_COMMANDS)
-    assert got["after_exact"] is False, "an exact command loaded numpy"
-    assert got["solve_code"] == 0
-    assert got["after_solve"] is True
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_when_the_cli_solves(tmp_path):
+    exact = [_argv(command, tmp_path) for command in EXACT_COMMANDS]
+    got = _in_fresh_interpreter(exact + [_argv(SOLVE_COMMAND, tmp_path)])
+    assert "numpy" not in got["after_package"], "import hyperbisect loads numpy"
+    assert "numpy" not in got["after_cli"], "import hyperbisect.cli loads numpy"
+    assert got["codes"] == [0] * (len(EXACT_COMMANDS) + 1)
+    assert "numpy" not in got["after"][-2], "an exact command loaded numpy"
+    assert "numpy" in got["after"][-1]
+
+
+@pytest.mark.parametrize("command", [*EXACT_COMMANDS, SOLVE_COMMAND])
+def test_import_footprint(command, tmp_path):
+    got = _in_fresh_interpreter([_argv(command, tmp_path)])
+    assert got["after_package"] == [], "import hyperbisect loads a submodule"
+    assert got["after_cli"] == ["hyperbisect.cli"], \
+        "import hyperbisect.cli loads a library module"
+    assert got["codes"] == [0]
+    if command == SOLVE_COMMAND:
+        want = {f"hyperbisect.{m}" for m in SOLVE_MODULES} | {"numpy"}
+    else:
+        want = {f"hyperbisect.{m}" for m in EXACT_COMMANDS[command]}
+    assert got["after"] == [sorted(want | {"hyperbisect.cli"})]
 
 
 def test_every_exported_name_resolves():
@@ -107,21 +140,57 @@ def test_unknown_names_still_raise_attribute_error(module):
         module.no_such_name  # noqa: B018
 
 
-def test_solve_calls_the_module_attribute(monkeypatch, tmp_path, capsys):
-    # a wrapper set on hyperbisect.cli.solve_bisection from outside (the
-    # benchmark's tracer does this) must see the CLI's solve
+def test_every_export_is_its_home_modules_object():
+    # the package's table names, for each export, the module defining it
+    for module, names in hyperbisect._EXPORTS.items():
+        home = importlib.import_module(f"hyperbisect.{module}")
+        for name in names:
+            value = getattr(hyperbisect, name)
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) \
+                == home.__name__, name
+    assert (hyperbisect.count_bisections is parity.count_bisections
+            is momentcurve.count_bisections)
+
+
+# a command calling each library name that the benchmark's tracer wraps
+# on hyperbisect.cli; cli.main is the entry point itself, and no command
+# calls surviving_monomials (ideal member counts the survivors instead)
+CALLS = {
+    "verdict": "lambda check 2 4 2",
+    "frontier_table": "lambda table --k 2 --jmax 6",
+    "frontier_svg": "lambda figure --k 2 --jmax 6 --out FIGURE",
+    "ideal_member": "ideal member 2 4 2",
+    "equal_blocks_parity": "parity lemma1 3 2",
+    "anchored_blocks_parity": "parity lemma2 3 2 1",
+    "count_bisections": "count 3 2 --ell 1",
+    "enumerate_bisections": "enumerate 2 2 --params 1,2,3,4,5,6,7,8",
+    "solve_bisection": SOLVE_COMMAND,
+}
+
+
+def test_every_traced_cli_name_has_a_command():
+    traced = {attribute for module, attribute, _ in _wrapped()
+              if module == "hyperbisect.cli"}
+    assert traced - {"main", "surviving_monomials"} == set(CALLS)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_command_calls_the_module_attribute(name, monkeypatch, tmp_path,
+                                            capsys):
+    # a wrapper set on hyperbisect.cli from outside (the benchmark's tracer
+    # does this) must see the command's call and change nothing it prints
+    argv = _argv(CALLS[name], tmp_path)
+    code = cli.main(argv)
+    out = capsys.readouterr().out
     calls = []
-    real = testmap.solve_bisection
+    real = getattr(cli, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_bisection", wrapper)
-    instance = tmp_path / "line.json"
-    _write_line_instance(instance)
-    code = cli.main(["solve", "--input", str(instance), "--k", "1",
-                     "--restarts", "2"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "SUCCESS"
-    assert calls == [1]
+    monkeypatch.setattr(cli, name, wrapper)
+    assert cli.main(argv) == code == 0
+    assert capsys.readouterr().out == out
+    assert len(calls) == 1
