@@ -4,8 +4,9 @@ Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
 membership check queried with --expect-in is not IN; 2 on usage errors,
 on an enumeration whose arrangement count exceeds ENUMERATE_CAP, on
 a count with more digits than Python converts to a string and when a
-figure's --out file cannot be written; 3 on malformed input files or
-parameter strings; EXIT_BROKEN_PIPE when stdout is closed before all
+figure's --out file cannot be written; 3 on malformed input files,
+parameter strings or measures, including measures too large for float64
+arithmetic; EXIT_BROKEN_PIPE when stdout is closed before all
 output is written (``| head``).  Output for a fixed argv and seed is
 byte-identical across runs.
 """
@@ -13,7 +14,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -35,7 +35,8 @@ __getattr__, __dir__ = _lazy_names(globals(), {
     "figures": ("frontier_svg",),
     "momentcurve": ("IntervalFamily", "arrangement_to_jsonable",
                     "enumerate_bisections"),
-    "testmap": ("SolverConfig", "measures_from_jsonable", "solve_bisection"),
+    "testmap": ("MeasureOverflowError", "SolverConfig",
+                "measures_from_jsonable", "solve_bisection"),
 })
 this = sys.modules[__name__]
 
@@ -56,10 +57,16 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
+def _emit_json(data) -> None:
+    import json
+
+    _emit(json.dumps(data, indent=2))
+
+
 def _cmd_lambda_check(args) -> int:
     v = this.verdict(args.d, args.j, args.k)
     if args.format == "json":
-        _emit(json.dumps(v.to_jsonable(), indent=2))
+        _emit_json(v.to_jsonable())
     else:
         _emit(f"(d={v.d}, j={v.j}, k={v.k}): {v.status}\n"
               f"certificate: {v.certificate}")
@@ -95,9 +102,8 @@ def _cmd_ideal_member(args) -> int:
     count = this.count_surviving_monomials(args.j, args.k, args.d)
     assert member == (count == 0)
     if args.format == "json":
-        _emit(json.dumps({"d": args.d, "j": args.j, "k": args.k,
-                          "member": member,
-                          "surviving_monomials": count}, indent=2))
+        _emit_json({"d": args.d, "j": args.j, "k": args.k,
+                    "member": member, "surviving_monomials": count})
     else:
         _emit(f"member={'true' if member else 'false'} "
               f"surviving_monomials={count}")
@@ -107,8 +113,7 @@ def _cmd_ideal_member(args) -> int:
 def _cmd_parity_lemma1(args) -> int:
     p = this.equal_blocks_parity(args.d, args.k)
     if args.format == "json":
-        _emit(json.dumps({"d": args.d, "k": args.k, "parity": str(p)},
-                         indent=2))
+        _emit_json({"d": args.d, "k": args.k, "parity": str(p)})
     else:
         _emit(str(p))
     return 0
@@ -117,8 +122,8 @@ def _cmd_parity_lemma1(args) -> int:
 def _cmd_parity_lemma2(args) -> int:
     p = this.anchored_blocks_parity(args.d, args.k, args.ell)
     if args.format == "json":
-        _emit(json.dumps({"d": args.d, "k": args.k, "ell": args.ell,
-                          "parity": str(p)}, indent=2))
+        _emit_json({"d": args.d, "k": args.k, "ell": args.ell,
+                    "parity": str(p)})
     else:
         _emit(str(p))
     return 0
@@ -130,10 +135,11 @@ def _count_digits(d: int, k: int, ell: int) -> int:
     def log_factorial(n: int) -> float:
         return math.lgamma(n + 1)
 
+    j = this.check_shape(d, k, ell)
     if ell == 0:
-        ln = log_factorial(d * k) - k * log_factorial(d) - log_factorial(k)
+        ln = log_factorial(j) - k * log_factorial(d) - log_factorial(k)
     else:
-        j, m = (d - ell) * k + ell, d - ell
+        m = d - ell
         ln = (log_factorial(j) - log_factorial(d) - log_factorial(j - d)
               + log_factorial(m * (k - 1)) - (k - 1) * log_factorial(m)
               - log_factorial(k - 1))
@@ -141,19 +147,17 @@ def _count_digits(d: int, k: int, ell: int) -> int:
 
 
 def _cmd_count(args) -> int:
-    this.check_shape(args.d, args.k, args.ell)
-    # a count Python will not print is refused before it is computed
-    # (the limit is 0, none, before Python 3.10.7 and 3.11)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # _count_digits checks the shape; a count Python will not print is
+    # refused before it is computed (limit 0, none, before Python 3.10.7/3.11)
     digits = _count_digits(args.d, args.k, args.ell)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and digits > limit:
         raise ValueError(f"the count has about {digits} decimal digits, more "
                          f"than the {limit} Python converts to a string "
                          f"(sys.get_int_max_str_digits())")
     n = this.count_bisections(args.d, args.k, args.ell)
     if args.format == "json":
-        _emit(json.dumps({"d": args.d, "k": args.k, "ell": args.ell,
-                          "count": n}, indent=2))
+        _emit_json({"d": args.d, "k": args.k, "ell": args.ell, "count": n})
     else:
         _emit(str(n))
     return 0
@@ -170,13 +174,13 @@ def _parse_params(text: str) -> tuple[Fraction, ...]:
 def _cmd_enumerate(args) -> int:
     d, k, ell = args.d, args.k, args.ell
     # a bad (d, k, ell) is a usage error, like count's
-    this.check_shape(d, k, ell)
+    j = this.check_shape(d, k, ell)
     params = _parse_params(args.params)
     try:
         family = this.IntervalFamily(d=d, parameters=params, anchor_count=ell)
         # a family of the size (d, k, ell) asks for has exactly
         # count_bisections(d, k, ell) arrangements; others fail below
-        if family.j == (d - ell) * k + ell:
+        if family.j == j:
             count = this.count_bisections(d, k, ell)
             if count > ENUMERATE_CAP:
                 print(f"error: {count} arrangements exceed the enumeration "
@@ -185,8 +189,7 @@ def _cmd_enumerate(args) -> int:
         arrangements = this.enumerate_bisections(family, k)
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
-    _emit(json.dumps([this.arrangement_to_jsonable(a) for a in arrangements],
-                     indent=2))
+    _emit_json([this.arrangement_to_jsonable(a) for a in arrangements])
     return 0
 
 
@@ -204,6 +207,8 @@ def _resolve_seed(args_seed: int | None) -> int:
 
 
 def _cmd_solve(args) -> int:
+    import json
+
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -218,8 +223,11 @@ def _cmd_solve(args) -> int:
     config = this.SolverConfig(tolerance=args.tol,
                                seed=_resolve_seed(args.seed),
                                max_restarts=args.restarts)
-    result = this.solve_bisection(measures, args.k, config)
-    _emit(json.dumps(result.to_jsonable(), indent=2))
+    try:
+        result = this.solve_bisection(measures, args.k, config)
+    except this.MeasureOverflowError as exc:
+        raise _InputFormatError(str(exc)) from exc
+    _emit_json(result.to_jsonable())
     return 0 if result.success else 1
 
 
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--jmax", type=int, required=True)
     p_table.add_argument("--dmax-search", type=int, default=None,
-                         help="search bound for d (default 4*j per row)")
+                         help="largest d shown (default: no bound)")
     _add_format(p_table, "csv", choices=("csv", "json"))
     p_table.set_defaults(func=_cmd_lambda_table)
 

@@ -264,10 +264,7 @@ class IntervalFamily:
 
 def well_separated_family(d: int, k: int, ell: int = 0) -> IntervalFamily:
     """A canonical test family: unit intervals at integer endpoints."""
-    if ell == 0:
-        j = d * k
-    else:
-        j = (d - ell) * k + ell
+    j = check_shape(d, k, ell)
     start = ell + 1
     params = []
     for r in range(j):
@@ -281,21 +278,15 @@ def _interval_roots(h: OrientedHyperplane,
     """(midpoint is a root, that root is simple, open-interval root count)
     of the curve restriction, for every interval of the family.
 
-    One Sturm chain of the square-free part serves all intervals.  With
-    V(x) the sign variations of the chain at x (zeros skipped), V drops by
-    one exactly at each distinct root and V(root) equals V just after it,
-    so V(a) - V(b) counts the roots in (a, b]; a root at b is taken off.
+    One Sturm chain of the square-free part serves all intervals.
     """
     q = curve_restriction(h)
     chain = poly.sturm_chain(poly.squarefree_part(q))
-    s = chain[0]
-    variations = {t: poly.sign_variations(chain, t) for t in family.parameters}
     out = []
     for (a, b), mid in zip(family.intervals(), family.midpoints()):
-        at_mid = poly.sign_at(s, mid) == 0
+        at_mid = poly.sign_at(chain[0], mid) == 0
         simple = at_mid and poly.evaluate(poly.derivative(q), mid) != 0
-        count = variations[a] - variations[b] - (poly.sign_at(s, b) == 0)
-        out.append((at_mid, simple, count))
+        out.append((at_mid, simple, poly.chain_roots_open(chain, a, b)))
     return out
 
 
@@ -365,8 +356,7 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
     sorted by Arrangement.sort_key.
     """
     d, ell, j = family.d, family.anchor_count, family.j
-    check_shape(d, k, ell)
-    if j != (d - ell) * k + ell:
+    if j != check_shape(d, k, ell):
         raise ValueError(f"(d, k, ell) = ({d}, {k}, {ell}) needs "
                          f"j == (d-ell)*k + ell, got j={j}")
     mids = family.midpoints()

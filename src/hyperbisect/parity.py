@@ -140,11 +140,9 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
     C(2d - ell, d) is odd exactly when d and d - ell share no binary
     digit (d & (d - ell) == 0).
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if not 1 <= ell <= d - 1:
+    if ell == 0:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
-    j = (d - ell) * k + ell
+    j = check_shape(d, k, ell)
     rest = (d - ell) * (k - 1)
     v = (legendre_valuation(j, 2) - legendre_valuation(d, 2)
          - legendre_valuation(j - d, 2))
@@ -154,19 +152,20 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
     return Parity.EVEN if v > 0 else Parity.ODD
 
 
-def check_shape(d: int, k: int, ell: int = 0) -> None:
-    """Raise ValueError unless (d, k, ell) names a family of the count law:
-    d >= 1 and k >= 1 unanchored, k >= 2 and 1 <= ell <= d-1 anchored."""
+def check_shape(d: int, k: int, ell: int = 0) -> int:
+    """j = (d - ell)*k + ell; ValueError unless (d, k, ell) names a family
+    of the count law: d >= 1 and k >= 1 unanchored, k >= 2 and
+    1 <= ell <= d-1 anchored."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if ell == 0:
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
-        return
-    if k < 2:
+    elif k < 2:
         raise ValueError(f"anchored case needs k >= 2, got k={k}")
-    if not 1 <= ell <= d - 1:
+    elif not 1 <= ell <= d - 1:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
+    return (d - ell) * k + ell
 
 
 def _equal_splits(m: int, blocks: int) -> int:
@@ -182,8 +181,7 @@ def _equal_splits(m: int, blocks: int) -> int:
 def count_bisections(d: int, k: int, ell: int = 0) -> int:
     """Closed-form count of the arrangements that
     momentcurve.enumerate_bisections yields."""
-    check_shape(d, k, ell)
+    j = check_shape(d, k, ell)
     if ell == 0:
         return _equal_splits(d, k)
-    j = (d - ell) * k + ell
     return math.comb(j, d) * _equal_splits(d - ell, k - 1)

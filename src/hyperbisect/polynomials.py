@@ -142,6 +142,14 @@ def sign_variations(chain, x) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def chain_roots_open(chain, a, b) -> int:
+    """Distinct roots in (a, b) of the square-free chain[0], from its Sturm
+    chain: V(x), the sign variations at x, drops by one at each root and
+    equals V just after it, so V(a) - V(b) counts (a, b]; minus a root at b."""
+    return (sign_variations(chain, a) - sign_variations(chain, b)
+            - (sign_at(chain[0], b) == 0))
+
+
 def count_roots_open(p: Coeffs, a, b) -> int:
     """Distinct real roots of nonzero p strictly between a and b."""
     if not p:
@@ -149,12 +157,4 @@ def count_roots_open(p: Coeffs, a, b) -> int:
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError(f"need a < b, got {a} >= {b}")
-    p = squarefree_part(p)
-    # peel off roots sitting exactly on an endpoint; they do not count
-    for end in (a, b):
-        while p and evaluate(p, end) == 0:
-            p = divide(p, make([-end, 1]))[0]
-    if degree(p) < 1:
-        return 0
-    chain = sturm_chain(p)
-    return sign_variations(chain, a) - sign_variations(chain, b)
+    return chain_roots_open(sturm_chain(squarefree_part(p)), a, b)

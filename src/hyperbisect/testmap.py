@@ -68,6 +68,10 @@ class AtInfinityError(ValueError):
     """A pole direction (u' = 0) was used where a hyperplane is required."""
 
 
+class MeasureOverflowError(ValueError):
+    """A measure's weights or coordinates overflow float64 arithmetic."""
+
+
 @dataclass
 class DiscreteMeasure:
     """Weighted finite points in R^d; weights must be finite and positive."""
@@ -89,7 +93,10 @@ class DiscreteMeasure:
             raise ValueError("point coordinates must be finite")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise ValueError("weights must be finite and strictly positive")
-        self.total = float(self.weights.sum())
+        with np.errstate(over="ignore"):
+            self.total = float(self.weights.sum())
+        if not math.isfinite(self.total):
+            raise MeasureOverflowError("the weights' total overflows float64")
 
     @property
     def dim(self) -> int:
@@ -440,9 +447,18 @@ def _centering(pts: np.ndarray) -> tuple[np.ndarray, float]:
     component of the sphere parameterization O(1) regardless of where the
     data sits; a cloud far from the origin would otherwise need directions
     crowded against the poles.
+
+    MeasureOverflowError when these norms, or the squares of the offsets
+    (up to radius + |center|) of directions mapped back, overflow float64.
     """
-    center = pts.mean(axis=0)
-    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = pts.mean(axis=0)
+        radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
+        reach = np.square(radius + np.linalg.norm(center))
+    if not np.isfinite(reach):
+        raise MeasureOverflowError(
+            "point coordinates overflow float64 when centred: the "
+            "centroid or the radius is not finite")
     return center, radius if radius > 0 else 1.0
 
 
@@ -675,8 +691,6 @@ def solve_bisection(measures, k: int,
     pts = np.vstack([m.points for m in measures])
     center, radius = _centering(pts)
     centered = (pts - center) / radius
-    if not np.all(np.isfinite(centered)):  # the centroid overflowed
-        raise ValueError("point coordinates must be finite")
     pool = _Pool(measures, k, centered)
     diameter = _data_diameter(centered)
     totals = np.array([m.total for m in measures])

@@ -10,15 +10,15 @@ can and says UNKNOWN otherwise:
     a definite NO.
   * k = 1, d >= j is the classical ham-sandwich YES.
   * sufficiency criteria, each monotone in d and each firing from a least
-    dimension d0 computed in closed form, O(log j):
+    dimension d0 read off the bits of j // k or of j, O(log j):
       THM25_I   j == d0*k with d0 a power of two, so d0 = j/k;
       THM25_II  j == (d0-ell)*k + ell with k odd, d0 = 2^a + ell,
-                a >= 1, 1 <= ell <= 2^a - 1: a short scan over a;
+                1 <= ell <= 2^a - 1, 2^a the top bit of j // k >= 2;
       THM1_IDEAL the j-th power of a k-fold variable sum survives
                 truncation at degree d0, so d0 = 2^floor(log2 j) for
                 k >= 2 (see gf2poly.least_surviving_d).
-    A criterion applies to (d, j, k) when its d0 <= d, and the
-    certificate names that least d0.
+    A criterion's least certificate at (j, k) applies to (d, j, k) when
+    its d0 <= d, and the certificate names that least d0.
 
 Certificates carry their parameters so a checker can re-derive the
 claim; the preference order is HAM_SANDWICH, THM25_I, THM25_II,
@@ -27,7 +27,6 @@ THM1_IDEAL.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -67,21 +66,18 @@ class Certificate:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
+    def _params(self) -> dict:
+        """The parameters that are set, in their fixed order."""
+        return {n: v for n, v in
+                (("d0", self.d0), ("a", self.a), ("ell", self.ell))
+                if v is not None}
+
     def __str__(self) -> str:
-        params = [(n, v) for n, v in
-                  (("d0", self.d0), ("a", self.a), ("ell", self.ell))
-                  if v is not None]
-        if not params:
-            return self.kind
-        inner = ", ".join(f"{n}={v}" for n, v in params)
-        return f"{self.kind}({inner})"
+        inner = ", ".join(f"{n}={v}" for n, v in self._params().items())
+        return f"{self.kind}({inner})" if inner else self.kind
 
     def to_jsonable(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for name, value in (("d0", self.d0), ("a", self.a), ("ell", self.ell)):
-            if value is not None:
-                out[name] = value
-        return out
+        return {"kind": self.kind, **self._params()}
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,35 @@ def _thm1_fires(d0: int, j: int, k: int) -> bool:
     return not ideal_member(j, k, d0)
 
 
+# Each criterion's least certificate at (j, k) as its parameters, d0 first
+# (tuples: a frontier row keeps only d0), or None where it never fires.
+
+def _least_thm25i(j: int, k: int) -> tuple[int, int] | None:
+    """(d0, a) with d0 = j/k = 2^a, when j/k is a power of two."""
+    if j % k:
+        return None
+    d0 = j // k
+    return (d0, d0.bit_length() - 1) if is_power_of_two(d0) else None
+
+
+def _least_thm25ii(j: int, k: int) -> tuple[int, int, int] | None:
+    """(d0, a, ell) for odd k >= 3: j = 2^a*k + ell with
+    1 <= ell <= 2^a - 1 puts j // k in [2^a, 2^(a+1)), so 2^a is its top
+    bit, and a >= 1 needs j // k >= 2."""
+    if k % 2 == 0 or k < 3 or j < 2 * k:
+        return None
+    a = (j // k).bit_length() - 1
+    ell = j - (k << a)
+    if not 1 <= ell <= (1 << a) - 1:
+        return None
+    return (1 << a) + ell, a, ell
+
+
+def _least_thm1(j: int, k: int) -> tuple[int]:
+    """(d0,): the power survives from d0 on."""
+    return (least_surviving_d(j, k),)
+
+
 def verdict(d: int, j: int, k: int) -> LambdaVerdict:
     """Decide (d, j, k) membership with a machine-checkable certificate."""
     if d < 1 or j < 1 or k < 1:
@@ -152,26 +177,17 @@ def verdict(d: int, j: int, k: int) -> LambdaVerdict:
         return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH),
                              witness_d0=j)
 
-    d0 = _min_d_thm25i(j, k, d)
-    if d0 is not None:
-        return LambdaVerdict(d, j, k, Status.IN,
-                             Certificate(THM25_I, d0=d0,
-                                         a=_thm25i_fires(d0, j, k)),
-                             witness_d0=d0)
-    d0 = _min_d_thm25ii(j, k, d)
-    if d0 is not None:
-        a, ell = _thm25ii_fires(d0, j, k)
-        return LambdaVerdict(d, j, k, Status.IN,
-                             Certificate(THM25_II, d0=d0, a=a, ell=ell),
-                             witness_d0=d0)
-    # membership is monotone in d, so one query at d decides THM1
-    if _thm1_fires(d, j, k):
-        d0 = least_surviving_d(j, k)
-        return LambdaVerdict(d, j, k, Status.IN,
-                             Certificate(THM1_IDEAL, d0=d0),
-                             witness_d0=d0)
-
-    return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
+    for kind, least in ((THM25_I, _least_thm25i(j, k)),
+                        (THM25_II, _least_thm25ii(j, k))):
+        if least is not None and least[0] <= d:
+            break
+    else:
+        # membership is monotone in d, so one query at d decides THM1
+        if not _thm1_fires(d, j, k):
+            return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
+        kind, least = THM1_IDEAL, _least_thm1(j, k)
+    return LambdaVerdict(d, j, k, Status.IN, Certificate(kind, *least),
+                         witness_d0=least[0])
 
 
 def certificate_checks(v: LambdaVerdict) -> bool:
@@ -185,17 +201,15 @@ def certificate_checks(v: LambdaVerdict) -> bool:
         return False
     if c.kind == HAM_SANDWICH:
         return v.k == 1 and v.d >= v.j and v.witness_d0 == v.j
+    # every other criterion names its least d0 <= d as the witness
+    if c.d0 is None or c.d0 > v.d or v.witness_d0 != c.d0:
+        return False
     if c.kind == THM1_IDEAL:
-        return (c.d0 is not None and c.d0 <= v.d
-                and _thm1_fires(c.d0, v.j, v.k) and v.witness_d0 == c.d0)
+        return _thm1_fires(c.d0, v.j, v.k)
     if c.kind == THM25_I:
-        return (c.d0 is not None and c.d0 <= v.d
-                and _thm25i_fires(c.d0, v.j, v.k) == c.a
-                and v.witness_d0 == c.d0)
+        return _thm25i_fires(c.d0, v.j, v.k) == c.a
     if c.kind == THM25_II:
-        return (c.d0 is not None and c.d0 <= v.d
-                and _thm25ii_fires(c.d0, v.j, v.k) == (c.a, c.ell)
-                and v.witness_d0 == c.d0)
+        return _thm25ii_fires(c.d0, v.j, v.k) == (c.a, c.ell)
     return False
 
 
@@ -218,63 +232,35 @@ class FrontierRow:
 class FrontierTable:
     k: int
     j_max: int
-    search_bound: int | None  # None means the per-row default 4*j
+    search_bound: int | None  # None means no bound
     rows: tuple[FrontierRow, ...]
-
-
-def _min_d_thm1(j: int, k: int, bound: int) -> int | None:
-    d = least_surviving_d(j, k)
-    return d if d <= bound else None
-
-
-def _min_d_thm25i(j: int, k: int, bound: int) -> int | None:
-    if j % k:
-        return None
-    d = j // k
-    if is_power_of_two(d) and 1 <= d <= bound:
-        return d
-    return None
-
-
-def _min_d_thm25ii(j: int, k: int, bound: int) -> int | None:
-    if k < 3 or k % 2 == 0:
-        return None
-    # 1 <= ell = j - 2^a*k <= 2^a - 1 means 2^a*k < j < 2^a*(k+1); these
-    # ranges are disjoint for distinct a, so at most one a qualifies
-    a = 1
-    while (1 << a) * k + 1 <= j:
-        ell = j - (1 << a) * k
-        if ell <= (1 << a) - 1:
-            d = (1 << a) + ell
-            return d if d <= bound else None
-        a += 1
-    return None
 
 
 def frontier_table(k: int, j_max: int,
                    d_search_bound: int | None = None) -> FrontierTable:
     """Minimal certifying dimension per criterion for j = 1..j_max.
 
-    A cell is absent when the criterion certifies nothing up to the
-    search bound (default 4*j per row).  d_conjecture = ceil(j/k) is the
-    necessity floor, conjecturally tight.
+    A cell is absent when the criterion certifies nothing at (j, k), or
+    when its least d0 exceeds d_search_bound (None means no bound; every
+    d0 is at most j).  d_conjecture = ceil(j/k) is the necessity floor,
+    conjecturally tight.
     """
     if k < 1 or j_max < 1:
         raise ValueError(f"need k >= 1 and j_max >= 1, got k={k}, j_max={j_max}")
     if d_search_bound is not None and d_search_bound < 1:
         raise ValueError(f"search bound must be >= 1, got {d_search_bound}")
-    rows = []
-    for j in range(1, j_max + 1):
-        bound = d_search_bound if d_search_bound is not None else 4 * j
-        rows.append(FrontierRow(
-            j=j,
-            d_conjecture=math.ceil(j / k),
-            d_thm1=_min_d_thm1(j, k, bound),
-            d_thm25i=_min_d_thm25i(j, k, bound),
-            d_thm25ii=_min_d_thm25ii(j, k, bound),
-        ))
+    bound = math.inf if d_search_bound is None else d_search_bound
+
+    def cell(least: tuple[int, ...] | None) -> int | None:
+        return least[0] if least is not None and least[0] <= bound else None
+
+    rows = tuple(FrontierRow(j=j, d_conjecture=math.ceil(j / k),
+                             d_thm1=cell(_least_thm1(j, k)),
+                             d_thm25i=cell(_least_thm25i(j, k)),
+                             d_thm25ii=cell(_least_thm25ii(j, k)))
+                 for j in range(1, j_max + 1))
     return FrontierTable(k=k, j_max=j_max, search_bound=d_search_bound,
-                         rows=tuple(rows))
+                         rows=rows)
 
 
 def frontier_csv(table: FrontierTable) -> str:
@@ -288,6 +274,8 @@ def frontier_csv(table: FrontierTable) -> str:
 
 
 def frontier_json(table: FrontierTable) -> str:
+    import json
+
     payload = {
         "k": table.k,
         "j_max": table.j_max,

@@ -2,7 +2,8 @@
 
 The truncated F2 expansion of (t_1 + ... + t_k)^j that
 hyperbisect.gf2poly's closed forms and its bit-dealing listing are
-checked against, search oracles for the closed forms, polynomials built
+checked against, search oracles for the closed forms, the loop over a
+that THM25_II's least dimension was found by, polynomials built
 from their roots, the Fraction kernel for root-set hyperplanes, an exact
 root check for moment-curve hyperplanes, the per-measure solver kernel
 that the pooled kernel in hyperbisect.testmap must match bit for bit,
@@ -135,6 +136,23 @@ def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:
         return False
 
     return tuple(parts) if place(0) else None
+
+
+def least_thm25ii_by_loop(j: int, k: int) -> tuple[int, int, int] | None:
+    """THM25_II's least (d0, a, ell) for odd k >= 3, by a loop over a.
+
+    1 <= ell = j - 2^a*k <= 2^a - 1 means 2^a*k < j < 2^a*(k+1); these
+    ranges are disjoint for distinct a, so at most one a qualifies.
+    """
+    if k < 3 or k % 2 == 0:
+        return None
+    a = 1
+    while (1 << a) * k + 1 <= j:
+        ell = j - (1 << a) * k
+        if ell <= (1 << a) - 1:
+            return (1 << a) + ell, a, ell
+        a += 1
+    return None
 
 
 def from_roots(roots) -> poly.Coeffs:

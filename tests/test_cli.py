@@ -335,6 +335,42 @@ def test_solve_rejects_non_finite_input(capsys, tmp_path, literal):
         assert err.startswith("error:")
 
 
+def _solve_points(capsys, tmp_path, points, weight=1.0, k="1"):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"d": len(points[0]), "measures": [
+        {"points": [{"x": [float(c) for c in x], "w": weight}
+                    for x in points]}]}))
+    return _run(capsys, ["solve", "--input", str(path), "--k", k,
+                         "--restarts", "2"])
+
+
+def test_solve_refuses_weights_whose_total_overflows(capsys, tmp_path):
+    # used to print SUCCESS with an imbalance of -1e+308 and exit 0
+    code, out, err = _solve_points(capsys, tmp_path, [[0], [1], [2]],
+                                   weight=1e308)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "overflows float64" in err
+
+
+def test_solve_refuses_coordinates_whose_centring_overflows(capsys,
+                                                            tmp_path):
+    # a ham-sandwich instance scaled past the squared norm's range used to
+    # exit 2 with a pole error, and points near float64's maximum with a
+    # claim that they were not finite
+    rng = np.random.default_rng(0)
+    errors = []
+    for points in (rng.normal(size=(40, 2)) * 1e160,
+                   np.full((3, 2), 1.7e308)):
+        code, out, err = _solve_points(capsys, tmp_path, points.tolist())
+        assert code == 3 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "overflow float64 when centred" in errors[0]
+    # a bad k stays a usage error
+    code, _, err = _solve_points(capsys, tmp_path, [[0.0], [1.0]], k="0")
+    assert code == 2 and "need k >= 1" in err
+
+
 def _write_instance(path, seed=0):
     rng = np.random.default_rng(seed)
     measures = []

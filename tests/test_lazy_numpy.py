@@ -6,7 +6,8 @@ the CLI resolve every library name on first access (PEP 562), so
 ``import hyperbisect`` and ``import hyperbisect.cli`` load no library
 module, and each command loads exactly the modules of its own layers,
 which a fresh interpreter per command checks.  Only ``hyperbisect.*``
-modules and numpy are compared, never what ``site`` happens to import.
+modules and numpy are compared, never what ``site`` happens to import,
+and json is loaded only by commands that print or read JSON.
 The CLI calls those names as its own module attributes, so a wrapper
 set there from outside (the benchmark's tracer) sees every command.
 """
@@ -42,27 +43,34 @@ EXACT_COMMANDS = {
 }
 SOLVE_COMMAND = "solve --input LINE --k 1 --restarts 2"
 SOLVE_MODULES = {"parity", "momentcurve", "polynomials", "testmap"}
+# the commands that print or read JSON; the others never load json
+JSON_COMMANDS = {"enumerate 2 2 --params 1,2,3,4,5,6,7,8", SOLVE_COMMAND}
 
-# run in a fresh interpreter: argv[1] is a JSON list of commands, run in
-# order; prints the hyperbisect.* modules (and numpy, if loaded) after
-# importing the package, after importing the CLI and after each command,
-# with the exit codes
+# run in a fresh interpreter: each argument is a command, its words
+# joined by \x1f, run in order; prints the hyperbisect.* modules (and
+# numpy, if loaded) after importing the package, after importing the CLI
+# and after each command, with the exit codes and whether json was loaded
+# at start and after each command (the child imports json only to print)
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 def loaded():
     return sorted(m for m in sys.modules
                   if m == "numpy" or m.startswith("hyperbisect."))
+json_at_start = "json" in sys.modules
 import hyperbisect
 after_package = loaded()
 import hyperbisect.cli as cli
 after_cli = loaded()
-codes, after = [], []
-for argv in json.loads(sys.argv[1]):
+codes, after, json_after = [], [], []
+for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(argv))
+        codes.append(cli.main(argv.split("\\x1f")))
     after.append(loaded())
+    json_after.append("json" in sys.modules)
+import json
 print(json.dumps({"after_package": after_package, "after_cli": after_cli,
-                  "codes": codes, "after": after}))
+                  "codes": codes, "after": after,
+                  "json_at_start": json_at_start, "json_after": json_after}))
 """
 
 
@@ -87,7 +95,8 @@ def _in_fresh_interpreter(commands: list[list[str]]) -> dict:
     src = os.path.dirname(os.path.dirname(hyperbisect.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD,
+                           *("\x1f".join(argv) for argv in commands)],
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     return json.loads(proc.stdout)
@@ -115,6 +124,9 @@ def test_import_footprint(command, tmp_path):
     else:
         want = {f"hyperbisect.{m}" for m in EXACT_COMMANDS[command]}
     assert got["after"] == [sorted(want | {"hyperbisect.cli"})]
+    # text parity lemma1 and the other text commands leave json unloaded
+    assert got["json_after"] == [got["json_at_start"]
+                                 or command in JSON_COMMANDS]
 
 
 def test_every_exported_name_resolves():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,9 +13,10 @@ import pytest
 from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
                                      IntervalFamily, OrientedHyperplane,
                                      arrangement_from_jsonable,
-                                     arrangement_to_jsonable, count_bisections,
-                                     curve_restriction, enumerate_bisections,
-                                     hyperplane_through, moment_point,
+                                     arrangement_to_jsonable, check_shape,
+                                     count_bisections, curve_restriction,
+                                     enumerate_bisections, hyperplane_through,
+                                     moment_point,
                                      verify_bisection, well_separated_family)
 from hyperbisect.momentcurve import (_equal_partitions, _interval_roots,
                                      _root_set_hyperplane)
@@ -176,6 +178,27 @@ def test_count_matches_the_factorial_formula():
             for ell in range(d) if k >= 2 else (0,):
                 assert (count_bisections(d, k, ell)
                         == count_bisections_by_factorials(d, k, ell))
+
+
+def test_check_shape_is_the_family_size():
+    for d in range(1, 13):
+        for k in range(1, 13):
+            for ell in range(d) if k >= 2 else (0,):
+                assert (check_shape(d, k, ell)
+                        == well_separated_family(d, k, ell).j)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5), (3, 1, 1), (2, 0, 0)])
+def test_bad_shapes_raise_check_shapes_errors(shape):
+    # (2, 3, 5) used to fail on its endpoint count and (3, 1, 1) to build
+    # an anchored family with k = 1
+    with pytest.raises(ValueError) as caught:
+        check_shape(*shape)
+    message = re.escape(str(caught.value))
+    with pytest.raises(ValueError, match=message):
+        well_separated_family(*shape)
+    with pytest.raises(ValueError, match=message):
+        count_bisections(*shape)
 
 
 def test_count_rejects_bad_ranges():

@@ -71,6 +71,21 @@ def test_count_roots_excludes_endpoints():
     assert poly.count_roots_open(p, 0, 2) == 1
 
 
+def test_count_roots_excludes_multiple_roots_at_endpoints():
+    p = from_roots([1, 1, 2, 2, 2])
+    assert poly.count_roots_open(p, 1, 2) == 0
+    assert poly.count_roots_open(p, 0, 2) == 1
+    assert poly.count_roots_open(p, 1, 3) == 1
+    assert poly.count_roots_open(poly.make([3]), 0, 1) == 0
+
+
+def test_chain_roots_open_takes_off_only_a_root_at_b():
+    chain = poly.sturm_chain(from_roots([1, 2, 3]))
+    ends = ((1, 3), (0, 3), (1, 4), (0, 4), (2, Fraction(19, 9)))
+    got = [poly.chain_roots_open(chain, a, b) for a, b in ends]
+    assert got == [1, 2, 2, 3, 0]
+
+
 def test_count_roots_handles_multiplicity():
     p = from_roots([1, 1, 1])
     assert poly.count_roots_open(p, 0, 2) == 1

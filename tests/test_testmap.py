@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from hyperbisect.testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
-                                 GroupElement, JoinPoint, SolverConfig,
+                                 GroupElement, JoinPoint, MeasureOverflowError,
+                                 SolverConfig,
                                  act_on_join, act_on_target, boundary_mass,
                                  hyperplane_to_sphere_point,
                                  interval_quadrature_measures,
@@ -391,6 +393,41 @@ def test_solver_rejects_a_cloud_whose_centroid_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
             solve_bisection(ms, 1, SolverConfig(max_restarts=1))
+
+
+def test_measure_refuses_weights_whose_total_overflows():
+    # the total used to be inf, and solve then reported SUCCESS with a
+    # relative imbalance of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(MeasureOverflowError, match="total overflows"):
+            DiscreteMeasure(np.arange(3.0)[:, None], np.full(3, 1e308))
+
+
+def _gaussian_cloud(scale):
+    return np.random.default_rng(0).normal(size=(40, 2)) * scale
+
+
+@pytest.mark.parametrize("points", [_gaussian_cloud(1e160),
+                                    np.full((3, 2), 1.7e308)],
+                         ids=["norm-overflows", "mean-overflows"])
+def test_solver_refuses_coordinates_whose_centring_overflows(points):
+    # finite points that used to come back as a pole direction or as
+    # non-finite coordinates
+    measures = [DiscreteMeasure(points, np.ones(len(points)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeasureOverflowError,
+                           match="overflow float64 when centred"):
+            solve_bisection(measures, 1, SolverConfig(max_restarts=1))
+
+
+def test_solver_bisects_coordinates_just_below_the_overflow():
+    measures = [DiscreteMeasure(_gaussian_cloud(1e153), np.ones(40))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_bisection(measures, 1, SolverConfig(max_restarts=3))
+    assert result.success
 
 
 def _kernel_instance(rng, d):

@@ -5,17 +5,18 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 
 import pytest
 
 from hyperbisect.verdicts import (HAM_SANDWICH, MOMENT_CURVE_NECESSITY, NONE,
                                   THM1_IDEAL, THM25_I, THM25_II, Certificate,
                                   FrontierRow, FrontierTable, LambdaVerdict,
-                                  Status, _thm25i_fires, _thm25ii_fires,
-                                  certificate_checks, frontier_csv,
-                                  frontier_json, frontier_table,
+                                  Status, _least_thm25ii, _thm25i_fires,
+                                  _thm25ii_fires, certificate_checks,
+                                  frontier_csv, frontier_json, frontier_table,
                                   is_power_of_two, verdict)
-from oracles import carry_free_composition
+from oracles import carry_free_composition, least_thm25ii_by_loop
 
 
 @functools.cache  # the scans ask the same (d0, j, k) many times
@@ -250,3 +251,27 @@ def test_frontier_matches_the_scan(bound):
         assert table == expect
         assert frontier_csv(table) == frontier_csv(expect)
         assert frontier_json(table) == frontier_json(expect)
+        # every least d0 is at most j, so no bound blanks no cell
+        assert all(dd is None or dd <= r.j for r in table.rows
+                   for dd in (r.d_thm1, r.d_thm25i, r.d_thm25ii))
+
+
+def test_thm25ii_closed_form_matches_the_loop_over_a():
+    rng = random.Random(2511)
+    for _ in range(6000):
+        k = rng.randrange(3, 100, 2)
+        if rng.random() < 0.5:
+            j = rng.randint(1, 2 ** 80)
+        else:  # 2^a*k + ell with ell at, inside and just past its range
+            a = rng.randint(0, 74)
+            ell = rng.choice([0, 1, (1 << a) - 1, 1 << a,
+                              rng.randint(0, 1 << a)])
+            j = max(1, (k << a) + ell)
+        assert _least_thm25ii(j, k) == least_thm25ii_by_loop(j, k)
+    for k in range(1, 16):
+        for j in range(1, 400):
+            want = least_thm25ii_by_loop(j, k)
+            assert _least_thm25ii(j, k) == want
+            # the least d0 at which the criterion's own re-derivation fires
+            scan = _first_d(lambda d0: _thm25ii_fires(d0, j, k) is not None, j)
+            assert scan == (None if want is None else want[0])
