@@ -139,10 +139,9 @@ def _count_digits(d: int, k: int, ell: int) -> int:
     if ell == 0:
         ln = log_factorial(j) - k * log_factorial(d) - log_factorial(k)
     else:
-        m = d - ell
-        ln = (log_factorial(j) - log_factorial(d) - log_factorial(j - d)
-              + log_factorial(m * (k - 1)) - (k - 1) * log_factorial(m)
-              - log_factorial(k - 1))
+        # the (d-ell)(k-1) items left after the free hyperplane are j - d
+        ln = (log_factorial(j) - log_factorial(d) - log_factorial(k - 1)
+              - (k - 1) * log_factorial(d - ell))
     return int(ln / math.log(10)) + 1
 
 

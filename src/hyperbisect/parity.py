@@ -143,11 +143,10 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
     if ell == 0:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
     j = check_shape(d, k, ell)
-    rest = (d - ell) * (k - 1)
+    # the rest, (d-ell)(k-1) items, is exactly j - d, so (j-d)! cancels
     v = (legendre_valuation(j, 2) - legendre_valuation(d, 2)
-         - legendre_valuation(j - d, 2))
-    v += (legendre_valuation(rest, 2) - legendre_valuation(k - 1, 2)
-          - (k - 1) * legendre_valuation(d - ell, 2))
+         - legendre_valuation(k - 1, 2)
+         - (k - 1) * legendre_valuation(d - ell, 2))
     assert v >= 0
     return Parity.EVEN if v > 0 else Parity.ODD
 

@@ -55,7 +55,7 @@ _KINDS = (HAM_SANDWICH, THM1_IDEAL, THM25_I, THM25_II,
           MOMENT_CURVE_NECESSITY, NONE)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Certificate:
     kind: str
     d0: int | None = None
@@ -80,7 +80,7 @@ class Certificate:
         return {"kind": self.kind, **self._params()}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LambdaVerdict:
     d: int
     j: int
@@ -90,11 +90,13 @@ class LambdaVerdict:
     witness_d0: int | None = None
 
     def __post_init__(self) -> None:
-        if self.status is Status.NOT_IN:
-            assert self.certificate.kind == MOMENT_CURVE_NECESSITY
-            assert self.d * self.k < self.j
-        if self.status is Status.UNKNOWN:
-            assert self.certificate.kind == NONE
+        if self.status is Status.NOT_IN and (
+                self.certificate.kind != MOMENT_CURVE_NECESSITY
+                or self.d * self.k >= self.j):
+            raise ValueError(f"NOT_IN at ({self.d}, {self.j}, {self.k}) "
+                             f"with {self.certificate}")
+        if self.status is Status.UNKNOWN and self.certificate.kind != NONE:
+            raise ValueError(f"UNKNOWN with {self.certificate}")
 
     def to_jsonable(self) -> dict:
         out: dict = {"d": self.d, "j": self.j, "k": self.k,
@@ -213,7 +215,7 @@ def certificate_checks(v: LambdaVerdict) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrontierRow:
     """Minimal dimensions, per criterion, at which (d, j, k) becomes IN."""
 
@@ -225,10 +227,12 @@ class FrontierRow:
 
     def __post_init__(self) -> None:
         for dd in (self.d_thm1, self.d_thm25i, self.d_thm25ii):
-            assert dd is None or dd >= self.d_conjecture
+            if dd is not None and dd < self.d_conjecture:
+                raise ValueError(f"row j={self.j}: cell {dd} sits below "
+                                 f"d_conjecture {self.d_conjecture}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FrontierTable:
     k: int
     j_max: int
@@ -254,7 +258,7 @@ def frontier_table(k: int, j_max: int,
     def cell(least: tuple[int, ...] | None) -> int | None:
         return least[0] if least is not None and least[0] <= bound else None
 
-    rows = tuple(FrontierRow(j=j, d_conjecture=math.ceil(j / k),
+    rows = tuple(FrontierRow(j=j, d_conjecture=-(-j // k),
                              d_thm1=cell(_least_thm1(j, k)),
                              d_thm25i=cell(_least_thm25i(j, k)),
                              d_thm25ii=cell(_least_thm25ii(j, k)))

@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke tests: every script in demos/ and README's Library quick tour
+run to completion."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import pytest
 
 import hyperbisect
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -20,14 +22,31 @@ def test_demos_are_found():
                                        "numerical_solver.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
-    # the child imports the same hyperbisect as this process; it runs in
-    # tmp_path because a demo writes its figure to the working directory
+def _run_child(argv, cwd):
+    # the child imports the same hyperbisect as this process
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(hyperbisect.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    # it runs in tmp_path because a demo writes its figure to the working
+    # directory
+    proc = _run_child([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_tour_runs_and_prints_what_it_says(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _run_child(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # the first print's comment is the line it prints
+    said = next(line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(") and "#" in line)
+    assert proc.stdout.splitlines()[0] == said

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import functools
 import json
 import math
@@ -164,6 +166,42 @@ def test_certificate_rendering():
     assert str(Certificate(HAM_SANDWICH)) == "HAM_SANDWICH"
     with pytest.raises(ValueError):
         Certificate("THM99")
+
+
+@pytest.mark.parametrize("status, certificate, d", [
+    (Status.NOT_IN, Certificate(NONE), 1),               # wrong kind
+    (Status.NOT_IN, Certificate(MOMENT_CURVE_NECESSITY), 2),  # d*k = j
+    (Status.NOT_IN, Certificate(MOMENT_CURVE_NECESSITY), 3),  # d*k > j
+    (Status.UNKNOWN, Certificate(MOMENT_CURVE_NECESSITY), 1),
+    (Status.UNKNOWN, Certificate(THM1_IDEAL, d0=2), 2),
+])
+def test_verdict_record_rejects_inconsistent_status(status, certificate, d):
+    # raised, not asserted, so the check holds under python -O too
+    with pytest.raises(ValueError):
+        LambdaVerdict(d, 4, 2, status, certificate)
+
+
+@pytest.mark.parametrize("cell", ["d_thm1", "d_thm25i", "d_thm25ii"])
+def test_frontier_row_rejects_a_cell_below_the_floor(cell):
+    cells = dict(d_thm1=None, d_thm25i=None, d_thm25ii=None)
+    FrontierRow(j=7, d_conjecture=3, **{**cells, cell: 3})
+    with pytest.raises(ValueError):
+        FrontierRow(j=7, d_conjecture=3, **{**cells, cell: 2})
+
+
+def test_records_take_replace_and_copy():
+    # the benchmark's checks build corrupted records this way, so the
+    # records stay dataclasses whose fields can be set on a copy
+    table = frontier_table(2, 8)
+    row = dataclasses.replace(table.rows[2], d_thm1=table.rows[2].d_thm1 + 1)
+    assert row.d_thm1 == table.rows[2].d_thm1 + 1 and row.j == 3
+    other = dataclasses.replace(table, rows=(row,))
+    assert other.rows == (row,) and other.k == table.k
+    v = verdict(2, 4, 2)
+    bad = copy.copy(v)
+    object.__setattr__(bad, "status", Status.NOT_IN)
+    assert bad.status is Status.NOT_IN and v.status is Status.IN
+    assert bad.certificate == v.certificate and not certificate_checks(bad)
 
 
 def test_verdict_rejects_bad_triples():
