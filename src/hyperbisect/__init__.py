@@ -34,8 +34,8 @@ _EXPORTS = {
         "hyperplane_through", "moment_point", "verify_bisection",
         "well_separated_family"),
     "testmap": (
-        "AT_INFINITY", "AtInfinityError", "DiscreteMeasure", "GroupElement",
-        "JoinPoint", "NOT_FOUND", "SolveResult", "SolverConfig",
+        "AtInfinityError", "DiscreteMeasure", "GroupElement", "JoinPoint",
+        "NOT_FOUND", "SolveResult", "SolverConfig",
         "act_on_join", "act_on_target", "boundary_mass",
         "hyperplane_to_sphere_point", "interval_quadrature_measures",
         "measures_from_jsonable", "measures_to_jsonable", "phi", "psi",

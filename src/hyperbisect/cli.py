@@ -199,10 +199,14 @@ def _resolve_seed(args_seed: int | None) -> int:
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError as exc:
         raise _InputFormatError(f"HYPERBISECT_SEED must be an integer, "
                                 f"got {env!r}") from exc
+    if seed < 0:
+        raise _InputFormatError(f"HYPERBISECT_SEED must be nonnegative, "
+                                f"got {seed}")
+    return seed
 
 
 def _cmd_solve(args) -> int:
@@ -213,7 +217,9 @@ def _cmd_solve(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise _InputFormatError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, an integer literal past
+        # Python's digit limit, or nesting past the recursion limit
         raise _InputFormatError(f"invalid JSON in {args.input}: {exc}") from exc
     try:
         d, measures = this.measures_from_jsonable(data)

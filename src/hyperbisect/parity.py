@@ -10,9 +10,10 @@ exactly when the parts add without carries in binary.
 
 The two partition-counting parities below drive the membership
 certificates elsewhere in the package: the number of ways to split
-d*k items into k unordered blocks of size d is odd exactly when d is a
-power of two, and the anchored variant (one free block of size d, the
-remaining (d-ell)*(k-1) items in k-1 unordered blocks) obeys a similar
+d*k items into k unordered blocks of size d is, for k >= 2, odd exactly
+when d is a power of two (and always odd at k = 1, where it is 1), and
+the anchored variant (one free block of size d, the remaining
+(d-ell)*(k-1) items in k-1 unordered blocks) obeys a similar
 power-of-two rule when 2*ell <= d - 1 and k >= 3: it is odd exactly when
 k is odd and d - ell is a power of two.  At k = 2 the remaining items
 form a single block, the count is C(2d - ell, d), and it is odd exactly
@@ -117,8 +118,9 @@ def equal_blocks_parity(d: int, k: int) -> Parity:
     """Parity of the number of partitions of d*k items into k blocks of size d.
 
     The count is C(dk; d, ..., d) / k!.  Its 2-adic valuation is
-    E(dk) - E(k) - k*E(d) with E the factorial valuation at 2; the
-    count is odd exactly when d is a power of two.
+    E(dk) - E(k) - k*E(d) with E the factorial valuation at 2.  For
+    k >= 2 the count is odd exactly when d is a power of two, and it is
+    always odd at k = 1, where it is 1.
     """
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")

@@ -47,21 +47,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .momentcurve import Arrangement, IntervalFamily, OrientedHyperplane
-
-
-class _Pole(Enum):
-    AT_INFINITY = "AT_INFINITY"
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-AT_INFINITY = _Pole.AT_INFINITY
 
 
 class AtInfinityError(ValueError):
@@ -167,22 +156,25 @@ class GroupElement:
         return GroupElement(signs, perm)
 
 
-def sphere_to_hyperplane(w) -> OrientedHyperplane | _Pole:
+def _refuse_poles(W: np.ndarray) -> None:
+    """AtInfinityError when a direction, or a row of W, is a pole (u' = 0)."""
+    if not W[..., :-1].any(axis=-1).all():
+        raise AtInfinityError("pole direction has no affine hyperplane")
+
+
+def sphere_to_hyperplane(w) -> OrientedHyperplane:
     """Decode a unit direction in R^{d+1} into an affine hyperplane.
 
-    Returns AT_INFINITY for the poles (u' = 0); otherwise the hyperplane
-    with functional <x, u'> + c, orientation preserved, no
-    canonicalization.
+    The hyperplane has functional <x, u'> + c, orientation preserved, no
+    canonicalization; a pole (u' = 0) raises AtInfinityError.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.shape[0] < 2:
         raise ValueError(f"direction must live in R^(d+1), d >= 1, got {w.shape}")
     if abs(float(w @ w) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    u, c = w[:-1], float(w[-1])
-    if np.all(u == 0.0):
-        return AT_INFINITY
-    return OrientedHyperplane(tuple(float(x) for x in u), -c)
+    _refuse_poles(w)
+    return OrientedHyperplane(tuple(float(x) for x in w[:-1]), -float(w[-1]))
 
 
 def hyperplane_to_sphere_point(h: OrientedHyperplane) -> np.ndarray:
@@ -197,9 +189,7 @@ def _direction_matrix(directions, d: int | None = None) -> np.ndarray:
         raise ValueError(f"directions must be (k, d+1), got shape {W.shape}")
     if d is not None and W.shape[1] != d + 1:
         raise ValueError(f"directions live in R^{W.shape[1]}, measures in R^{d}")
-    for row in W:
-        if np.all(row[:-1] == 0.0):
-            raise AtInfinityError("pole direction has no affine hyperplane")
+    _refuse_poles(W)
     return W
 
 
@@ -366,9 +356,13 @@ def interval_quadrature_measures(family: IntervalFamily, n: int) -> list[Discret
 
 NOT_FOUND = "NOT_FOUND"
 
-# the annealing temperatures, as multiples of the data diameter, and the
-# floor under every step size of the search
+# the search schedule: the annealing temperatures, as multiples of the
+# data diameter, the proposals per temperature, the first step size, the
+# proposals of the hard-sign polish, and the floor under every step size
 _STAGE_FACTORS = (1.0, 0.1, 0.01)
+_ITERATIONS_PER_STAGE = 500
+_INITIAL_STEP = 0.6
+_POLISH_ITERATIONS = 400
 _MIN_STEP = 1e-4
 
 
@@ -377,9 +371,6 @@ class SolverConfig:
     tolerance: float = 1e-2          # max allowed relative imbalance, in (0, 1)
     seed: int = 0
     max_restarts: int = 20
-    iterations_per_stage: int = 500
-    initial_step: float = 0.6
-    polish_iterations: int = 400
 
     def __post_init__(self) -> None:
         # a relative imbalance is never above 1, so a tolerance of 1 or
@@ -387,6 +378,8 @@ class SolverConfig:
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must lie strictly between 0 and 1, "
                              f"got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_restarts < 1:
             raise ValueError("need at least one restart")
 
@@ -407,13 +400,7 @@ class SolveResult:
     def arrangement(self) -> Arrangement:
         if not self.success:
             raise ValueError("no arrangement: solver reported NOT_FOUND")
-        hs = []
-        for w in self.directions:
-            h = sphere_to_hyperplane(w)
-            if h is AT_INFINITY:
-                raise AtInfinityError("solution direction degenerated to a pole")
-            hs.append(h)
-        return Arrangement(tuple(hs))
+        return Arrangement(tuple(map(sphere_to_hyperplane, self.directions)))
 
     def to_jsonable(self) -> dict:
         out: dict = {"status": self.status, "restarts_used": self.restarts_used,
@@ -537,14 +524,13 @@ def _propose(rng, W: np.ndarray, step: float) -> np.ndarray | None:
     return cand
 
 
-def _single_search(rng, pool: _Pool, k, d, diameter,
-                   config: SolverConfig) -> np.ndarray:
+def _single_search(rng, pool: _Pool, k, d, diameter) -> np.ndarray:
     W = _normalize_rows(rng.normal(size=(k, d + 1)))
-    step = config.initial_step
+    step = _INITIAL_STEP
     for factor in _STAGE_FACTORS:
         temp = factor * diameter
         cur = _soft_imbalance(pool, W, temp)
-        for _ in range(config.iterations_per_stage):
+        for _ in range(_ITERATIONS_PER_STAGE):
             cand = _propose(rng, W, step)
             if cand is None:
                 continue
@@ -557,7 +543,7 @@ def _single_search(rng, pool: _Pool, k, d, diameter,
     # hard-sign polish: walk directly on the sign imbalance
     cur = _hard_worst(pool, W)
     step = 0.1
-    for _ in range(config.polish_iterations):
+    for _ in range(_POLISH_ITERATIONS):
         if cur == 0.0:
             break
         cand = _propose(rng, W, step)
@@ -598,22 +584,22 @@ def _propose_stacked(rngs, W: np.ndarray, steps: np.ndarray):
     return cand, ok
 
 
-def _lockstep_search(rngs, pool: _Pool, k, d, diameter,
-                     config: SolverConfig) -> np.ndarray:
+def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
     """_single_search for every generator of rngs, all in one stack.
 
     Every arrangement takes its own accept and reject decisions, and
-    leaves the polish once its worst imbalance is 0, so row b of the
-    (B, k, d+1) result is what _single_search(rngs[b], ...) returns, bit
-    for bit; proposals and scoring run once per iteration for all.
+    accepts nothing more in the polish once its worst imbalance is 0, so
+    row b of the (B, k, d+1) result is what _single_search(rngs[b], ...)
+    returns, bit for bit; proposals and scoring run once per iteration
+    for all.
     """
     W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
                   for rng in rngs])
-    step = np.full(len(rngs), config.initial_step)
+    step = np.full(len(rngs), _INITIAL_STEP)
     for factor in _STAGE_FACTORS:
         temp = factor * diameter
         cur = _soft_imbalances(pool, W, temp)
-        for _ in range(config.iterations_per_stage):
+        for _ in range(_ITERATIONS_PER_STAGE):
             cand, ok = _propose_stacked(rngs, W, step)
             val = _soft_imbalances(pool, cand, temp)
             accept = ok & (val <= cur)
@@ -622,30 +608,22 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter,
             step = np.where(accept, np.minimum(step * 1.25, 2.0),
                             np.where(ok, np.maximum(step * 0.85, _MIN_STEP),
                                      step))
-    # hard-sign polish; `live` indexes the stack members still walking
-    out = W
-    live = np.arange(len(rngs))
+    # hard-sign polish; a member at 0 draws on but accepts nothing, as
+    # _single_search stops there
     cur = _hard_worsts(pool, W)
     step = np.full(len(rngs), 0.1)
-    for _ in range(config.polish_iterations):
-        done = cur == 0.0
-        if done.any():
-            out[live[done]] = W[done]
-            keep = ~done
-            live, W, cur, step = live[keep], W[keep], cur[keep], step[keep]
-            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-            if not len(live):
-                return out
+    for _ in range(_POLISH_ITERATIONS):
+        if not cur.any():
+            break
         cand, ok = _propose_stacked(rngs, W, step)
         val = _hard_worsts(pool, cand)
-        accept = ok & (val <= cur)
+        accept = ok & (val <= cur) & (cur > 0.0)
         step = np.where(accept & (val < cur), np.minimum(step * 1.2, 0.5),
                         np.where(ok & ~accept,
                                  np.maximum(step * 0.9, _MIN_STEP), step))
         np.copyto(W, cand, where=accept[:, None, None])
         np.copyto(cur, val, where=accept)
-    out[live] = W
-    return out
+    return W
 
 
 # Restarts after the first run in lockstep batches of at most this many
@@ -696,9 +674,9 @@ def solve_bisection(measures, k: int,
     totals = np.array([m.total for m in measures])
     for batch, rngs in _restart_batches(config.seed, config.max_restarts):
         if len(rngs) == 1:
-            found = [_single_search(rngs[0], pool, k, d, diameter, config)]
+            found = [_single_search(rngs[0], pool, k, d, diameter)]
         else:
-            found = _lockstep_search(rngs, pool, k, d, diameter, config)
+            found = _lockstep_search(rngs, pool, k, d, diameter)
         for idx, W in zip(batch, found):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)
@@ -721,7 +699,8 @@ def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
     """Parse {"d": ..., "measures": [{"points": [{"x": [...], "w": ...}]}]}.
 
     d must be a JSON integer, each x a list of d JSON numbers and each w
-    a JSON number; nothing else is converted into one.
+    a JSON number; nothing else is converted into one.  An integer too
+    large for float64 raises MeasureOverflowError.
     """
     if not isinstance(data, dict):
         raise ValueError("top level must be an object")
@@ -749,9 +728,12 @@ def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
                              f"{d} numbers")
         if not all(map(_is_json_number, ws)):
             raise ValueError(f"measure {m_idx}: each w must be a number")
-        measures.append(DiscreteMeasure(
-            np.array([[float(v) for v in x] for x in pts]),
-            np.array([float(w) for w in ws])))
+        try:
+            points = np.array([[float(v) for v in x] for x in pts])
+            weights = np.array([float(w) for w in ws])
+        except OverflowError as exc:
+            raise MeasureOverflowError(f"measure {m_idx}: {exc}") from exc
+        measures.append(DiscreteMeasure(points, weights))
     return d, measures
 
 

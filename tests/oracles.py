@@ -257,7 +257,7 @@ def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
     children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
     for child in children:
         rng = np.random.default_rng(child)
-        W = testmap._single_search(rng, pool, k, d, diameter, config)
+        W = testmap._single_search(rng, pool, k, d, diameter)
         W = testmap._uncenter_directions(W, center, radius)
         imb = testmap.phi(measures, W)
         yield W, imb, np.abs(imb) / totals

@@ -160,6 +160,26 @@ def test_parity_bad_range_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["parity", "lemma1", "4", "3"],
+     '{\n  "d": 4,\n  "k": 3,\n  "parity": "odd"\n}\n'),
+    (["parity", "lemma1", "3", "1"],
+     '{\n  "d": 3,\n  "k": 1,\n  "parity": "odd"\n}\n'),
+    (["parity", "lemma2", "3", "3", "1"],
+     '{\n  "d": 3,\n  "k": 3,\n  "ell": 1,\n  "parity": "odd"\n}\n'),
+    (["parity", "lemma2", "3", "2", "1"],
+     '{\n  "d": 3,\n  "k": 2,\n  "ell": 1,\n  "parity": "even"\n}\n'),
+    (["count", "2", "3", "--ell", "1"],
+     '{\n  "d": 2,\n  "k": 3,\n  "ell": 1,\n  "count": 6\n}\n'),
+    (["count", "2", "2"],
+     '{\n  "d": 2,\n  "k": 2,\n  "ell": 0,\n  "count": 3\n}\n'),
+])
+def test_parity_and_count_json_bytes(capsys, argv, expect):
+    code, out, err = _run(capsys, [*argv, "--format", "json"])
+    assert code == 0 and err == ""
+    assert out == expect
+
+
 def test_count_command(capsys):
     code, out, _ = _run(capsys, ["count", "2", "2"])
     assert code == 0 and out.strip() == "3"
@@ -463,6 +483,112 @@ def test_solve_rejects_values_of_the_wrong_json_type(capsys, tmp_path, key,
                                    "--k", "1", "--restarts", "2"])
     assert code == 3 and out == ""
     assert err.startswith("error:")
+
+
+# input files that fail to parse: bytes that are not UTF-8, an integer
+# literal past Python's int-to-str digit limit, nesting past the recursion
+# limit
+_UNPARSABLE = {
+    "not_utf8": b'\xff\xfe{"d": 1}',
+    "too_many_digits": (b'{"d": 1, "measures": [{"points": [{"x": [%s], '
+                        b'"w": 1}]}]}' % (b"1" * 5001)),
+    "too_deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPARSABLE))
+def test_unparsable_files_make_json_load_raise_what_solve_maps(tmp_path,
+                                                                case):
+    # solve maps ValueError and RecursionError from json.load to exit 3
+    path = tmp_path / "bad.json"
+    path.write_bytes(_UNPARSABLE[case])
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises((ValueError, RecursionError)):
+            json.load(fh)
+
+
+@pytest.mark.parametrize("case", sorted(_UNPARSABLE))
+def test_solve_unparsable_file_is_input_error(capsys, tmp_path, case):
+    # these used to exit 2 (or 1 with a RecursionError traceback)
+    path = tmp_path / "bad.json"
+    path.write_bytes(_UNPARSABLE[case])
+    code, out, err = _run(capsys, ["solve", "--input", str(path), "--k", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: invalid JSON in ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["x", "w"])
+def test_solve_integer_too_large_for_float64_is_input_error(capsys, tmp_path,
+                                                            field):
+    # used to exit 1, NOT_FOUND's code, with an OverflowError traceback
+    big = "1" + "0" * 400
+    values = {"x": "[1]", "w": "1", field: "[%s]" % big if field == "x" else big}
+    path = tmp_path / "big.json"
+    path.write_text('{"d": 1, "measures": [{"points": [{"x": %(x)s, '
+                    '"w": %(w)s}]}]}' % values)
+    code, out, err = _run(capsys, ["solve", "--input", str(path), "--k", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: measure 0:") and "too large" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"d": 0, "measures": [{"points": [{"x": [], "w": 1.0}]}]},
+    {"d": 1, "measures": [{"pts": [{"x": [1.0], "w": 1.0}]}]},
+    {"d": 1, "measures": [{"points": [[1.0, 1.0]]}]},
+    {"d": 1, "measures": [{"points": [{"x": [1.0]}]}]},
+    {"d": 1, "measures": ["nope"]},
+])
+def test_solve_bad_dimension_or_malformed_measure_is_input_error(
+        capsys, tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, ["solve", "--input", str(path), "--k", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:")
+
+
+def test_solve_restarts_zero_is_usage_error(capsys, tmp_path):
+    instance = tmp_path / "disks.json"
+    _write_instance(instance)
+    code, out, err = _run(capsys, ["solve", "--input", str(instance),
+                                   "--k", "2", "--restarts", "0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "restart" in err
+
+
+def test_solve_negative_seed_is_refused_by_name(capsys, tmp_path,
+                                                monkeypatch):
+    # --seed -1 used to exit 2 with numpy's "expected non-negative
+    # integer", and HYPERBISECT_SEED=-1 the same way
+    instance = tmp_path / "disks.json"
+    _write_instance(instance)
+    argv = ["solve", "--input", str(instance), "--k", "2"]
+    code, out, err = _run(capsys, [*argv, "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
+    monkeypatch.setenv("HYPERBISECT_SEED", "-1")
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "error: HYPERBISECT_SEED must be nonnegative, got -1\n"
+
+
+def test_solve_non_integer_env_seed_is_input_error(capsys, tmp_path,
+                                                   monkeypatch):
+    instance = tmp_path / "disks.json"
+    _write_instance(instance)
+    monkeypatch.setenv("HYPERBISECT_SEED", "abc")
+    code, out, err = _run(capsys, ["solve", "--input", str(instance),
+                                   "--k", "2"])
+    assert code == 3 and out == ""
+    assert err == "error: HYPERBISECT_SEED must be an integer, got 'abc'\n"
+
+
+def test_lambda_table_bad_k_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["lambda", "table", "--k", "0",
+                                   "--jmax", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: need k >= 1")
 
 
 def test_solve_schema_violation(capsys, tmp_path):

@@ -135,6 +135,15 @@ def test_verify_bisection_positive_one_dimensional():
     assert verify_bisection(off, fam) is False
 
 
+def test_verify_bisection_rejects_a_dimension_mismatch():
+    fam = IntervalFamily(1, (1, 2))
+    plane = Arrangement((OrientedHyperplane((Fraction(1), Fraction(1)),
+                                            Fraction(3)),))
+    with pytest.raises(ValueError, match=re.escape(
+            "arrangement lives in R^2, family in R^1")):
+        verify_bisection(plane, fam)
+
+
 def test_verify_bisection_rejects_endpoint_hyperplanes():
     # first hyperplane through the endpoints of interval 1 instead of
     # midpoints: intervals 1 and 2 end up with no interior cut

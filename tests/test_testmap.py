@@ -9,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperbisect.testmap import (AT_INFINITY, AtInfinityError, DiscreteMeasure,
+from hyperbisect.testmap import (AtInfinityError, DiscreteMeasure,
                                  GroupElement, JoinPoint, MeasureOverflowError,
-                                 SolverConfig,
+                                 SolveResult, SolverConfig,
                                  act_on_join, act_on_target, boundary_mass,
                                  hyperplane_to_sphere_point,
                                  interval_quadrature_measures,
@@ -59,8 +59,16 @@ def test_sphere_to_hyperplane_example():
 
 
 def test_sphere_poles_are_at_infinity():
-    assert sphere_to_hyperplane(np.array([0.0, 0.0, 1.0])) is AT_INFINITY
-    assert sphere_to_hyperplane(np.array([0.0, 0.0, -1.0])) is AT_INFINITY
+    for pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 1.0]):
+        with pytest.raises(AtInfinityError):
+            sphere_to_hyperplane(np.array(pole))
+    # a solver result carrying a pole has no arrangement either
+    res = SolveResult(status="SUCCESS",
+                      directions=np.array([[0.6, 0.8], [0.0, 1.0]]),
+                      imbalances=np.zeros(1), relative_imbalances=np.zeros(1),
+                      restarts_used=1, seed=0)
+    with pytest.raises(AtInfinityError):
+        res.arrangement()
 
 
 def test_sphere_to_hyperplane_wants_unit_vectors():
@@ -73,8 +81,6 @@ def test_sphere_round_trip():
     for _ in range(20):
         w = _unit(rng.normal(size=4))
         h = sphere_to_hyperplane(w)
-        if h is AT_INFINITY:
-            continue
         assert np.allclose(hyperplane_to_sphere_point(h), w, atol=1e-12)
 
 
@@ -281,11 +287,19 @@ def test_solver_one_dimensional_median():
     assert arr.k == 1
 
 
-def test_solver_is_deterministic():
+def _schedule(monkeypatch, iterations_per_stage, polish_iterations,
+              initial_step=testmap._INITIAL_STEP):
+    """Set the solver's search schedule for one test."""
+    monkeypatch.setattr(testmap, "_ITERATIONS_PER_STAGE", iterations_per_stage)
+    monkeypatch.setattr(testmap, "_POLISH_ITERATIONS", polish_iterations)
+    monkeypatch.setattr(testmap, "_INITIAL_STEP", initial_step)
+
+
+def test_solver_is_deterministic(monkeypatch):
     rng = np.random.default_rng(7)
     ms = _random_measures(rng, 2, 2, n=30)
-    cfg = SolverConfig(seed=11, max_restarts=4, iterations_per_stage=120,
-                       polish_iterations=60)
+    _schedule(monkeypatch, 120, 60)
+    cfg = SolverConfig(seed=11, max_restarts=4)
     r1 = solve_bisection(ms, 2, cfg)
     r2 = solve_bisection(ms, 2, cfg)
     assert r1.status == r2.status
@@ -294,12 +308,12 @@ def test_solver_is_deterministic():
         assert r1.restarts_used == r2.restarts_used
 
 
-def test_solver_reports_not_found_when_impossible():
+def test_solver_reports_not_found_when_impossible(monkeypatch):
     rng = np.random.default_rng(8)
     ms = [DiscreteMeasure(rng.normal(c, 0.4, size=(30, 1)), np.full(30, 1.0))
           for c in (-10.0, 0.0, 10.0)]
-    cfg = SolverConfig(seed=0, max_restarts=4, iterations_per_stage=100,
-                       polish_iterations=50)
+    _schedule(monkeypatch, 100, 50)
+    cfg = SolverConfig(seed=0, max_restarts=4)
     res = solve_bisection(ms, 2, cfg)
     assert not res.success
     assert res.status == "NOT_FOUND"
@@ -332,6 +346,34 @@ def test_measure_json_rejects_malformed():
     with pytest.raises(ValueError):
         measures_from_jsonable(
             {"d": 1, "measures": [{"points": [{"x": [1.0], "w": -2.0}]}]})
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_measure_json_rejects_dimension_below_one(d):
+    with pytest.raises(ValueError, match=f"need d >= 1, got {d}"):
+        measures_from_jsonable({"d": d, "measures": [{"points": []}]})
+
+
+@pytest.mark.parametrize("measure", [
+    {"pts": [{"x": [1.0], "w": 1.0}]},      # no points
+    {"points": [{"x": [1.0]}]},              # a point with no weight
+    {"points": [[1.0, 1.0]]},                # a point that is no object
+    {"points": 3},                           # points that are no list
+    "nope",                                  # a measure that is no object
+])
+def test_measure_json_rejects_malformed_measures(measure):
+    with pytest.raises(ValueError, match="measure 0 malformed"):
+        measures_from_jsonable({"d": 1, "measures": [measure]})
+
+
+@pytest.mark.parametrize("field", ["x", "w"])
+def test_measure_json_integer_too_large_for_float64_overflows(field):
+    # a JSON integer is exact in Python, and float() of 10**400 raises
+    # OverflowError, which used to escape as a traceback
+    point = {"x": [1], "w": 1}
+    point[field] = [10**400] if field == "x" else 10**400
+    with pytest.raises(MeasureOverflowError, match="measure 0: int too large"):
+        measures_from_jsonable({"d": 1, "measures": [{"points": [point]}]})
 
 
 # values of the wrong JSON type; all but a number x used to be coerced:
@@ -375,6 +417,16 @@ def test_measure_json_accepts_integer_numbers():
 def test_solver_config_rejects_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValueError, match="tolerance"):
         SolverConfig(tolerance=tol)
+
+
+def test_solver_config_keeps_three_checked_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "tolerance", "seed", "max_restarts"]
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SolverConfig(seed=-1)
+    with pytest.raises(ValueError, match="restart"):
+        SolverConfig(max_restarts=0)
+    assert SolverConfig(seed=0, max_restarts=1).seed == 0
 
 
 def test_solver_validates_measures():
@@ -531,32 +583,36 @@ def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
     assert oracle.to_jsonable() == pooled.to_jsonable()
 
 
-# a short schedule, so that lockstep batches can be checked on many shapes
-_SHORT = SolverConfig(seed=3, max_restarts=5, iterations_per_stage=40,
-                      polish_iterations=60)
+_SHORT = SolverConfig(seed=3, max_restarts=5)
 
 
-def _search_args(ms, k, config=_SHORT):
+@pytest.fixture
+def short_schedule(monkeypatch):
+    # a short schedule, so that lockstep batches can be checked on many shapes
+    _schedule(monkeypatch, 40, 60)
+
+
+def _search_args(ms, k):
     pts = np.vstack([m.points for m in ms])
     center, radius = testmap._centering(pts)
     centered = (pts - center) / radius
     return (testmap._Pool(ms, k, centered), k, ms[0].dim,
-            testmap._data_diameter(centered), config)
+            testmap._data_diameter(centered))
 
 
-def _assert_lockstep_equals_single(make_rngs, ms, k, config=_SHORT):
+def _assert_lockstep_equals_single(make_rngs, ms, k):
     # make_rngs() gives a fresh batch of generators on each call
     rngs = make_rngs()
-    stacked = testmap._lockstep_search(rngs, *_search_args(ms, k, config))
+    stacked = testmap._lockstep_search(rngs, *_search_args(ms, k))
     assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
     for W, rng in zip(stacked, make_rngs(), strict=True):
-        alone = testmap._single_search(rng, *_search_args(ms, k, config))
+        alone = testmap._single_search(rng, *_search_args(ms, k))
         assert W.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_lockstep_search_equals_single_searches(k, d):
+def test_lockstep_search_equals_single_searches(k, d, short_schedule):
     # every member of a batch ends exactly where it would alone; the
     # instance has a one-point measure and non-uniform weights
     ms, _ = _kernel_instance(np.random.default_rng(200 + 10 * k + d), d)
@@ -567,7 +623,7 @@ def test_lockstep_search_equals_single_searches(k, d):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_solver_matches_sequential_restarts(k, d):
+def test_solver_matches_sequential_restarts(k, d, short_schedule):
     # tolerances at the restarts' own relative imbalances, so that the
     # first success falls on various restarts (a one-point measure could
     # never pass; _kernel_instance's are checked above)
@@ -616,13 +672,13 @@ class _FirstProposalRejected:
         out[...] = self.normal(out.shape)
 
 
-def test_lockstep_keeps_rejected_proposals_apart():
+def test_lockstep_keeps_rejected_proposals_apart(monkeypatch):
     # a batch in which some members' first proposal is rejected (zero
     # norm or a pole) while the others' is scored
     rng = np.random.default_rng(61)
     ms = [DiscreteMeasure(rng.normal(size=(30, 2)), rng.uniform(0.5, 2, 30))
           for _ in range(2)]
-    config = dataclasses.replace(_SHORT, initial_step=0.5)
+    _schedule(monkeypatch, 40, 60, initial_step=0.5)
     for pole in (False, True):
         fake = _FirstProposalRejected(5, 0.5, pole)
         W = testmap._normalize_rows(fake.normal((2, 3)))
@@ -632,26 +688,27 @@ def test_lockstep_keeps_rejected_proposals_apart():
             return [np.random.default_rng(1), _FirstProposalRejected(2, 0.5, False),
                     np.random.default_rng(3), _FirstProposalRejected(4, 0.5, True),
                     _FirstProposalRejected(5, 0.5, False)]
-        _assert_lockstep_equals_single(members, ms, k, config)
+        _assert_lockstep_equals_single(members, ms, k)
 
 
-def test_lockstep_polish_drops_members_that_reach_zero():
+def test_lockstep_polish_drops_members_that_reach_zero(monkeypatch):
     # 40 equal atoms on a line: a cut between the middle two balances
-    # them exactly, which a short polish reaches on some restarts only
+    # them exactly, which a short polish reaches on some restarts only;
+    # those stop moving while the others walk on
     m = DiscreteMeasure(np.random.default_rng(62).normal(size=(40, 1)),
                         np.ones(40))
-    config = SolverConfig(iterations_per_stage=3, polish_iterations=25)
+    _schedule(monkeypatch, 3, 25)
     seeds = range(10)
     _assert_lockstep_equals_single(
-        lambda: [np.random.default_rng(s) for s in seeds], [m], 1, config)
-    pool = _search_args([m], 1, config)[0]
+        lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
+    pool = _search_args([m], 1)[0]
     worst = [testmap._hard_worst(pool, testmap._single_search(
-        np.random.default_rng(s), *_search_args([m], 1, config)))
+        np.random.default_rng(s), *_search_args([m], 1)))
         for s in seeds]
     assert 0.0 in worst and max(worst) > 0.0
 
 
-def test_first_success_wins_inside_a_batch():
+def test_first_success_wins_inside_a_batch(short_schedule):
     # choose the tolerance so that restarts 1 and 2 fail, and the first
     # success sits inside the lockstep batch with a later success behind
     rng = np.random.default_rng(64)

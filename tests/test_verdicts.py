@@ -204,6 +204,56 @@ def test_records_take_replace_and_copy():
     assert bad.certificate == v.certificate and not certificate_checks(bad)
 
 
+def _tampered(triple, cert=None, **fields):
+    """verdict(*triple) with the certificate's fields in cert and the
+    verdict's own fields replaced."""
+    v = verdict(*triple)
+    assert v.status is Status.IN and certificate_checks(v)
+    if cert:
+        fields["certificate"] = dataclasses.replace(v.certificate, **cert)
+    return dataclasses.replace(v, **fields)
+
+
+@pytest.mark.parametrize("triple, cert, fields", [
+    ((2, 4, 2), {"d0": None}, {}),
+    ((2, 4, 2), {"d0": None}, {"witness_d0": None}),
+    ((2, 4, 2), None, {"d": 1}),                  # d0 = 2 > d
+    ((3, 7, 3), None, {"d": 2}),                  # d0 = 3 > d
+    ((2, 3, 2), None, {"d": 1}),                  # d0 = 2 > d
+    ((5, 4, 2), None, {"witness_d0": 3}),
+    ((5, 4, 2), None, {"witness_d0": None}),
+    ((2, 4, 2), {"a": 2}, {}),
+    ((2, 4, 2), {"a": None}, {}),
+    ((3, 7, 3), {"a": 2}, {}),
+    ((3, 7, 3), {"ell": 2}, {}),
+    ((3, 7, 3), {"ell": None}, {}),
+    ((2, 3, 2), {"d0": 1}, {"witness_d0": 1}),     # THM1 does not fire at 1
+    ((3, 2, 1), None, {"witness_d0": 3}),
+])
+def test_certificate_checks_rejects_a_tampered_in_verdict(triple, cert,
+                                                          fields):
+    assert not certificate_checks(_tampered(triple, cert, **fields))
+
+
+def test_certificate_checks_rejects_an_unknown_kind():
+    v = verdict(2, 4, 2)
+    cert = copy.copy(v.certificate)
+    object.__setattr__(cert, "kind", "THM99")
+    bad = dataclasses.replace(v, certificate=cert)
+    assert bad.status is Status.IN and not certificate_checks(bad)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 5), "need k >= 1 and j_max >= 1, got k=0, j_max=5"),
+    ((2, 0), "need k >= 1 and j_max >= 1, got k=2, j_max=0"),
+    ((2, 5, 0), "search bound must be >= 1, got 0"),
+    ((2, 5, -4), "search bound must be >= 1, got -4"),
+])
+def test_frontier_table_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        frontier_table(*args)
+
+
 def test_verdict_rejects_bad_triples():
     for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
         with pytest.raises(ValueError):
