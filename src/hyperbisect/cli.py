@@ -33,8 +33,8 @@ __getattr__, __dir__ = _lazy_names(globals(), {
     "verdicts": ("Status", "frontier_csv", "frontier_json", "frontier_table",
                  "verdict"),
     "figures": ("frontier_svg",),
-    "momentcurve": ("IntervalFamily", "arrangement_to_jsonable",
-                    "enumerate_bisections"),
+    "momentcurve": ("IntervalFamily", "enumerate_bisections",
+                    "hyperplane_to_jsonable"),
     "testmap": ("MeasureOverflowError", "SolverConfig",
                 "measures_from_jsonable", "solve_bisection"),
 })
@@ -164,10 +164,32 @@ def _cmd_count(args) -> int:
 
 def _parse_params(text: str) -> tuple[Fraction, ...]:
     from fractions import Fraction
+    tokens = [tok.strip() for tok in text.split(",")]
+    if not all(tokens):
+        raise _InputFormatError(f"bad parameter list {text!r}: empty entry")
     try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(",") if tok.strip())
+        return tuple(map(Fraction, tokens))
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputFormatError(f"bad parameter list {text!r}: {exc}") from exc
+
+
+def _arrangements_json(arrangements) -> str:
+    """json.dumps([arrangement_to_jsonable(a) for a in arrangements],
+    indent=2) for a nonempty list, with each distinct hyperplane object
+    rendered once: enumeration shares them between arrangements."""
+    import json
+
+    blocks: dict[int, str] = {}
+
+    def block(h) -> str:
+        text = blocks.get(id(h))
+        if text is None:
+            text = json.dumps(this.hyperplane_to_jsonable(h), indent=2)
+            text = blocks[id(h)] = "    " + text.replace("\n", "\n    ")
+        return text
+
+    return "[\n" + ",\n".join("  [\n" + ",\n".join(map(block, a.hyperplanes))
+                              + "\n  ]" for a in arrangements) + "\n]"
 
 
 def _cmd_enumerate(args) -> int:
@@ -188,7 +210,7 @@ def _cmd_enumerate(args) -> int:
         arrangements = this.enumerate_bisections(family, k)
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
-    _emit_json([this.arrangement_to_jsonable(a) for a in arrangements])
+    _emit(_arrangements_json(arrangements))
     return 0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 from . import polynomials as poly
@@ -91,7 +92,7 @@ class Arrangement:
     def __post_init__(self) -> None:
         if not self.hyperplanes:
             raise ValueError("arrangement needs at least one hyperplane")
-        dims = {h.dim for h in self.hyperplanes}
+        dims = {len(h.normal) for h in self.hyperplanes}
         if len(dims) > 1:
             raise ValueError(f"mixed dimensions {dims}")
 
@@ -181,29 +182,6 @@ def hyperplane_through(points) -> OrientedHyperplane:
     if all(u == 0 for u in normal):
         raise DegenerateInputError("points force a zero normal")
     return OrientedHyperplane(normal, offset).canonical()
-
-
-def _root_set_hyperplane(roots) -> OrientedHyperplane:
-    """The canonical hyperplane meeting the curve at the d given parameters.
-
-    Its restriction is q(t) = prod (t - r).  Newton's forward-difference
-    formula in the binomial basis, q(t) = sum_i (Delta^i q)(0) C(t, i),
-    reads off normal_i = (Delta^i q)(0) and offset = -q(0).  With D the
-    lcm of the roots' denominators, the integers Q(m) = prod (m*D - r*D)
-    equal D^d q(m), so the differences run in ints and D^d cancels when
-    canonicalizing: the result is the exact rational hyperplane.
-    """
-    den = math.lcm(*(r.denominator for r in roots))
-    scaled = [r.numerator * (den // r.denominator) for r in roots]
-    values = [math.prod(m * den - r for r in scaled)
-              for m in range(len(scaled) + 1)]
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    pivot = next(u for u in diffs[1:] if u)  # normal_d = d! D^d is never zero
-    return OrientedHyperplane(tuple(Fraction(u, pivot) for u in diffs[1:]),
-                              Fraction(-diffs[0], pivot))
 
 
 def curve_restriction(h: OrientedHyperplane) -> poly.Coeffs:
@@ -315,17 +293,62 @@ def verify_bisection(arrangement: Arrangement, family: IntervalFamily) -> bool:
     return covered == (1 << family.j) - 1
 
 
-def _equal_partitions(items: tuple, size: int):
-    """Unordered partitions of items into blocks of the given size."""
-    if not items:
-        yield ()
+def _root_set_vectors(factors: list[list[int]], size: int,
+                      base: list[int]) -> dict[int, list[int]]:
+    """For every block of `size` midpoint indices, by bitmask: the values
+    at m = 0..d of base times the product of the block's factors.
+
+    A depth-first walk over the combinations in lexicographic order, so
+    blocks that share a prefix share its partial product.
+    """
+    out: dict[int, list[int]] = {}
+    n = len(factors)
+
+    def walk(start: int, left: int, mask: int, values: list[int]) -> None:
+        if not left:
+            out[mask] = values
+            return
+        for i in range(start, n - left + 1):
+            walk(i + 1, left - 1, mask | 1 << i,
+                 [v * f for v, f in zip(values, factors[i])])
+
+    walk(0, size, 0, base)
+    return out
+
+
+def _compare_planes(a: tuple, b: tuple) -> int:
+    """Order of (u, p, ...) entries by the rationals u / p, coordinate by
+    coordinate; the pivots p are positive, so u_a/p_a < u_b/p_b exactly
+    when u_a*p_b < u_b*p_a."""
+    ua, pa, ub, pb = a[0], a[1], b[0], b[1]
+    for x, y in zip(ua, ub):
+        x, y = x * pb, y * pa
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+def _split(remaining: int, size: int, blocks_left: int, rank: dict[int, int],
+           ranks: list[int], rows: list[list[int]]) -> None:
+    """Append to rows the sorted rank list of every partition of the
+    bitmask `remaining` into blocks of `size` bits, each extending ranks."""
+    if blocks_left == 1:
+        rows.append(sorted([*ranks, rank[remaining]]))
         return
-    first, rest = items[0], items[1:]
-    for others in combinations(rest, size - 1):
-        block = (first, *others)
-        remaining = tuple(x for x in rest if x not in others)
-        for tail in _equal_partitions(remaining, size):
-            yield (block, *tail)
+    low = remaining & -remaining
+    rest = remaining ^ low
+    bits = []
+    while rest:
+        bit = rest & -rest
+        bits.append(bit)
+        rest ^= bit
+    for others in combinations(bits, size - 1):
+        block = low + sum(others)
+        if blocks_left == 2:  # the rest is the last block
+            rows.append(sorted([*ranks, rank[block], rank[remaining ^ block]]))
+        else:
+            _split(remaining ^ block, size, blocks_left - 1, rank,
+                   [*ranks, rank[block]], rows)
 
 
 def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
@@ -344,60 +367,74 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
     curve inside (2, 3), halve every interval and are not listed.
 
     A hyperplane is determined by its roots on the curve, so each block's
-    hyperplane is built once from its root set, in integer arithmetic
-    (_root_set_hyperplane): C(j, d) distinct hyperplanes in the
-    unanchored case, however many partitions share them.  No partition
-    needs a root check.  A block's hyperplane meets the curve exactly at
-    its root set: simple roots at the block's midpoints, each inside its
-    own interval, and the anchors, which precede the first interval.  So
-    every hyperplane owns its block's intervals and enters no other, and
-    every partition passes verify_bisection.  The cost is the distinct
-    root sets plus the partitions.  The result is in canonical form,
-    sorted by Arrangement.sort_key.
+    hyperplane is built once from its root set, in small integers: C(j, d)
+    distinct hyperplanes in the unanchored case, however many partitions
+    share them.  Its restriction is q(t) = prod (t - r), and Newton's
+    forward-difference formula in the binomial basis, q(t) = sum_i
+    (Delta^i q)(0) C(t, i), reads off normal_i = (Delta^i q)(0) and
+    offset = -q(0).  A midpoint a/b enters as the integer factor b*m - a
+    at m = 0..d and an anchor c as m - c, so the product over a root set
+    is q(m) times the positive scale prod b, which cancels when the
+    differences are divided by the pivot, the first nonzero normal
+    coordinate.  The distinct hyperplanes are ranked by comparing those
+    quotients in integers, each one's Fractions are built once, and the
+    partitions, bitmasks of midpoint indices, become sorted rank lists.
+
+    No partition needs a root check.  A block's hyperplane meets the curve
+    exactly at its root set: simple roots at the block's midpoints, each
+    inside its own interval, and the anchors, which precede the first
+    interval.  So every hyperplane owns its block's intervals and enters
+    no other, and every partition passes verify_bisection.  The cost is
+    the distinct root sets plus the partitions.  The result is in
+    canonical form, sorted by Arrangement.sort_key, and arrangements that
+    share a hyperplane share the OrientedHyperplane object.
     """
     d, ell, j = family.d, family.anchor_count, family.j
     if j != check_shape(d, k, ell):
         raise ValueError(f"(d, k, ell) = ({d}, {k}, {ell}) needs "
                          f"j == (d-ell)*k + ell, got j={j}")
-    mids = family.midpoints()
-    anchors = family.anchors()
-    # distinct hyperplanes by id; the memo is keyed by block, a tuple of
-    # midpoint indices, whose root set determines the hyperplane (an
-    # anchored block, the one with fewer than d midpoints, adds the anchors)
+    ms = range(d + 1)
+    factors = [[mid.denominator * m - mid.numerator for m in ms]
+               for mid in family.midpoints()]
+    # blocks by bitmask: free ones hold d midpoints, anchored ones d - ell
+    # and the anchors, so with ell > 0 their masks never collide
+    free = _root_set_vectors(factors, d, [1] * (d + 1))
+    blocks = free
+    if ell:
+        anchors = [math.prod(m - c for c in range(ell)) for m in ms]
+        blocks = {**free, **_root_set_vectors(factors, d - ell, anchors)}
+    entries = []  # (u, pivot, mask): the hyperplane is u / pivot
+    for mask, v in blocks.items():
+        # forward differences in place, in the walk's own list: afterwards
+        # v[i] is the i-th difference at 0
+        for i in range(1, d + 1):
+            for m in range(d, i - 1, -1):
+                v[m] -= v[m - 1]
+        u = v[1:]
+        u.append(-v[0])
+        pivot = next(x for x in u if x)  # normal_d = d! prod b is never zero
+        if pivot < 0:
+            u = [-x for x in u]
+            pivot = -pivot
+        entries.append((u, pivot, mask))
+    entries.sort(key=cmp_to_key(_compare_planes))
     planes: list[OrientedHyperplane] = []
-    ids: dict[tuple[int, ...], int] = {}
-
-    def plane(block: tuple[int, ...]) -> int:
-        i = ids.get(block)
-        if i is None:
-            i = ids[block] = len(planes)
-            roots = [mids[m] for m in block]
-            if len(block) < d:
-                roots += anchors
-            planes.append(_root_set_hyperplane(roots))
-        return i
-
-    # blocks of a candidate are distinct root sets, so its hyperplanes are
-    # distinct and every candidate is essential
-    indices = tuple(range(j))
+    rank: dict[int, int] = {}
+    for u, pivot, mask in entries:
+        rank[mask] = len(planes)
+        planes.append(OrientedHyperplane(
+            tuple(Fraction(x, pivot) for x in u[:-1]), Fraction(u[-1], pivot)))
+    # blocks of a partition are distinct root sets, so its hyperplanes are
+    # distinct and every arrangement is essential
+    rows: list[list[int]] = []
+    full = (1 << j) - 1
     if ell == 0:
-        cands = [[plane(block) for block in partition]
-                 for partition in _equal_partitions(indices, d)]
+        _split(full, d, k, rank, [], rows)
     else:
-        cands = []
-        for free_block in combinations(indices, d):
-            free = plane(free_block)
-            remaining = tuple(m for m in indices if m not in free_block)
-            cands.extend([free, *(plane(block) for block in partition)]
-                         for partition in _equal_partitions(remaining, d - ell))
-    # ranks of the distinct hyperplanes in sort_key order, so sorting by
-    # ranks is sorting by Arrangement.sort_key; the planes are canonical,
-    # so each one's sort_key is its own (*normal, offset)
-    order = sorted(range(len(planes)),
-                   key=lambda i: (*planes[i].normal, planes[i].offset))
-    rank = {i: r for r, i in enumerate(order)}
-    rows = sorted(sorted(rank[i] for i in cand) for cand in cands)
-    return [Arrangement(tuple(planes[order[r]] for r in row)) for row in rows]
+        for mask in free:
+            _split(full ^ mask, d - ell, k - 1, rank, [rank[mask]], rows)
+    rows.sort()
+    return [Arrangement(tuple(map(planes.__getitem__, row))) for row in rows]
 
 
 def _frac_str(x) -> str:

@@ -4,7 +4,9 @@ The truncated F2 expansion of (t_1 + ... + t_k)^j that
 hyperbisect.gf2poly's closed forms and its bit-dealing listing are
 checked against, search oracles for the closed forms, the loop over a
 that THM25_II's least dimension was found by, polynomials built
-from their roots, the Fraction kernel for root-set hyperplanes, an exact
+from their roots, the lcm-denominator and Fraction kernels for root-set
+hyperplanes, the tuple-partition enumeration that the small-integer
+enumeration in hyperbisect.momentcurve replaced, an exact
 root check for moment-curve hyperplanes, the per-measure solver kernel
 that the pooled kernel in hyperbisect.testmap must match bit for bit,
 and the sequential restart loop that its lockstep batches must match.
@@ -17,13 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from hyperbisect import polynomials as poly
 from hyperbisect import testmap
 from hyperbisect.gf2poly import _check_args
-from hyperbisect.momentcurve import OrientedHyperplane, curve_restriction
+from hyperbisect.momentcurve import (Arrangement, OrientedHyperplane,
+                                     check_shape, curve_restriction)
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,77 @@ def root_set_hyperplane_by_fractions(roots) -> OrientedHyperplane:
         diffs.append(values[0])
         values = [b - a for a, b in zip(values, values[1:])]
     return OrientedHyperplane(tuple(diffs[1:]), -diffs[0]).canonical()
+
+
+def root_set_hyperplane(roots) -> OrientedHyperplane:
+    """The canonical hyperplane meeting the curve at the d given parameters,
+    by forward differences of prod (t - r) in integers.
+
+    With D the lcm of the roots' denominators, the integers
+    Q(m) = prod (m*D - r*D) equal D^d q(m), so the differences run in
+    ints and D^d cancels when dividing by the pivot.
+    """
+    den = math.lcm(*(r.denominator for r in roots))
+    scaled = [r.numerator * (den // r.denominator) for r in roots]
+    values = [math.prod(m * den - r for r in scaled)
+              for m in range(len(scaled) + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    pivot = next(u for u in diffs[1:] if u)  # normal_d = d! D^d is never zero
+    return OrientedHyperplane(tuple(Fraction(u, pivot) for u in diffs[1:]),
+                              Fraction(-diffs[0], pivot))
+
+
+def equal_partitions(items: tuple, size: int):
+    """Unordered partitions of items into blocks of the given size."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for others in combinations(rest, size - 1):
+        block = (first, *others)
+        remaining = tuple(x for x in rest if x not in others)
+        for tail in equal_partitions(remaining, size):
+            yield (block, *tail)
+
+
+def enumerate_by_root_sets(family, k: int) -> list[Arrangement]:
+    """enumerate_bisections by tuple partitions of the midpoint indices,
+    one root_set_hyperplane per distinct block, ranked by Fraction sort
+    keys."""
+    d, ell, j = family.d, family.anchor_count, family.j
+    if j != check_shape(d, k, ell):
+        raise ValueError(f"(d, k, ell) = ({d}, {k}, {ell}) needs "
+                         f"j == (d-ell)*k + ell, got j={j}")
+    mids, anchors = family.midpoints(), family.anchors()
+    ids: dict[tuple[int, ...], int] = {}
+    planes: list[OrientedHyperplane] = []
+
+    def plane(block: tuple[int, ...]) -> int:
+        if block not in ids:
+            roots = [mids[m] for m in block]
+            if len(block) < d:
+                roots += anchors
+            ids[block] = len(planes)
+            planes.append(root_set_hyperplane(roots))
+        return ids[block]
+
+    indices = tuple(range(j))
+    if ell == 0:
+        cands = [[plane(b) for b in partition]
+                 for partition in equal_partitions(indices, d)]
+    else:
+        cands = []
+        for free in combinations(indices, d):
+            rest = tuple(m for m in indices if m not in free)
+            cands.extend([plane(free), *map(plane, partition)]
+                         for partition in equal_partitions(rest, d - ell))
+    order = sorted(range(len(planes)), key=lambda i: planes[i].sort_key())
+    rank = {i: r for r, i in enumerate(order)}
+    rows = sorted(sorted(rank[i] for i in cand) for cand in cands)
+    return [Arrangement(tuple(planes[order[r]] for r in row)) for row in rows]
 
 
 def count_bisections_by_factorials(d: int, k: int, ell: int = 0) -> int:

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hyperbisect
+from hyperbisect import cli
 from hyperbisect.cli import EXIT_BROKEN_PIPE, main
-from hyperbisect.momentcurve import (arrangement_from_jsonable,
-                                     verify_bisection, well_separated_family)
+from hyperbisect.momentcurve import (IntervalFamily, arrangement_from_jsonable,
+                                     arrangement_to_jsonable, check_shape,
+                                     enumerate_bisections,
+                                     hyperplane_to_jsonable, verify_bisection,
+                                     well_separated_family)
+
+# the acceptance suite's count-law tuples (d, k, ell)
+COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
+             (2, 2, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1))
 
 
 def _run(capsys, argv):
@@ -281,6 +292,81 @@ def test_enumerate_refuses_families_over_the_cap(capsys):
     # a family that does not match (d, k, ell) is still malformed input
     code, _, _ = _run(capsys, ["enumerate", "6", "5", "--params", params])
     assert code == 3
+
+
+@pytest.mark.parametrize("params", ["1,,2,3,4", "1,2,3,4,", ",1,2,3,4",
+                                    "1, ,2,3,4", ""])
+def test_enumerate_empty_parameter_is_input_error(capsys, params):
+    # empty entries used to be dropped, so "1,,2,3,4" enumerated (1,2,3,4)
+    code, out, err = _run(capsys, ["enumerate", "1", "2", "--params", params])
+    assert code == 3 and out == ""
+    assert err == f"error: bad parameter list {params!r}: empty entry\n"
+    code, _, _ = _run(capsys, ["enumerate", "1", "2", "--params", "1, 2,3 ,4"])
+    assert code == 0
+
+
+def _enumerate_cases():
+    rng = random.Random(29)
+    for d, k, ell in COUNT_LAW + ((3, 3, 0), (4, 2, 1)):
+        yield d, k, ell, well_separated_family(d, k, ell).parameters
+        j = check_shape(d, k, ell)
+        # rational endpoints p/q after the anchors, as --params spells them
+        yield d, k, ell, [Fraction(round((ell + i + rng.uniform(0.1, 0.9))
+                                         * q), q)
+                          for i, q in enumerate(rng.randint(11, 97)
+                                                for _ in range(2 * j))]
+
+
+def _first_difference(got: str, want: str) -> str:
+    for n, (a, b) in enumerate(zip(got.splitlines(), want.splitlines()), 1):
+        if a != b:
+            return f"line {n}: {a!r} != {b!r}"
+    return f"{len(got)} characters against {len(want)}"
+
+
+@pytest.mark.parametrize("d, k, ell, params", list(_enumerate_cases()))
+def test_enumerate_prints_the_arrangements_json(capsys, d, k, ell, params):
+    # each hyperplane is rendered once, and the blocks are joined into
+    # exactly what json.dumps(..., indent=2) prints for the whole list
+    code, out, _ = _run(capsys, ["enumerate", str(d), str(k), "--ell",
+                                 str(ell), "--params",
+                                 ",".join(map(str, params))])
+    assert code == 0
+    fam = IntervalFamily(d, tuple(params), ell)
+    arrs = enumerate_bisections(fam, k)
+    want = json.dumps([arrangement_to_jsonable(a) for a in arrs],
+                      indent=2) + "\n"
+    # pytest's own diff of two differing 100 kB texts takes minutes
+    same = out == want
+    assert same, _first_difference(out, want)
+
+
+def test_enumerate_renders_each_hyperplane_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return hyperplane_to_jsonable(h)
+
+    monkeypatch.setattr(cli, "hyperplane_to_jsonable", counting)
+    params = ",".join(map(str, well_separated_family(3, 3, 0).parameters))
+    code, out, _ = _run(capsys, ["enumerate", "3", "3", "--params", params])
+    assert code == 0
+    assert len(json.loads(out)) == 280
+    assert len(calls) == len(set(calls)) == 84
+
+
+@pytest.mark.parametrize("shape, digest", [
+    ((4, 3, 0), "fd70ba3d1bb9e405"), ((3, 4, 0), "44d9a14a2f7ade88"),
+    ((5, 3, 1), "ade2bb62f4af51fb")])
+def test_enumerate_output_keeps_its_digest(capsys, shape, digest):
+    # stdout of the tuple-partition enumeration with json.dumps(indent=2)
+    d, k, ell = shape
+    params = ",".join(map(str, well_separated_family(d, k, ell).parameters))
+    code, out, _ = _run(capsys, ["enumerate", str(d), str(k), "--ell",
+                                 str(ell), "--params", params])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
 def test_lambda_check_absurd_dimension_answers_at_once(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -18,11 +19,12 @@ from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
                                      enumerate_bisections, hyperplane_through,
                                      moment_point,
                                      verify_bisection, well_separated_family)
-from hyperbisect.momentcurve import (_equal_partitions, _interval_roots,
-                                     _root_set_hyperplane)
+from hyperbisect.cli import _arrangements_json
+from hyperbisect.momentcurve import _interval_roots
 from hyperbisect import polynomials as poly
 from oracles import (count_bisections_by_factorials, curve_roots_check,
-                     root_set_hyperplane_by_fractions)
+                     enumerate_by_root_sets, equal_partitions,
+                     root_set_hyperplane, root_set_hyperplane_by_fractions)
 
 # the acceptance suite's count-law tuples (d, k, ell)
 COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
@@ -288,7 +290,7 @@ def test_root_set_hyperplane_matches_gaussian_elimination():
                 roots += tuple(map(Fraction, range(ell)))
                 expected = hyperplane_through([moment_point(t, d)
                                                for t in roots])
-                assert _root_set_hyperplane(roots) == expected
+                assert root_set_hyperplane(roots) == expected
                 assert curve_roots_check(expected, roots)
 
 
@@ -298,7 +300,7 @@ def test_root_set_hyperplane_matches_fraction_kernel():
     # spans several machine words
     def agree(roots):
         # the oracle gets Fractions: on int roots it would divide to floats
-        return (_root_set_hyperplane(roots)
+        return (root_set_hyperplane(roots)
                 == root_set_hyperplane_by_fractions(map(Fraction, roots)))
 
     rng = random.Random(17)
@@ -315,7 +317,7 @@ def test_root_set_hyperplane_matches_fraction_kernel():
     for roots in ((0,), (-3, -3), (Fraction(-1, den), 0, Fraction(1, den)),
                   (Fraction(5, 7),) * 6):
         assert agree(roots)
-    h = _root_set_hyperplane((-3, 2))
+    h = root_set_hyperplane((-3, 2))
     assert all(type(x) is Fraction for x in (*h.normal, h.offset))
 
 
@@ -337,10 +339,10 @@ def test_interval_roots_match_count_roots_open():
     for h in (endpointed, cuts_both):
         assert _interval_roots(h, fam) == _restriction_oracle(h, fam)
     assert _interval_roots(endpointed, fam) == [(False, False, 0)] * 2
-    double = _root_set_hyperplane((Fraction(3, 2), Fraction(3, 2)))
+    double = root_set_hyperplane((Fraction(3, 2), Fraction(3, 2)))
     assert _interval_roots(double, fam) == [(True, False, 1),
                                             (False, False, 0)]
-    on_left_end = _root_set_hyperplane((Fraction(3), Fraction(13, 4)))
+    on_left_end = root_set_hyperplane((Fraction(3), Fraction(13, 4)))
     assert _interval_roots(on_left_end, fam) == [(False, False, 0),
                                                  (False, False, 1)]
 
@@ -353,7 +355,7 @@ def test_interval_roots_match_count_roots_open():
         pool = list(ps) + fam.midpoints() + [ps[0] - 1, ps[-1] + 1]
         pool += [(a + 2 * b) / 3 for a, b in fam.intervals()]
         for _ in range(15):
-            h = _root_set_hyperplane(tuple(rng.choice(pool) for _ in range(d)))
+            h = root_set_hyperplane(tuple(rng.choice(pool) for _ in range(d)))
             assert _interval_roots(h, fam) == _restriction_oracle(h, fam)
 
 
@@ -374,12 +376,12 @@ def _verify_oracle(arrangement, family):
 
 def test_verify_bisection_rejects_owner_with_extra_or_double_root():
     fam = IntervalFamily(2, (1, 2, 3, 4))
-    other = _root_set_hyperplane((Fraction(7, 2), Fraction(10)))
-    twice = _root_set_hyperplane((Fraction(3, 2), Fraction(7, 4)))
+    other = root_set_hyperplane((Fraction(7, 2), Fraction(10)))
+    twice = root_set_hyperplane((Fraction(3, 2), Fraction(7, 4)))
     assert verify_bisection(Arrangement((twice, other)), fam) is False
-    double = _root_set_hyperplane((Fraction(3, 2), Fraction(3, 2)))
+    double = root_set_hyperplane((Fraction(3, 2), Fraction(3, 2)))
     assert verify_bisection(Arrangement((double, other)), fam) is False
-    once = _root_set_hyperplane((Fraction(3, 2), Fraction(-1)))
+    once = root_set_hyperplane((Fraction(3, 2), Fraction(-1)))
     assert verify_bisection(Arrangement((once, other)), fam) is True
 
 
@@ -395,8 +397,8 @@ def test_verify_bisection_matches_oracle_on_seeded_arrangements():
             # a bisecting partition of the midpoints, some roots moved
             roots = [rng.choice(pool) if rng.random() < 0.15 else t
                      for t in rng.sample(fam.midpoints(), 2 * d)]
-            arr = Arrangement((_root_set_hyperplane(tuple(roots[:d])),
-                               _root_set_hyperplane(tuple(roots[d:]))))
+            arr = Arrangement((root_set_hyperplane(tuple(roots[:d])),
+                               root_set_hyperplane(tuple(roots[d:]))))
             verdict = verify_bisection(arr, fam)
             assert verdict == _verify_oracle(arr, fam)
             verdicts.add(verdict)
@@ -420,7 +422,7 @@ def test_every_root_set_candidate_bisects():
                     root_sets = [tuple(sorted(free))] if ell else []
                     root_sets += [tuple(sorted(rest[i:i + size])) + anchors
                                   for i in range(0, len(rest), size)]
-                    arr = Arrangement(tuple(map(_root_set_hyperplane,
+                    arr = Arrangement(tuple(map(root_set_hyperplane,
                                                 root_sets)))
                     assert arr.k == k and arr.is_essential()
                     assert verify_bisection(arr, fam), (d, k, ell, root_sets)
@@ -439,12 +441,12 @@ def _reference_enumeration(family, k):
 
     candidates = []
     if ell == 0:
-        for partition in _equal_partitions(mids, d):
+        for partition in equal_partitions(mids, d):
             candidates.append([through(b) for b in partition])
     else:
         for free in combinations(mids, d):
             rest = tuple(t for t in mids if t not in free)
-            for partition in _equal_partitions(rest, d - ell):
+            for partition in equal_partitions(rest, d - ell):
                 candidates.append([through(free)] + [through(b, anchor_pts)
                                                      for b in partition])
     arrs = [Arrangement(tuple(hs)).canonical() for hs in candidates]
@@ -453,7 +455,7 @@ def _reference_enumeration(family, k):
 
 
 def test_enumerate_matches_reference_with_large_denominators():
-    # endpoints p/q with q up to 10**6: the integer kernel's lcm of d
+    # endpoints p/q with q up to 10**6: the integer kernel's product of d
     # denominators no longer fits one machine word
     rng = random.Random(19)
     for d, k, ell in ((2, 3, 0), (3, 2, 1)):
@@ -477,3 +479,86 @@ def test_enumerate_matches_reference_on_count_law_families():
                     for a in _reference_enumeration(fam, k)]
             assert got == want
             assert len(got) == count_bisections(d, k, ell)
+
+
+def _distinct_denominator_family(rng, d, k, ell):
+    """Seeded midpoints p/q with a different prime q each, two units
+    apart after the anchors, as centres of intervals of width 2/3."""
+    j = check_shape(d, k, ell)
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    params = []
+    for r, q in enumerate(rng.sample(primes, j)):
+        p = round((ell + 1 + 2 * r + rng.uniform(-0.4, 0.4)) * q)
+        if p % q == 0:
+            p += 1
+        mid = Fraction(p, q)
+        params += [mid - Fraction(1, 3), mid + Fraction(1, 3)]
+    return IntervalFamily(d, tuple(params), ell)
+
+
+def _raw_pivot(roots):
+    """First nonzero forward difference at 0, Delta^i q(0) for i >= 1, of
+    q(t) = prod (t - r): the pivot before canonicalising."""
+    values = [math.prod(m - r for r in roots) for m in range(len(roots) + 1)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return next(u for u in diffs[1:] if u)
+
+
+def _oracle_cases():
+    rng = random.Random(23)
+    for d, k, ell in COUNT_LAW:
+        yield f"{d},{k},{ell} integer", well_separated_family(d, k, ell), k
+        yield f"{d},{k},{ell} rational", _rational_family(rng, d, k, ell), k
+    for d, k, ell in COUNT_LAW + ((3, 3, 0), (4, 2, 1)):
+        fam = _distinct_denominator_family(rng, d, k, ell)
+        dens = [m.denominator for m in fam.midpoints()]
+        assert len(set(dens)) == len(dens) and min(dens) > 1
+        yield f"{d},{k},{ell} distinct denominators", fam, k
+    # midpoints 1/4 and 3/4 sum to 1: that block's first normal coordinate
+    # is 0, so its pivot is the second one
+    yield "second-coordinate pivot", IntervalFamily(2, (
+        Fraction(0), Fraction(1, 2), Fraction(5, 8), Fraction(7, 8),
+        2, 3, 4, 5)), 2
+    for d, k, ell in ((4, 3, 0), (3, 4, 0), (5, 3, 1)):
+        yield f"{d},{k},{ell} integer", well_separated_family(d, k, ell), k
+    yield "5,3,1 rational", _rational_family(random.Random(1), 5, 3, 1), 3
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("family, k", [case[1:] for case in ORACLE_CASES],
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_enumerate_matches_root_set_oracle(family, k):
+    got = enumerate_bisections(family, k)
+    want = enumerate_by_root_sets(family, k)
+    assert got == want
+    # the CLI's JSON, which renders each hyperplane object once
+    assert _arrangements_json(got) == _arrangements_json(want)
+
+
+def test_oracle_cases_cover_negative_and_late_pivots():
+    # the integer ranking makes a negative pivot positive before it
+    # cross-multiplies; these blocks reach it
+    cases = {label: family for label, family, _ in ORACLE_CASES}
+    for label in ("2,2,0 integer", "2,3,0 rational"):
+        mids = cases[label].midpoints()
+        assert any(_raw_pivot(block) < 0 for block in combinations(mids, 2))
+    plane = root_set_hyperplane(
+        cases["second-coordinate pivot"].midpoints()[:2])
+    assert plane.normal == (0, 1) and plane.offset == Fraction(-3, 32)
+
+
+def test_enumeration_shares_hyperplane_objects():
+    # the CLI renders each hyperplane object once, so enumeration must
+    # hand out one object per distinct hyperplane: 84 for (3, 3, 0), with
+    # Fraction coordinates
+    arrs = enumerate_bisections(well_separated_family(3, 3, 0), 3)
+    assert len(arrs) == 280
+    planes = {id(h): h for a in arrs for h in a.hyperplanes}.values()
+    assert len(planes) == 84
+    assert all(type(x) is Fraction for h in planes for x in (*h.normal,
+                                                              h.offset))
