@@ -24,7 +24,8 @@ from . import _lazy_names
 # use (PEP 562), so each command imports only its own layers and only
 # solve loads numpy.  Commands call them as attributes of this module
 # (``this``), where a wrapper set from outside (perfbench/tracer.py, which
-# also wraps surviving_monomials here) replaces them.
+# also wraps surviving_monomials and enumerate_bisections here, names no
+# command calls any more) replaces them.
 __getattr__, __dir__ = _lazy_names(globals(), {
     "parity": ("anchored_blocks_parity", "check_shape", "count_bisections",
                "equal_blocks_parity"),
@@ -33,8 +34,8 @@ __getattr__, __dir__ = _lazy_names(globals(), {
     "verdicts": ("Status", "frontier_csv", "frontier_json", "frontier_table",
                  "verdict"),
     "figures": ("frontier_svg",),
-    "momentcurve": ("IntervalFamily", "enumerate_bisections",
-                    "hyperplane_to_jsonable"),
+    "momentcurve": ("IntervalFamily", "_bisection_table",
+                    "enumerate_bisections", "hyperplane_to_jsonable"),
     "testmap": ("MeasureOverflowError", "SolverConfig",
                 "measures_from_jsonable", "solve_bisection"),
 })
@@ -100,7 +101,9 @@ def _cmd_lambda_figure(args) -> int:
 def _cmd_ideal_member(args) -> int:
     member = this.ideal_member(args.j, args.k, args.d)
     count = this.count_surviving_monomials(args.j, args.k, args.d)
-    assert member == (count == 0)
+    if member != (count == 0):  # raised, so python -O keeps the cross-check
+        raise RuntimeError(f"ideal_member says {member} but "
+                           f"{count} monomials survive")
     if args.format == "json":
         _emit_json({"d": args.d, "j": args.j, "k": args.k,
                     "member": member, "surviving_monomials": count})
@@ -173,23 +176,16 @@ def _parse_params(text: str) -> tuple[Fraction, ...]:
         raise _InputFormatError(f"bad parameter list {text!r}: {exc}") from exc
 
 
-def _arrangements_json(arrangements) -> str:
-    """json.dumps([arrangement_to_jsonable(a) for a in arrangements],
-    indent=2) for a nonempty list, with each distinct hyperplane object
-    rendered once: enumeration shares them between arrangements."""
+def _table_json(planes, rows) -> str:
+    """json.dumps([[hyperplane_to_jsonable(planes[r]) for r in row] for
+    row in rows], indent=2) for nonempty rows, with each plane rendered
+    once and its block looked up by rank."""
     import json
 
-    blocks: dict[int, str] = {}
-
-    def block(h) -> str:
-        text = blocks.get(id(h))
-        if text is None:
-            text = json.dumps(this.hyperplane_to_jsonable(h), indent=2)
-            text = blocks[id(h)] = "    " + text.replace("\n", "\n    ")
-        return text
-
-    return "[\n" + ",\n".join("  [\n" + ",\n".join(map(block, a.hyperplanes))
-                              + "\n  ]" for a in arrangements) + "\n]"
+    blocks = ["    " + json.dumps(this.hyperplane_to_jsonable(h), indent=2)
+              .replace("\n", "\n    ") for h in planes]
+    return "[\n" + ",\n".join("  [\n" + ",\n".join(map(blocks.__getitem__, r))
+                              + "\n  ]" for r in rows) + "\n]"
 
 
 def _cmd_enumerate(args) -> int:
@@ -207,10 +203,10 @@ def _cmd_enumerate(args) -> int:
                 print(f"error: {count} arrangements exceed the enumeration "
                       f"cap of {ENUMERATE_CAP}", file=sys.stderr)
                 return 2
-        arrangements = this.enumerate_bisections(family, k)
+        planes, rows = this._bisection_table(family, k)
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
-    _emit(_arrangements_json(arrangements))
+    _emit(_table_json(planes, rows))
     return 0
 
 

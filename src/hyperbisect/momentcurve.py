@@ -16,7 +16,10 @@ partition the j midpoints into blocks and pass one hyperplane through
 each block (plus, in the anchored variant, ell fixed early curve points
 shared by all but one block).  The hyperplane through a root set meets
 the curve there and nowhere else, so enumeration builds each one from
-its roots and checks nothing.
+its roots and checks nothing.  _bisection_table computes the result as
+a rank table, the distinct hyperplanes in order plus one row of ranks
+per arrangement; enumerate_bisections wraps each row in an Arrangement
+and the command line renders the table directly.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
+from operator import mul
 
 from . import polynomials as poly
 # the closed count lives in parity, beside its parities; still importable here
@@ -59,7 +63,7 @@ class OrientedHyperplane:
     offset: object
 
     def __post_init__(self) -> None:
-        if not self.normal or all(c == 0 for c in self.normal):
+        if not any(self.normal):
             raise ValueError("normal vector must be nonzero")
 
     @property
@@ -70,9 +74,6 @@ class OrientedHyperplane:
         if len(point) != self.dim:
             raise ValueError(f"point has dim {len(point)}, expected {self.dim}")
         return sum(u * x for u, x in zip(self.normal, point)) - self.offset
-
-    def flipped(self) -> "OrientedHyperplane":
-        return OrientedHyperplane(tuple(-u for u in self.normal), -self.offset)
 
     def canonical(self) -> "OrientedHyperplane":
         """Scale so the first nonzero normal coordinate equals one."""
@@ -103,14 +104,6 @@ class Arrangement:
     @property
     def dim(self) -> int:
         return self.hyperplanes[0].dim
-
-    def is_essential(self) -> bool:
-        """No two hyperplanes coincide, even after an orientation flip."""
-        return len({h.canonical() for h in self.hyperplanes}) == self.k
-
-    def canonical(self) -> "Arrangement":
-        return Arrangement(tuple(sorted((h.canonical() for h in self.hyperplanes),
-                                        key=OrientedHyperplane.sort_key)))
 
     def sort_key(self) -> tuple:
         return tuple(h.sort_key() for h in self.hyperplanes)
@@ -310,7 +303,7 @@ def _root_set_vectors(factors: list[list[int]], size: int,
             return
         for i in range(start, n - left + 1):
             walk(i + 1, left - 1, mask | 1 << i,
-                 [v * f for v, f in zip(values, factors[i])])
+                 list(map(mul, values, factors[i])))
 
     walk(0, size, 0, base)
     return out
@@ -351,43 +344,15 @@ def _split(remaining: int, size: int, blocks_left: int, rank: dict[int, int],
                    [*ranks, rank[block]], rows)
 
 
-def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
-    """k-hyperplane arrangements bisecting the family, in exact arithmetic.
+def _bisection_table(family: IntervalFamily,
+                     k: int) -> tuple[list[OrientedHyperplane], list[list[int]]]:
+    """enumerate_bisections as a rank table: (planes, rows).
 
-    Unanchored families need j == d*k: each arrangement passes one
-    hyperplane through each block of a partition of the j midpoints into
-    k blocks of size d.  These are all the bisecting arrangements, since
-    k hyperplanes meet the curve in at most d*k = j points, one per
-    interval, which must be its midpoint.  Anchored families need
-    j == (d-ell)*k + ell and k >= 2, and get the anchored construction:
-    one free hyperplane through d midpoints, the rest through d-ell
-    midpoints plus the ell anchors.  That is not every bisecting
-    arrangement: on well_separated_family(2, 3, 1) the lines with root
-    sets {5/2, 9/2}, {13/2, 17/2} and {9/4, 9/4}, the last tangent to the
-    curve inside (2, 3), halve every interval and are not listed.
-
-    A hyperplane is determined by its roots on the curve, so each block's
-    hyperplane is built once from its root set, in small integers: C(j, d)
-    distinct hyperplanes in the unanchored case, however many partitions
-    share them.  Its restriction is q(t) = prod (t - r), and Newton's
-    forward-difference formula in the binomial basis, q(t) = sum_i
-    (Delta^i q)(0) C(t, i), reads off normal_i = (Delta^i q)(0) and
-    offset = -q(0).  A midpoint a/b enters as the integer factor b*m - a
-    at m = 0..d and an anchor c as m - c, so the product over a root set
-    is q(m) times the positive scale prod b, which cancels when the
-    differences are divided by the pivot, the first nonzero normal
-    coordinate.  The distinct hyperplanes are ranked by comparing those
-    quotients in integers, each one's Fractions are built once, and the
-    partitions, bitmasks of midpoint indices, become sorted rank lists.
-
-    No partition needs a root check.  A block's hyperplane meets the curve
-    exactly at its root set: simple roots at the block's midpoints, each
-    inside its own interval, and the anchors, which precede the first
-    interval.  So every hyperplane owns its block's intervals and enters
-    no other, and every partition passes verify_bisection.  The cost is
-    the distinct root sets plus the partitions.  The result is in
-    canonical form, sorted by Arrangement.sort_key, and arrangements that
-    share a hyperplane share the OrientedHyperplane object.
+    planes lists the distinct hyperplanes, canonical and in the order of
+    OrientedHyperplane.sort_key; rows lists each arrangement as the
+    sorted ranks of its hyperplanes in planes, and the rows are sorted.
+    Every row holds k >= 1 distinct ranks, and every plane has dimension
+    family.d.
     """
     d, ell, j = family.d, family.anchor_count, family.j
     if j != check_shape(d, k, ell):
@@ -434,7 +399,68 @@ def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
         for mask in free:
             _split(full ^ mask, d - ell, k - 1, rank, [rank[mask]], rows)
     rows.sort()
-    return [Arrangement(tuple(map(planes.__getitem__, row))) for row in rows]
+    return planes, rows
+
+
+def _table_arrangements(planes: list[OrientedHyperplane],
+                        rows: list[list[int]]) -> list[Arrangement]:
+    """One Arrangement per row of a _bisection_table, built without
+    Arrangement.__post_init__: each row holds k >= 1 ranks into planes,
+    which all share the family's dimension d, and that is all the check
+    would establish.  Any other caller goes through the constructor."""
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for row in rows:
+        arr = new(Arrangement)
+        put(arr, "hyperplanes", tuple(map(planes.__getitem__, row)))
+        out.append(arr)
+    return out
+
+
+def enumerate_bisections(family: IntervalFamily, k: int) -> list[Arrangement]:
+    """k-hyperplane arrangements bisecting the family, in exact arithmetic.
+
+    Unanchored families need j == d*k: each arrangement passes one
+    hyperplane through each block of a partition of the j midpoints into
+    k blocks of size d.  These are all the bisecting arrangements, since
+    k hyperplanes meet the curve in at most d*k = j points, one per
+    interval, which must be its midpoint.  Anchored families need
+    j == (d-ell)*k + ell and k >= 2, and get the anchored construction:
+    one free hyperplane through d midpoints, the rest through d-ell
+    midpoints plus the ell anchors.  That is not every bisecting
+    arrangement: on well_separated_family(2, 3, 1) the lines with root
+    sets {5/2, 9/2}, {13/2, 17/2} and {9/4, 9/4}, the last tangent to the
+    curve inside (2, 3), halve every interval and are not listed.
+
+    The work is _bisection_table's, which returns the distinct
+    hyperplanes in rank order and each arrangement as a row of ranks;
+    this function hands out one Arrangement per row.  A hyperplane is
+    determined by its roots on the curve, so each block's hyperplane is
+    built once from its root set, in small integers: C(j, d) distinct
+    hyperplanes in the unanchored case, however many partitions share
+    them.  Its restriction is q(t) = prod (t - r), and Newton's
+    forward-difference formula in the binomial basis, q(t) = sum_i
+    (Delta^i q)(0) C(t, i), reads off normal_i = (Delta^i q)(0) and
+    offset = -q(0).  A midpoint a/b enters as the integer factor b*m - a
+    at m = 0..d and an anchor c as m - c, so the product over a root set
+    is q(m) times the positive scale prod b, which cancels when the
+    differences are divided by the pivot, the first nonzero normal
+    coordinate.  The distinct hyperplanes are ranked by comparing those
+    quotients in integers, each one's Fractions are built once, and the
+    partitions, bitmasks of midpoint indices, become sorted rank rows.
+    Every row holds k >= 1 planes of dimension d by construction, so the
+    arrangements skip the constructor's re-check of that.
+
+    No partition needs a root check.  A block's hyperplane meets the curve
+    exactly at its root set: simple roots at the block's midpoints, each
+    inside its own interval, and the anchors, which precede the first
+    interval.  So every hyperplane owns its block's intervals and enters
+    no other, and every partition passes verify_bisection.  The cost is
+    the distinct root sets plus the partitions.  The result is in
+    canonical form, sorted by Arrangement.sort_key, and arrangements that
+    share a hyperplane share the OrientedHyperplane object.
+    """
+    return _table_arrangements(*_bisection_table(family, k))
 
 
 def _frac_str(x) -> str:

@@ -84,7 +84,9 @@ def legendre_valuation(n: int, p: int) -> int:
         floor_sum += n // q
         q *= p
     digit_form = (n - digit_sum(n, p)) // (p - 1)
-    assert floor_sum == digit_form
+    if floor_sum != digit_form:  # raised, so python -O keeps the cross-check
+        raise RuntimeError(f"valuation of {n}! at {p}: floor sum {floor_sum}, "
+                           f"digit form {digit_form}")
     return floor_sum
 
 
@@ -114,6 +116,13 @@ def is_carry_free(parts: list[int]) -> bool:
     return acc == total
 
 
+def _check_valuation(v: int) -> None:
+    """A block count is an integer, so its 2-adic valuation is >= 0;
+    raised, not asserted, so python -O keeps the check."""
+    if v < 0:
+        raise RuntimeError(f"negative 2-adic valuation {v} of a block count")
+
+
 def equal_blocks_parity(d: int, k: int) -> Parity:
     """Parity of the number of partitions of d*k items into k blocks of size d.
 
@@ -126,7 +135,7 @@ def equal_blocks_parity(d: int, k: int) -> Parity:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
     v = (legendre_valuation(d * k, 2) - legendre_valuation(k, 2)
          - k * legendre_valuation(d, 2))
-    assert v >= 0
+    _check_valuation(v)
     return Parity.EVEN if v > 0 else Parity.ODD
 
 
@@ -149,7 +158,7 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
     v = (legendre_valuation(j, 2) - legendre_valuation(d, 2)
          - legendre_valuation(k - 1, 2)
          - (k - 1) * legendre_valuation(d - ell, 2))
-    assert v >= 0
+    _check_valuation(v)
     return Parity.EVEN if v > 0 else Parity.ODD
 
 

@@ -7,7 +7,9 @@ that THM25_II's least dimension was found by, polynomials built
 from their roots, the lcm-denominator and Fraction kernels for root-set
 hyperplanes, the tuple-partition enumeration that the small-integer
 enumeration in hyperbisect.momentcurve replaced, an exact
-root check for moment-curve hyperplanes, the per-measure solver kernel
+root check for moment-curve hyperplanes, the orientation flip,
+essentiality test and canonical form of hyperplane records, the
+per-measure solver kernel
 that the pooled kernel in hyperbisect.testmap must match bit for bit,
 and the sequential restart loop that its lockstep batches must match.
 
@@ -157,6 +159,22 @@ def least_thm25ii_by_loop(j: int, k: int) -> tuple[int, int, int] | None:
             return (1 << a) + ell, a, ell
         a += 1
     return None
+
+
+def flipped(h: OrientedHyperplane) -> OrientedHyperplane:
+    """The same hyperplane with the opposite orientation."""
+    return OrientedHyperplane(tuple(-u for u in h.normal), -h.offset)
+
+
+def is_essential(arr: Arrangement) -> bool:
+    """No two hyperplanes coincide, even after an orientation flip."""
+    return len({h.canonical() for h in arr.hyperplanes}) == arr.k
+
+
+def canonical_arrangement(arr: Arrangement) -> Arrangement:
+    """The arrangement's canonical hyperplanes, sorted by their keys."""
+    return Arrangement(tuple(sorted((h.canonical() for h in arr.hyperplanes),
+                                    key=OrientedHyperplane.sort_key)))
 
 
 def from_roots(roots) -> poly.Coeffs:

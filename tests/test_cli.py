@@ -390,14 +390,51 @@ def test_lambda_table_large_jmax_answers_at_once(capsys):
     assert lines[-2] == "20000,6667,16384,,"
 
 
-def _cli_child(argv, **kwargs):
-    # the child imports the same hyperbisect as this process
+def _child_env() -> dict:
+    # a child imports the same hyperbisect as this process
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(hyperbisect.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cli_child(argv, **kwargs):
     return subprocess.Popen([sys.executable, "-m", "hyperbisect.cli", *argv],
-                            stderr=subprocess.PIPE, env=env, **kwargs)
+                            stderr=subprocess.PIPE, env=_child_env(), **kwargs)
+
+
+# a cross-check made to disagree, then the command that runs it, in a child
+# started with python -O: the check is raised, not asserted, so it survives
+CROSS_CHECKS = {
+    "digit sum": ("import hyperbisect.parity as parity\n"
+                  "real = parity.digit_sum\n"
+                  "parity.digit_sum = lambda n, p: real(n, p) + 1\n",
+                  ["parity", "lemma1", "3", "2"]),
+    "surviving count": ("cli.count_surviving_monomials = lambda j, k, d: 1\n",
+                        ["ideal", "member", "2", "4", "2"]),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECKS)
+def test_cross_checks_fail_under_python_O(name):
+    patch, argv = CROSS_CHECKS[name]
+    code = ("import sys\n"
+            "if __debug__:\n"
+            "    sys.exit('assertions are on')\n"
+            "from hyperbisect import cli\n"
+            f"{patch}"
+            f"sys.exit(cli.main({argv!r}))\n")
+    env = _child_env()
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "RuntimeError" in proc.stderr, proc.stderr
+    # without the patch the same child prints its answer
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           code.replace(patch, "")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout
 
 
 def test_stdout_closed_after_first_line_exits_quietly():

@@ -17,13 +17,14 @@ from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
                                      arrangement_to_jsonable, check_shape,
                                      count_bisections, curve_restriction,
                                      enumerate_bisections, hyperplane_through,
-                                     moment_point,
+                                     hyperplane_to_jsonable, moment_point,
                                      verify_bisection, well_separated_family)
-from hyperbisect.cli import _arrangements_json
-from hyperbisect.momentcurve import _interval_roots
+from hyperbisect.cli import _table_json
+from hyperbisect.momentcurve import _bisection_table, _interval_roots
 from hyperbisect import polynomials as poly
-from oracles import (count_bisections_by_factorials, curve_roots_check,
-                     enumerate_by_root_sets, equal_partitions,
+from oracles import (canonical_arrangement, count_bisections_by_factorials,
+                     curve_roots_check, enumerate_by_root_sets,
+                     equal_partitions, flipped, is_essential,
                      root_set_hyperplane, root_set_hyperplane_by_fractions)
 
 # the acceptance suite's count-law tuples (d, k, ell)
@@ -83,7 +84,7 @@ def test_canonical_is_idempotent_and_flip_invariant():
     c = h.canonical()
     assert c.normal[0] == 1
     assert c == c.canonical()
-    assert c == h.flipped().canonical()
+    assert c == flipped(h).canonical()
     # scaling by any nonzero rational lands on the same canonical form
     h2 = OrientedHyperplane((Fraction(-1), Fraction(2)), Fraction(3))
     assert h2.canonical() == c
@@ -92,6 +93,42 @@ def test_canonical_is_idempotent_and_flip_invariant():
 def test_zero_normal_rejected():
     with pytest.raises(ValueError):
         OrientedHyperplane((0, 0), 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Arrangement(()),
+    lambda: Arrangement((OrientedHyperplane((1,), 0),
+                         OrientedHyperplane((1, 0), 0))),
+    lambda: OrientedHyperplane((), 1),
+    lambda: OrientedHyperplane((Fraction(0), Fraction(0)), 1),
+    lambda: OrientedHyperplane((-0.0, 0.0), 1.0),
+], ids=["empty arrangement", "mixed dimensions", "empty normal",
+        "zero Fraction normal", "signed zero normal"])
+def test_records_reject_what_they_cannot_hold(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_records_accept_a_normal_with_one_nonzero_coordinate():
+    for normal in ((0, 1), (Fraction(0), Fraction(-1, 3)), (0.0, 1e-300)):
+        assert OrientedHyperplane(normal, 0).normal == normal
+
+
+def _checked_constructor_families():
+    rng = random.Random(31)
+    for d, k, ell in COUNT_LAW + ((4, 2, 1), (4, 3, 2), (5, 2, 2)):
+        yield well_separated_family(d, k, ell), k
+        yield _rational_family(rng, d, k, ell), k
+
+
+@pytest.mark.parametrize("family, k", list(_checked_constructor_families()))
+def test_enumerated_arrangements_pass_the_checked_constructor(family, k):
+    # enumeration builds its arrangements without Arrangement's checks;
+    # each must equal the one the checked constructor builds
+    for arr in enumerate_bisections(family, k):
+        checked = Arrangement(arr.hyperplanes)
+        assert arr == checked and type(arr) is Arrangement
+        assert arr.k == k and arr.dim == family.d
 
 
 def test_curve_restriction_degree_and_roots():
@@ -226,7 +263,7 @@ def test_enumerate_small_counts_and_verification():
         assert len(arrs) == count_bisections(d, k, ell)
         for arr in arrs:
             assert verify_bisection(arr, fam)
-            assert arr.is_essential()
+            assert is_essential(arr)
 
 
 def test_enumerate_single_hyperplane():
@@ -274,9 +311,9 @@ def test_arrangement_json_round_trip():
 
 def test_essentiality_detects_flipped_duplicates():
     h = hyperplane_through([(1, 0), (2, 1)])
-    assert not Arrangement((h, h.flipped())).is_essential()
+    assert not is_essential(Arrangement((h, flipped(h))))
     g = hyperplane_through([(0, 0), (1, 1)])
-    assert Arrangement((h, g)).is_essential()
+    assert is_essential(Arrangement((h, g)))
 
 
 def test_root_set_hyperplane_matches_gaussian_elimination():
@@ -424,7 +461,7 @@ def test_every_root_set_candidate_bisects():
                                   for i in range(0, len(rest), size)]
                     arr = Arrangement(tuple(map(root_set_hyperplane,
                                                 root_sets)))
-                    assert arr.k == k and arr.is_essential()
+                    assert arr.k == k and is_essential(arr)
                     assert verify_bisection(arr, fam), (d, k, ell, root_sets)
 
 
@@ -449,8 +486,9 @@ def _reference_enumeration(family, k):
             for partition in equal_partitions(rest, d - ell):
                 candidates.append([through(free)] + [through(b, anchor_pts)
                                                      for b in partition])
-    arrs = [Arrangement(tuple(hs)).canonical() for hs in candidates]
-    good = [a for a in arrs if a.is_essential() and verify_bisection(a, family)]
+    arrs = [canonical_arrangement(Arrangement(tuple(hs)))
+            for hs in candidates]
+    good = [a for a in arrs if is_essential(a) and verify_bisection(a, family)]
     return sorted(good, key=Arrangement.sort_key)
 
 
@@ -536,8 +574,18 @@ def test_enumerate_matches_root_set_oracle(family, k):
     got = enumerate_bisections(family, k)
     want = enumerate_by_root_sets(family, k)
     assert got == want
-    # the CLI's JSON, which renders each hyperplane object once
-    assert _arrangements_json(got) == _arrangements_json(want)
+    # the rank table, read back from the oracle's list (which shares one
+    # object per hyperplane), and the CLI's JSON of it, which renders each
+    # plane once and joins blocks by rank
+    shared = {id(h): h for a in want for h in a.hyperplanes}
+    planes = sorted(shared.values(), key=OrientedHyperplane.sort_key)
+    rank = {id(h): r for r, h in enumerate(planes)}
+    rows = [[rank[id(h)] for h in a.hyperplanes] for a in want]
+    table = _bisection_table(family, k)
+    assert table == (planes, rows)
+    blocks = [hyperplane_to_jsonable(h) for h in planes]
+    assert json.loads(_table_json(*table)) == [[blocks[r] for r in row]
+                                               for row in rows]
 
 
 def test_oracle_cases_cover_negative_and_late_pivots():
@@ -553,9 +601,8 @@ def test_oracle_cases_cover_negative_and_late_pivots():
 
 
 def test_enumeration_shares_hyperplane_objects():
-    # the CLI renders each hyperplane object once, so enumeration must
-    # hand out one object per distinct hyperplane: 84 for (3, 3, 0), with
-    # Fraction coordinates
+    # enumeration hands out one object per distinct hyperplane, the plane
+    # of its rank table: 84 for (3, 3, 0), with Fraction coordinates
     arrs = enumerate_bisections(well_separated_family(3, 3, 0), 3)
     assert len(arrs) == 280
     planes = {id(h): h for a in arrs for h in a.hyperplanes}.values()

@@ -202,3 +202,16 @@ def test_block_parities_reject_bad_ranges():
         anchored_blocks_parity(3, 2, 3)
     with pytest.raises(ValueError):
         anchored_blocks_parity(3, 2, 0)
+
+
+def test_negative_block_valuation_is_raised(monkeypatch):
+    # a factorial valuation that drops at n >= 4 makes the block counts'
+    # valuations negative; the check is raised, so python -O keeps it
+    import hyperbisect.parity as parity
+    real = parity.legendre_valuation
+    monkeypatch.setattr(parity, "legendre_valuation",
+                        lambda n, p: real(n, p) if n < 4 else 0)
+    with pytest.raises(RuntimeError):
+        equal_blocks_parity(2, 2)
+    with pytest.raises(RuntimeError):
+        anchored_blocks_parity(3, 2, 1)
