@@ -7,8 +7,9 @@ a count with more digits than Python converts to a string and when a
 figure's --out file cannot be written; 3 on malformed input files,
 parameter strings or measures, including measures too large for float64
 arithmetic; EXIT_BROKEN_PIPE when stdout is closed before all
-output is written (``| head``).  Output for a fixed argv and seed is
-byte-identical across runs.
+output is written (``| head``).  Output for a fixed argv is
+byte-identical across runs, whatever the environment: solve's seed
+comes from --seed alone (default 0).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _cmd_lambda_check(args) -> int:
 
 
 def _cmd_lambda_table(args) -> int:
-    table = this.frontier_table(args.k, args.jmax, args.dmax_search)
+    table = this.frontier_table(args.k, args.jmax)
     if args.format == "json":
         sys.stdout.write(this.frontier_json(table))
     else:
@@ -86,7 +87,7 @@ def _cmd_lambda_table(args) -> int:
 
 
 def _cmd_lambda_figure(args) -> int:
-    table = this.frontier_table(args.k, args.jmax, args.dmax_search)
+    table = this.frontier_table(args.k, args.jmax)
     svg = this.frontier_svg(table)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,23 +211,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _resolve_seed(args_seed: int | None) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("HYPERBISECT_SEED")
-    if env is None:
-        return 0
-    try:
-        seed = int(env)
-    except ValueError as exc:
-        raise _InputFormatError(f"HYPERBISECT_SEED must be an integer, "
-                                f"got {env!r}") from exc
-    if seed < 0:
-        raise _InputFormatError(f"HYPERBISECT_SEED must be nonnegative, "
-                                f"got {seed}")
-    return seed
-
-
 def _cmd_solve(args) -> int:
     import json
 
@@ -244,7 +228,7 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         raise _InputFormatError(str(exc)) from exc
     config = this.SolverConfig(tolerance=args.tol,
-                               seed=_resolve_seed(args.seed),
+                               seed=args.seed,
                                max_restarts=args.restarts)
     try:
         result = this.solve_bisection(measures, args.k, config)
@@ -281,15 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = lam_sub.add_parser("table", help="per-criterion frontier")
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--jmax", type=int, required=True)
-    p_table.add_argument("--dmax-search", type=int, default=None,
-                         help="largest d shown (default: no bound)")
     _add_format(p_table, "csv", choices=("csv", "json"))
     p_table.set_defaults(func=_cmd_lambda_table)
 
     p_fig = lam_sub.add_parser("figure", help="frontier scatter plot")
     p_fig.add_argument("--k", type=int, required=True)
     p_fig.add_argument("--jmax", type=int, required=True)
-    p_fig.add_argument("--dmax-search", type=int, default=None)
     p_fig.add_argument("--out", required=True, help="output .svg path")
     p_fig.set_defaults(func=_cmd_lambda_figure)
 
@@ -338,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="measure collection JSON file")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--tol", type=float, default=1e-2)
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="falls back to HYPERBISECT_SEED, then 0")
+    p_solve.add_argument("--seed", type=int, default=0,
+                         help="nonnegative integer seeding every restart")
     p_solve.add_argument("--restarts", type=int, default=20)
     p_solve.set_defaults(func=_cmd_solve)
 

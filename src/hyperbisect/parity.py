@@ -1,12 +1,13 @@
-"""Parity of factorial ratios via p-adic valuations.
+"""Parity of factorial ratios via 2-adic valuations.
 
-The number of times a prime p divides n! is Legendre's sum
-floor(n/p) + floor(n/p^2) + ..., which also equals
-(n - digitsum_p(n)) / (p - 1).  A multinomial coefficient
-C(n; k_1, ..., k_t) is divisible by p^r exactly when the valuation of
-n! exceeds the combined valuation of the k_i! by at least r.  For
-p = 2 and r = 1 this gives the carry criterion: the coefficient is odd
-exactly when the parts add without carries in binary.
+The number of times 2 divides n! is Legendre's sum
+floor(n/2) + floor(n/4) + ..., which also equals n - s(n) with s(n) the
+number of ones in the binary digits of n.  The multinomial coefficient
+C(n; k_1, ..., k_t) is odd exactly when the valuation of n! equals the
+combined valuation of the k_i!, which is the carry criterion: the parts
+add without carries in binary.  Every parity the package needs is at
+the prime 2, since the obstruction framework behind its certificates
+works over GF(2).
 
 The two partition-counting parities below drive the membership
 certificates elsewhere in the package: the number of ways to split
@@ -40,68 +41,45 @@ class Parity(Enum):
         return self.value
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def digit_sum(n: int, p: int) -> int:
-    """Sum of the base-p digits of n >= 0."""
+def digit_sum(n: int) -> int:
+    """Number of ones in the binary digits of n >= 0."""
     if n < 0:
         raise ValueError(f"negative n: {n}")
-    if p < 2:
-        raise ValueError(f"base must be >= 2, got {p}")
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
+    return n.bit_count()
 
 
-def legendre_valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in n!.
+def legendre_valuation(n: int) -> int:
+    """Exponent of 2 in n!.
 
     Computed by the floor sum and cross-checked against the digit-sum
-    form (n - digitsum_p(n)) / (p - 1); the two must agree.
+    form n - digit_sum(n); the two must agree.
     """
     if n < 0:
         raise ValueError(f"negative n: {n}")
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     floor_sum = 0
-    q = p
+    q = 2
     while q <= n:
         floor_sum += n // q
-        q *= p
-    digit_form = (n - digit_sum(n, p)) // (p - 1)
+        q *= 2
+    digit_form = n - digit_sum(n)
     if floor_sum != digit_form:  # raised, so python -O keeps the cross-check
-        raise RuntimeError(f"valuation of {n}! at {p}: floor sum {floor_sum}, "
+        raise RuntimeError(f"valuation of {n}! at 2: floor sum {floor_sum}, "
                            f"digit form {digit_form}")
     return floor_sum
 
 
-def multinomial_valuation(n: int, parts: list[int], p: int) -> int:
-    """Exponent of p in the multinomial coefficient C(n; parts)."""
+def multinomial_valuation(n: int, parts: list[int]) -> int:
+    """Exponent of 2 in the multinomial coefficient C(n; parts)."""
     if sum(parts) != n:
         raise ValueError(f"parts {parts} do not sum to {n}")
     if any(k < 0 for k in parts):
         raise ValueError(f"negative part in {parts}")
-    return legendre_valuation(n, p) - sum(legendre_valuation(k, p) for k in parts)
+    return legendre_valuation(n) - sum(legendre_valuation(k) for k in parts)
 
 
 def multinomial_parity(n: int, parts: list[int]) -> Parity:
     """Parity of C(n; parts): odd iff the parts add carry-free in binary."""
-    return Parity.EVEN if multinomial_valuation(n, parts, 2) > 0 else Parity.ODD
+    return Parity.EVEN if multinomial_valuation(n, parts) > 0 else Parity.ODD
 
 
 def is_carry_free(parts: list[int]) -> bool:
@@ -133,8 +111,8 @@ def equal_blocks_parity(d: int, k: int) -> Parity:
     """
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
-    v = (legendre_valuation(d * k, 2) - legendre_valuation(k, 2)
-         - k * legendre_valuation(d, 2))
+    v = (legendre_valuation(d * k) - legendre_valuation(k)
+         - k * legendre_valuation(d))
     _check_valuation(v)
     return Parity.EVEN if v > 0 else Parity.ODD
 
@@ -155,9 +133,9 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
     j = check_shape(d, k, ell)
     # the rest, (d-ell)(k-1) items, is exactly j - d, so (j-d)! cancels
-    v = (legendre_valuation(j, 2) - legendre_valuation(d, 2)
-         - legendre_valuation(k - 1, 2)
-         - (k - 1) * legendre_valuation(d - ell, 2))
+    v = (legendre_valuation(j) - legendre_valuation(d)
+         - legendre_valuation(k - 1)
+         - (k - 1) * legendre_valuation(d - ell))
     _check_valuation(v)
     return Parity.EVEN if v > 0 else Parity.ODD
 

@@ -104,10 +104,11 @@ class JoinPoint:
             raise ValueError("one weight per direction required")
         if any(lam < 0 for lam in self.lambdas):
             raise ValueError("barycentric weights must be nonnegative")
-        if abs(sum(self.lambdas) - 1.0) > 1e-12:
+        # written so that NaN, which compares False, fails the checks
+        if not abs(sum(self.lambdas) - 1.0) <= 1e-12:
             raise ValueError("barycentric weights must sum to 1")
         for w in self.directions:
-            if abs(math.fsum(c * c for c in w) - 1.0) > 1e-9:
+            if not abs(math.fsum(c * c for c in w) - 1.0) <= 1e-9:
                 raise ValueError("directions must be unit vectors")
 
     @property
@@ -171,7 +172,7 @@ def sphere_to_hyperplane(w) -> OrientedHyperplane:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.shape[0] < 2:
         raise ValueError(f"direction must live in R^(d+1), d >= 1, got {w.shape}")
-    if abs(float(w @ w) - 1.0) > 1e-9:
+    if not abs(float(w @ w) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("direction must be a unit vector")
     _refuse_poles(w)
     return OrientedHyperplane(tuple(float(x) for x in w[:-1]), -float(w[-1]))
@@ -189,6 +190,8 @@ def _direction_matrix(directions, d: int | None = None) -> np.ndarray:
         raise ValueError(f"directions must be (k, d+1), got shape {W.shape}")
     if d is not None and W.shape[1] != d + 1:
         raise ValueError(f"directions live in R^{W.shape[1]}, measures in R^{d}")
+    if not np.isfinite(W).all():
+        raise ValueError("directions must be finite")
     _refuse_poles(W)
     return W
 
@@ -635,16 +638,15 @@ _LOCKSTEP_BATCH = 32
 def _restart_batches(seed: int, max_restarts: int):
     """Restart indices and their generators, the first restart alone and
     then up to _LOCKSTEP_BATCH at a time.  Restart i is seeded with the
-    child SeedSequence(seed).spawn(max_restarts)[i], built with its
-    batch rather than all up front."""
+    child SeedSequence(seed).spawn(max_restarts)[i]: successive spawns
+    continue where the last one stopped, so each batch spawns its own
+    children rather than all up front."""
     root = np.random.SeedSequence(seed)
     start = 0
     while start < max_restarts:
         batch = range(start, min(start + (_LOCKSTEP_BATCH if start else 1),
                                  max_restarts))
-        yield batch, [np.random.default_rng(np.random.SeedSequence(
-            root.entropy, spawn_key=root.spawn_key + (i,),
-            pool_size=root.pool_size)) for i in batch]
+        yield batch, [np.random.default_rng(s) for s in root.spawn(len(batch))]
         start = batch.stop
 
 

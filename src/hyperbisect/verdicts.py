@@ -27,7 +27,6 @@ THM1_IDEAL.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -236,35 +235,28 @@ class FrontierRow:
 class FrontierTable:
     k: int
     j_max: int
-    search_bound: int | None  # None means no bound
     rows: tuple[FrontierRow, ...]
 
 
-def frontier_table(k: int, j_max: int,
-                   d_search_bound: int | None = None) -> FrontierTable:
+def frontier_table(k: int, j_max: int) -> FrontierTable:
     """Minimal certifying dimension per criterion for j = 1..j_max.
 
-    A cell is absent when the criterion certifies nothing at (j, k), or
-    when its least d0 exceeds d_search_bound (None means no bound; every
-    d0 is at most j).  d_conjecture = ceil(j/k) is the necessity floor,
-    conjecturally tight.
+    A cell is absent when the criterion certifies nothing at (j, k);
+    every least d0 is at most j.  d_conjecture = ceil(j/k) is the
+    necessity floor, conjecturally tight.
     """
     if k < 1 or j_max < 1:
         raise ValueError(f"need k >= 1 and j_max >= 1, got k={k}, j_max={j_max}")
-    if d_search_bound is not None and d_search_bound < 1:
-        raise ValueError(f"search bound must be >= 1, got {d_search_bound}")
-    bound = math.inf if d_search_bound is None else d_search_bound
 
     def cell(least: tuple[int, ...] | None) -> int | None:
-        return least[0] if least is not None and least[0] <= bound else None
+        return None if least is None else least[0]
 
     rows = tuple(FrontierRow(j=j, d_conjecture=-(-j // k),
                              d_thm1=cell(_least_thm1(j, k)),
                              d_thm25i=cell(_least_thm25i(j, k)),
                              d_thm25ii=cell(_least_thm25ii(j, k)))
                  for j in range(1, j_max + 1))
-    return FrontierTable(k=k, j_max=j_max, search_bound=d_search_bound,
-                         rows=rows)
+    return FrontierTable(k=k, j_max=j_max, rows=rows)
 
 
 def frontier_csv(table: FrontierTable) -> str:
@@ -283,7 +275,6 @@ def frontier_json(table: FrontierTable) -> str:
     payload = {
         "k": table.k,
         "j_max": table.j_max,
-        "search_bound": table.search_bound,
         "rows": [
             {"j": r.j, "d_conjecture": r.d_conjecture, "d_thm1": r.d_thm1,
              "d_thm25i": r.d_thm25i, "d_thm25ii": r.d_thm25ii}

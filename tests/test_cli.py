@@ -97,12 +97,17 @@ def test_lambda_table_json(capsys):
     assert [r["j"] for r in data["rows"]] == [1, 2, 3, 4]
 
 
-def test_lambda_table_search_bound(capsys):
-    code, out, _ = _run(capsys, ["lambda", "table", "--k", "2", "--jmax", "4",
-                                 "--dmax-search", "1"])
-    assert code == 0
-    # with bound 1 the j=3 row loses its d_thm1 = 2 cell
-    assert "3,2,,," in out
+@pytest.mark.parametrize("argv", [
+    ["lambda", "table", "--k", "2", "--jmax", "4"],
+    ["lambda", "figure", "--k", "2", "--jmax", "4", "--out", os.devnull],
+], ids=["table", "figure"])
+def test_dmax_search_is_an_unknown_argument(capsys, argv):
+    # every least d0 is at most j, so a search bound only blanked cells
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dmax-search", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--dmax-search" in err
 
 
 def test_lambda_figure(capsys, tmp_path):
@@ -409,7 +414,7 @@ def _cli_child(argv, **kwargs):
 CROSS_CHECKS = {
     "digit sum": ("import hyperbisect.parity as parity\n"
                   "real = parity.digit_sum\n"
-                  "parity.digit_sum = lambda n, p: real(n, p) + 1\n",
+                  "parity.digit_sum = lambda n: real(n) + 1\n",
                   ["parity", "lemma1", "3", "2"]),
     "surviving count": ("cli.count_surviving_monomials = lambda j, k, d: 1\n",
                         ["ideal", "member", "2", "4", "2"]),
@@ -541,16 +546,20 @@ def test_solve_success_and_determinism(capsys, tmp_path):
     assert max(abs(v) for v in data["relative_imbalances"]) <= 1e-2
 
 
-def test_solve_env_seed_fallback(capsys, tmp_path, monkeypatch):
+def test_solve_ignores_the_environment_seed(tmp_path):
+    # the seed comes from --seed alone, so the environment cannot change
+    # the bytes of a fixed argv
     instance = tmp_path / "disks.json"
     _write_instance(instance)
-    monkeypatch.setenv("HYPERBISECT_SEED", "3")
-    _, out_env, _ = _run(capsys, ["solve", "--input", str(instance),
-                                  "--k", "2"])
-    monkeypatch.delenv("HYPERBISECT_SEED")
-    _, out_flag, _ = _run(capsys, ["solve", "--input", str(instance),
-                                   "--k", "2", "--seed", "3"])
-    assert out_env == out_flag
+    argv = [sys.executable, "-m", "hyperbisect.cli", "solve", "--input",
+            str(instance), "--k", "2", "--restarts", "2"]
+    env = _child_env()
+    env.pop("HYPERBISECT_SEED", None)
+    runs = [subprocess.run(argv, env=e, capture_output=True, timeout=120)
+            for e in (env, {**env, "HYPERBISECT_SEED": "5"})]
+    assert runs[0].returncode == runs[1].returncode
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["seed"] == 0
 
 
 def test_solve_not_found_exit_code(capsys, tmp_path):
@@ -680,31 +689,15 @@ def test_solve_restarts_zero_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "restart" in err
 
 
-def test_solve_negative_seed_is_refused_by_name(capsys, tmp_path,
-                                                monkeypatch):
+def test_solve_negative_seed_is_refused_by_name(capsys, tmp_path):
     # --seed -1 used to exit 2 with numpy's "expected non-negative
-    # integer", and HYPERBISECT_SEED=-1 the same way
+    # integer"
     instance = tmp_path / "disks.json"
     _write_instance(instance)
     argv = ["solve", "--input", str(instance), "--k", "2"]
     code, out, err = _run(capsys, [*argv, "--seed", "-1"])
     assert code == 2 and out == ""
     assert err == "error: seed must be nonnegative, got -1\n"
-    monkeypatch.setenv("HYPERBISECT_SEED", "-1")
-    code, out, err = _run(capsys, argv)
-    assert code == 3 and out == ""
-    assert err == "error: HYPERBISECT_SEED must be nonnegative, got -1\n"
-
-
-def test_solve_non_integer_env_seed_is_input_error(capsys, tmp_path,
-                                                   monkeypatch):
-    instance = tmp_path / "disks.json"
-    _write_instance(instance)
-    monkeypatch.setenv("HYPERBISECT_SEED", "abc")
-    code, out, err = _run(capsys, ["solve", "--input", str(instance),
-                                   "--k", "2"])
-    assert code == 3 and out == ""
-    assert err == "error: HYPERBISECT_SEED must be an integer, got 'abc'\n"
 
 
 def test_lambda_table_bad_k_is_usage_error(capsys):

@@ -102,8 +102,12 @@ def test_zero_normal_rejected():
     lambda: OrientedHyperplane((), 1),
     lambda: OrientedHyperplane((Fraction(0), Fraction(0)), 1),
     lambda: OrientedHyperplane((-0.0, 0.0), 1.0),
+    lambda: OrientedHyperplane((math.nan, 0.0), 1.0),
+    lambda: OrientedHyperplane((1.0, 0.0), math.nan),
+    lambda: OrientedHyperplane((math.inf, 0.0), 1.0),
 ], ids=["empty arrangement", "mixed dimensions", "empty normal",
-        "zero Fraction normal", "signed zero normal"])
+        "zero Fraction normal", "signed zero normal", "NaN normal",
+        "NaN offset", "infinite normal"])
 def test_records_reject_what_they_cannot_hold(build):
     with pytest.raises(ValueError):
         build()

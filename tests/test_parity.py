@@ -13,10 +13,10 @@ from hyperbisect.parity import (Parity, anchored_blocks_parity, digit_sum,
                                 multinomial_valuation)
 
 
-def _factorial_valuation(n, p):
+def _factorial_valuation(n):
     v, f = 0, math.factorial(n)
-    while f % p == 0:
-        f //= p
+    while f % 2 == 0:
+        f //= 2
         v += 1
     return v
 
@@ -30,57 +30,49 @@ def _multinomial(n, parts):
 
 @dataclass(frozen=True)
 class PadicProfile:
-    """Valuation and digit sum of n! at a prime p, bundled together."""
+    """Valuation and binary digit sum of n!, bundled together."""
 
     n: int
-    p: int
     valuation: int
     digit_sum: int
 
     def __post_init__(self) -> None:
         # the Legendre identity ties the two fields together
-        if self.valuation * (self.p - 1) != self.n - self.digit_sum:
+        if self.valuation != self.n - self.digit_sum:
             raise ValueError("inconsistent profile")
 
 
-def padic_profile(n: int, p: int) -> PadicProfile:
-    return PadicProfile(n=n, p=p, valuation=legendre_valuation(n, p),
-                        digit_sum=digit_sum(n, p))
+def padic_profile(n: int) -> PadicProfile:
+    return PadicProfile(n=n, valuation=legendre_valuation(n),
+                        digit_sum=digit_sum(n))
 
 
 def test_legendre_examples():
-    assert legendre_valuation(0, 2) == 0
-    assert legendre_valuation(4, 2) == 3
-    assert legendre_valuation(10, 2) == 8
-    assert legendre_valuation(10, 3) == 4
-    assert legendre_valuation(100, 5) == 24
+    assert legendre_valuation(0) == 0
+    assert legendre_valuation(4) == 3
+    assert legendre_valuation(10) == 8
 
 
 def test_legendre_matches_factorials():
-    for p in (2, 3, 5, 7):
-        for n in range(0, 60):
-            assert legendre_valuation(n, p) == _factorial_valuation(n, p)
+    for n in range(0, 60):
+        assert legendre_valuation(n) == _factorial_valuation(n)
 
 
 def test_legendre_digit_sum_identity():
-    for p in (2, 3, 5):
-        for n in range(0, 200):
-            assert (p - 1) * legendre_valuation(n, p) == n - digit_sum(n, p)
+    for n in range(0, 200):
+        assert legendre_valuation(n) == n - digit_sum(n)
 
 
 def test_legendre_rejects_bad_input():
     with pytest.raises(ValueError):
-        legendre_valuation(-1, 2)
-    for p in (0, 1, 4, 6, 9):
-        with pytest.raises(ValueError):
-            legendre_valuation(10, p)
+        legendre_valuation(-1)
 
 
 def test_padic_profile_fields():
-    prof = padic_profile(10, 2)
+    prof = padic_profile(10)
     assert prof.valuation == 8
     assert prof.digit_sum == 2  # 1010 in binary
-    assert prof.n == 10 and prof.p == 2
+    assert prof.n == 10
 
 
 def test_multinomial_parity_examples():
@@ -108,14 +100,13 @@ def test_multinomial_parity_equals_carry_criterion():
 
 
 def test_multinomial_valuation_prime_powers():
-    # E_p(n!) - sum E_p(k_i!) >= r iff p^r divides the coefficient
-    for p in (2, 3):
-        for n in range(0, 12):
-            for a in range(0, n + 1):
-                coeff = _multinomial(n, [a, n - a])
-                v = multinomial_valuation(n, [a, n - a], p)
-                assert coeff % p**v == 0
-                assert coeff % p**(v + 1) != 0
+    # E(n!) - sum E(k_i!) >= r iff 2^r divides the coefficient
+    for n in range(0, 12):
+        for a in range(0, n + 1):
+            coeff = _multinomial(n, [a, n - a])
+            v = multinomial_valuation(n, [a, n - a])
+            assert coeff % 2**v == 0
+            assert coeff % 2**(v + 1) != 0
 
 
 def test_multinomial_rejects_bad_parts():
@@ -210,7 +201,7 @@ def test_negative_block_valuation_is_raised(monkeypatch):
     import hyperbisect.parity as parity
     real = parity.legendre_valuation
     monkeypatch.setattr(parity, "legendre_valuation",
-                        lambda n, p: real(n, p) if n < 4 else 0)
+                        lambda n: real(n) if n < 4 else 0)
     with pytest.raises(RuntimeError):
         equal_blocks_parity(2, 2)
     with pytest.raises(RuntimeError):

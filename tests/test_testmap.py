@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -74,6 +75,22 @@ def test_sphere_poles_are_at_infinity():
 def test_sphere_to_hyperplane_wants_unit_vectors():
     with pytest.raises(ValueError):
         sphere_to_hyperplane(np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_to_hyperplane([math.nan, 0.0, 1.0]),
+    lambda: JoinPoint((1.0,), ((math.nan, 1.0),)),
+    lambda: JoinPoint((math.nan,), ((0.0, 1.0),)),
+    lambda: phi([DiscreteMeasure(np.ones((2, 1)), np.ones(2))],
+                [[math.nan, 1.0]]),
+    lambda: boundary_mass([DiscreteMeasure(np.ones((2, 1)), np.ones(2))],
+                          [[math.inf, 1.0]]),
+], ids=["NaN sphere point", "NaN join direction", "NaN join weight",
+        "NaN phi direction", "infinite boundary_mass direction"])
+def test_non_finite_directions_are_refused(build):
+    # NaN compares False, so each check is written to fail on it
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_sphere_round_trip():

@@ -60,11 +60,11 @@ def _first_d(fires, bound):
     return next((d for d in range(1, bound + 1) if fires(d)), None)
 
 
-def _frontier_by_scan(k, j_max, d_search_bound=None):
-    """Frontier rows from scans of d = 1..bound for every criterion."""
+def _frontier_by_scan(k, j_max):
+    """Frontier rows from scans of d = 1..4j for every criterion."""
     rows = []
     for j in range(1, j_max + 1):
-        bound = d_search_bound if d_search_bound is not None else 4 * j
+        bound = 4 * j
         rows.append(FrontierRow(
             j=j,
             d_conjecture=math.ceil(j / k),
@@ -74,8 +74,7 @@ def _frontier_by_scan(k, j_max, d_search_bound=None):
             d_thm25ii=_first_d(lambda d: _thm25ii_fires(d, j, k) is not None,
                                bound),
         ))
-    return FrontierTable(k=k, j_max=j_max, search_bound=d_search_bound,
-                         rows=tuple(rows))
+    return FrontierTable(k=k, j_max=j_max, rows=tuple(rows))
 
 
 def test_power_of_two_helper():
@@ -246,8 +245,6 @@ def test_certificate_checks_rejects_an_unknown_kind():
 @pytest.mark.parametrize("args, message", [
     ((0, 5), "need k >= 1 and j_max >= 1, got k=0, j_max=5"),
     ((2, 0), "need k >= 1 and j_max >= 1, got k=2, j_max=0"),
-    ((2, 5, 0), "search bound must be >= 1, got 0"),
-    ((2, 5, -4), "search bound must be >= 1, got -4"),
 ])
 def test_frontier_table_rejects_bad_arguments(args, message):
     with pytest.raises(ValueError, match=message):
@@ -294,16 +291,6 @@ def test_frontier_criteria_consistent_with_verdicts():
                 assert verdict(dd, r.j, 3).status is Status.IN
 
 
-def test_frontier_search_bound_limits_cells():
-    wide = frontier_table(2, 6)
-    narrow = frontier_table(2, 6, d_search_bound=1)
-    for r_wide, r_narrow in zip(wide.rows, narrow.rows):
-        for attr in ("d_thm1", "d_thm25i", "d_thm25ii"):
-            val = getattr(r_wide, attr)
-            expect = val if (val is not None and val <= 1) else None
-            assert getattr(r_narrow, attr) == expect
-
-
 def test_csv_shape_and_determinism():
     table = frontier_table(2, 8)
     csv1, csv2 = frontier_csv(table), frontier_csv(frontier_table(2, 8))
@@ -322,6 +309,11 @@ def test_json_round_trip():
     assert data["rows"][6]["d_thm25ii"] == 3
 
 
+def test_json_keys_are_k_j_max_and_rows():
+    data = json.loads(frontier_json(frontier_table(2, 4)))
+    assert list(data) == ["k", "j_max", "rows"]
+
+
 def test_verdict_matches_the_scan():
     for k in range(1, 7):
         for j in range(1, 65):
@@ -331,15 +323,14 @@ def test_verdict_matches_the_scan():
                 assert certificate_checks(v)
 
 
-@pytest.mark.parametrize("bound", [None, 5])
-def test_frontier_matches_the_scan(bound):
+def test_frontier_matches_the_scan():
     for k in range(1, 7):
-        table = frontier_table(k, 64, bound)
-        expect = _frontier_by_scan(k, 64, bound)
+        table = frontier_table(k, 64)
+        expect = _frontier_by_scan(k, 64)
         assert table == expect
         assert frontier_csv(table) == frontier_csv(expect)
         assert frontier_json(table) == frontier_json(expect)
-        # every least d0 is at most j, so no bound blanks no cell
+        # every least d0 is at most j, inside the scan's 4j
         assert all(dd is None or dd <= r.j for r in table.rows
                    for dd in (r.d_thm1, r.d_thm25i, r.d_thm25ii))
 
