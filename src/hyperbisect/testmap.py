@@ -25,18 +25,23 @@ numerical check and not an exact one -- passes the tolerance.
 Kernel layout: the lifted points of all j measures sit in one array
 (_Pool), built once per solve from the centred cloud, with, per
 measure, its span of the pooled columns, its weights and its total.
-Scoring a proposal is one matrix product, the k rows multiplied into
-one row of the pooled length, one elementwise pass (tanh or sign) and
-one dot product per measure's slice of that row.  Every step does
-the same floating-point operations, in the same order, as scoring each
-measure on its own, so solver output is bit-identical to the
-per-measure kernel kept in tests/oracles.py.
+Scoring a stack of B proposals (one, for a restart run alone) is one
+matrix product into a (k, B, N) work array, the k rows multiplied in
+place into row 0's contiguous (B, N) block, one elementwise pass over
+that block (tanh in place, or sign into a spare block) and one weighted
+dot product per proposal and measure's slice of the result.  When all
+measures have the same number of points (more than one), those dot
+products are one stacked matrix product, and the squared imbalances
+are added across measures left to right.  Every step does the same
+floating-point operations, in the same order, as scoring each measure
+on its own, so solver output is bit-identical to the per-measure
+kernel kept in tests/oracles.py.
 
 Restarts after the first run in lockstep batches: each iteration, every
 member draws its own proposal from its own generator, and the batch's
 proposals are built and scored together in stacked numpy calls (one
-stacked matrix product, one tanh or sign over the batch, one stacked dot
-product per measure), so the per-call overhead that dominates a small
+stacked matrix product, one tanh or sign over the batch, the stacked
+dot products), so the per-call overhead that dominates a small
 proposal is paid once per batch.  Each stacked call runs the same BLAS
 routine or elementwise operation per member as the single-restart path,
 so every member ends bit for bit where it would alone; tests/oracles.py
@@ -46,11 +51,15 @@ keeps the sequential restart loop as the reference.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .momentcurve import Arrangement, IntervalFamily, OrientedHyperplane
+if TYPE_CHECKING:  # the solver itself never needs the exact layers
+    from .momentcurve import Arrangement, IntervalFamily, OrientedHyperplane
 
 
 class AtInfinityError(ValueError):
@@ -175,6 +184,7 @@ def sphere_to_hyperplane(w) -> OrientedHyperplane:
     if not abs(float(w @ w) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("direction must be a unit vector")
     _refuse_poles(w)
+    from .momentcurve import OrientedHyperplane
     return OrientedHyperplane(tuple(float(x) for x in w[:-1]), -float(w[-1]))
 
 
@@ -212,14 +222,21 @@ class _Pool:
 
     stacked_products(W) gives, for each arrangement of a stack (a single
     one is a stack of one), a row of the pooled length N; spans holds,
-    per measure, the start and stop of its columns, its weights and its
-    total.  The lifted points are kept (N, d+1) row-major for k = 1 and
-    as the contiguous (d+1, N) transpose for k >= 2.  These are the
-    fastest layouts whose BLAS products equal lifted @ W.T taken per
-    measure, bit for bit (at k = 1 the transpose takes another BLAS path
-    and differs).
-    The exception is a one-point measure, which numpy multiplies as a
-    vector on yet another path; its column is recomputed that way.
+    per measure, the start and stop of its columns and its weights, and
+    total_list and totals the measures' totals.  The lifted points are
+    kept (N, d+1) row-major for k = 1 and as the contiguous (d+1, N)
+    transpose for k >= 2.  These are the fastest layouts whose BLAS
+    products equal lifted @ W.T taken per measure, bit for bit (at k = 1
+    the transpose takes another BLAS path and differs).  The exception
+    is a one-point measure, which numpy multiplies as a vector on yet
+    another path; its column is recomputed that way.
+
+    The functional values of a stack of B arrangements sit in k blocks
+    of (B, N) of a work array (see _size_work_array), so the products
+    are taken in place in block 0, contiguous, and every elementwise
+    pass runs on contiguous memory.  When all measures have the same number n >= 2 of points, w_stack
+    holds their weights as (j, n, 1) and stacked_sums is one matrix
+    product; otherwise it is None and the sums are taken per measure.
     """
 
     def __init__(self, measures, k: int, points: np.ndarray | None = None):
@@ -227,48 +244,79 @@ class _Pool:
             points = np.vstack([m.points for m in measures])
         X = np.hstack([points, np.ones((len(points), 1))])
         self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
-        self.stack = np.empty((0, k, len(X)))
-        self.spans = []  # (start, stop, weights, total) per measure
+        self.values = np.empty((k, 0, len(X)))  # see _size_work_array
+        self.spans = []  # (start, stop, weights) per measure
+        self.total_list = [m.total for m in measures]
         self.lone_points = []  # (column, (1, d+1) lifted row)
         start = 0
         for m in measures:
             stop = start + len(m.weights)
-            self.spans.append((start, stop, m.weights, m.total))
+            self.spans.append((start, stop, m.weights))
             if stop - start == 1:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
 
+    # built on first use, so that phi and boundary_mass never pay for them
+    @cached_property
+    def totals(self) -> np.ndarray:
+        return np.array(self.total_list)
+
+    @cached_property
+    def w_stack(self) -> np.ndarray | None:
+        sizes = {len(w) for _, _, w in self.spans}
+        if len(sizes) > 1 or sizes == {1}:
+            return None
+        return np.stack([w[:, None] for _, _, w in self.spans])
+
     def stacked_products(self, W: np.ndarray) -> np.ndarray:
         """Per arrangement of a (B, k, d+1) stack and per point, the
-        product of its k functional values, as (B, N).
+        product of its k functional values, as a contiguous (B, N) array.
 
         The rows are multiplied left to right, as np.prod(axis=1) does on
         the per-measure (n, k) values, and the stacked matmul runs the
         same BLAS call per arrangement, so row b is the per-measure
         kernel's product for W[b], bit for bit, whatever B is.  The
-        result is a view of a work array reused while B does not grow.
+        result is block 0 of the work array, which is reused, with its
+        views, while B stays the same.
         """
         B, k = W.shape[:2]
-        if len(self.stack) < B:
-            self.stack = np.empty((B, k, self.stack.shape[2]))
-        values = self.stack[:B]
+        if self.values.shape[1] != B:
+            self._size_work_array(B, k)
         if k == 1:
-            np.matmul(self.lifted, W.transpose(0, 2, 1),
-                      out=values.reshape(B, -1, 1))
+            np.matmul(self.lifted, W.transpose(0, 2, 1), out=self.out)
         else:
-            np.matmul(W, self.lifted, out=values)
+            np.matmul(W, self.lifted, out=self.out)
         for col, x in self.lone_points:
-            values[:, :, col] = (x @ W.transpose(0, 2, 1))[:, 0]
-        buf = values[:, 0]
-        for r in range(1, k):
-            np.multiply(buf, values[:, r], out=buf)
+            self.rows[:, :, col] = (x @ W.transpose(0, 2, 1))[:, 0].T
+        buf = self.first
+        for row in self.rest:
+            np.multiply(buf, row, out=buf)
         return buf
 
-    def stacked_sums(self, buf: np.ndarray):
-        """Per measure, its total and the (B,) weighted sums of its columns
-        of buf, each the dot product buf[b, start:stop] @ w takes."""
-        for start, stop, w, tot in self.spans:
-            yield tot, (buf[:, None, start:stop] @ w[:, None])[:, 0, 0]
+    def _size_work_array(self, B: int, k: int) -> None:
+        """max(k, 2) blocks of (B, N): the k rows of values, whose
+        products stacked_products takes in place in block 0, and block
+        1, free once they are taken, as spare: numpy's sign runs several
+        times slower in place on contiguous memory than into another
+        array."""
+        self.values = np.empty((max(k, 2), B, self.values.shape[2]))
+        self.rows = self.values[:k]
+        self.first, *self.rest = self.rows
+        self.spare = self.values[1]
+        self.out = (self.rows.reshape(B, -1, 1) if k == 1
+                    else self.rows.transpose(1, 0, 2))
+
+    def stacked_sums(self, buf: np.ndarray) -> np.ndarray:
+        """Per arrangement and measure, the weighted sum of its columns of
+        buf, as (B, j); each sum is the dot product buf[b, start:stop] @ w
+        takes."""
+        w = self.w_stack
+        if w is not None:
+            return (buf.reshape(len(buf), len(w), 1, -1) @ w)[..., 0, 0]
+        sums = np.empty((len(buf), len(self.spans)))
+        for c, (start, stop, w) in enumerate(self.spans):
+            sums[:, c] = (buf[:, None, start:stop] @ w[:, None])[:, 0, 0]
+        return sums
 
 
 def phi(measures, directions) -> np.ndarray:
@@ -279,10 +327,9 @@ def phi(measures, directions) -> np.ndarray:
     """
     W = _direction_matrix(directions, _common_dim(measures))
     pool = _Pool(measures, len(W))
-    buf = pool.stacked_products(W[None])[0]
-    np.sign(buf, out=buf)
-    return np.array([float(buf[start:stop] @ w)
-                     for start, stop, w, _ in pool.spans])
+    signs = np.sign(pool.stacked_products(W[None])[0], out=pool.spare[0])
+    return np.array([float(signs[start:stop] @ w)
+                     for start, stop, w in pool.spans])
 
 
 def boundary_mass(measures, directions) -> np.ndarray:
@@ -291,7 +338,7 @@ def boundary_mass(measures, directions) -> np.ndarray:
     pool = _Pool(measures, len(W))
     buf = pool.stacked_products(W[None])[0]
     return np.array([float(w[buf[start:stop] == 0.0].sum())
-                     for start, stop, w, _ in pool.spans])
+                     for start, stop, w in pool.spans])
 
 
 def psi(measures, join_point: JoinPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -369,10 +416,20 @@ _POLISH_ITERATIONS = 400
 _MIN_STEP = 1e-4
 
 
+def _integer(name: str, value) -> int:
+    """operator.index(value); ValueError for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-2          # max allowed relative imbalance, in (0, 1)
-    seed: int = 0
+    seed: int = 0                    # stored as a plain int
     max_restarts: int = 20
 
     def __post_init__(self) -> None:
@@ -381,6 +438,8 @@ class SolverConfig:
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must lie strictly between 0 and 1, "
                              f"got {self.tolerance}")
+        for name in ("seed", "max_restarts"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_restarts < 1:
@@ -403,16 +462,17 @@ class SolveResult:
     def arrangement(self) -> Arrangement:
         if not self.success:
             raise ValueError("no arrangement: solver reported NOT_FOUND")
+        from .momentcurve import Arrangement
         return Arrangement(tuple(map(sphere_to_hyperplane, self.directions)))
 
     def to_jsonable(self) -> dict:
         out: dict = {"status": self.status, "restarts_used": self.restarts_used,
                      "seed": self.seed}
         if self.success:
+            # the floats arrangement() would carry, read off the directions
             out["arrangement"] = [
-                {"normal": [float(u) for u in h.normal],
-                 "offset": float(h.offset)}
-                for h in self.arrangement().hyperplanes
+                {"normal": [float(x) for x in w[:-1]], "offset": -float(w[-1])}
+                for w in self.directions
             ]
             out["imbalances"] = [float(v) for v in self.imbalances]
             out["relative_imbalances"] = [float(v) for v in
@@ -465,15 +525,15 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
 def _soft_imbalance(pool: _Pool, W, temp) -> float:
     """Sum over measures of the squared relative tanh imbalance.
 
-    One pooled product pass, then tanh(product / temp) in place and one
-    weighted dot product per measure's span.
+    One pooled product pass, then tanh(product / temp) in place and the
+    weighted sums of the measures' spans, added left to right.
     """
-    buf = pool.stacked_products(W[None])[0]
+    buf = pool.stacked_products(W[None])
     np.divide(buf, temp, out=buf)
     np.tanh(buf, out=buf)
     obj = 0.0
-    for start, stop, w, tot in pool.spans:
-        s = float(buf[start:stop] @ w) / tot
+    for s, tot in zip(pool.stacked_sums(buf)[0].tolist(), pool.total_list):
+        s /= tot
         obj += s * s
     return obj
 
@@ -481,37 +541,35 @@ def _soft_imbalance(pool: _Pool, W, temp) -> float:
 def _hard_worst(pool: _Pool, W) -> float:
     """Largest relative sign imbalance over the measures.
 
-    One pooled product pass, then sign in place and one weighted dot
-    product per measure's span.
+    One pooled product pass, then its signs and the weighted sums of the
+    measures' spans.
     """
-    buf = pool.stacked_products(W[None])[0]
-    np.sign(buf, out=buf)
+    signs = np.sign(pool.stacked_products(W[None]), out=pool.spare)
     worst = 0.0
-    for start, stop, w, tot in pool.spans:
-        worst = max(worst, abs(float(buf[start:stop] @ w)) / tot)
+    for s, tot in zip(pool.stacked_sums(signs)[0].tolist(), pool.total_list):
+        worst = max(worst, abs(s) / tot)
     return worst
 
 
 def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
-    """_soft_imbalance of each arrangement of a (B, k, d+1) stack."""
+    """_soft_imbalance of each arrangement of a (B, k, d+1) stack.
+
+    The squares are added across measures left to right, as the single
+    path adds them; np.sum would add eight or more in another order.
+    """
     buf = pool.stacked_products(W)
     np.divide(buf, temp, out=buf)
     np.tanh(buf, out=buf)
-    obj = np.zeros(len(W))
-    for tot, sums in pool.stacked_sums(buf):
-        s = sums / tot
-        obj += s * s
-    return obj
+    s = pool.stacked_sums(buf) / pool.totals
+    np.multiply(s, s, out=s)
+    return np.add.accumulate(s, axis=1)[:, -1]
 
 
 def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
     """_hard_worst of each arrangement of a (B, k, d+1) stack."""
-    buf = pool.stacked_products(W)
-    np.sign(buf, out=buf)
-    worst = np.zeros(len(W))
-    for tot, sums in pool.stacked_sums(buf):
-        np.maximum(worst, np.abs(sums) / tot, out=worst)
-    return worst
+    signs = np.sign(pool.stacked_products(W), out=pool.spare)
+    s = pool.stacked_sums(signs) / pool.totals
+    return np.abs(s, out=s).max(axis=1)
 
 
 def _propose(rng, W: np.ndarray, step: float) -> np.ndarray | None:
@@ -562,29 +620,45 @@ def _single_search(rng, pool: _Pool, k, d, diameter) -> np.ndarray:
     return W
 
 
-def _propose_stacked(rngs, W: np.ndarray, steps: np.ndarray):
-    """_propose for each arrangement of a (B, k, d+1) stack, W[b] drawing
-    from rngs[b]: the candidates and a mask of those _propose returns.
+class _StackedProposals:
+    """_propose for each arrangement of a (B, k, d+1) stack, member b
+    drawing from rngs[b], into work arrays kept for the whole search.
 
-    Each generator draws what _propose draws, in the same order; the
-    arithmetic runs once over the stack.  A rejected candidate keeps
-    its row unnormalised (divided by 1), to be ignored by the caller.
+    Calling it with W and the (B,) steps gives the candidates and a mask
+    of those _propose returns.  Each generator draws what _propose
+    draws, in the same order, through its methods bound once (every row
+    index, then every Gaussian step: the generators are independent);
+    the arithmetic, with commuted operands, runs once over the stack.  A
+    rejected candidate keeps its row unnormalised (divided by 1), to be
+    ignored by the caller; the candidates are overwritten by the next
+    call.
     """
-    B, k, n = W.shape
-    rows = np.empty(B, dtype=np.intp)
-    z = np.empty((B, n))
-    for b, rng in enumerate(rngs):
-        rows[b] = rng.integers(k)
-        rng.standard_normal(out=z[b])
-    z += 0.0  # normal() returns 0.0 + 1.0 * standard_normal(): -0.0 -> 0.0
-    at = (np.arange(B), rows)
-    moved = W[at] + steps[:, None] * z
-    norms = np.sqrt((moved[:, None, :] @ moved[:, :, None])[:, 0, 0])
-    ok = (norms != 0) & moved[:, :-1].any(axis=1)
-    moved /= np.where(ok, norms, 1.0)[:, None]
-    cand = W.copy()
-    cand[at] = moved
-    return cand, ok
+
+    def __init__(self, rngs, k: int, n: int):
+        B = len(rngs)
+        self.k = k
+        self.z = np.empty((B, n))
+        self.integers = [rng.integers for rng in rngs]
+        self.normals = [(rng.standard_normal, z)
+                        for rng, z in zip(rngs, self.z)]
+        self.rows = np.empty(B, dtype=np.intp)
+        self.at = (np.arange(B), self.rows)
+        self.cand = np.empty((B, k, n))
+
+    def __call__(self, W: np.ndarray, steps: np.ndarray):
+        z, at, k = self.z, self.at, self.k
+        self.rows[:] = [integers(k) for integers in self.integers]
+        for standard_normal, out in self.normals:
+            standard_normal(out=out)
+        z += 0.0  # normal() returns 0.0 + 1.0 * standard_normal(): -0.0 -> 0.0
+        z *= steps[:, None]
+        z += W[at]
+        norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+        ok = (norms != 0) & z[:, :-1].any(axis=1)
+        z /= np.where(ok, norms, 1.0)[:, None]
+        np.copyto(self.cand, W)
+        self.cand[at] = z
+        return self.cand, ok
 
 
 def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
@@ -598,12 +672,13 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
     """
     W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
                   for rng in rngs])
+    propose = _StackedProposals(rngs, k, d + 1)
     step = np.full(len(rngs), _INITIAL_STEP)
     for factor in _STAGE_FACTORS:
         temp = factor * diameter
         cur = _soft_imbalances(pool, W, temp)
         for _ in range(_ITERATIONS_PER_STAGE):
-            cand, ok = _propose_stacked(rngs, W, step)
+            cand, ok = propose(W, step)
             val = _soft_imbalances(pool, cand, temp)
             accept = ok & (val <= cur)
             np.copyto(W, cand, where=accept[:, None, None])
@@ -618,7 +693,7 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
     for _ in range(_POLISH_ITERATIONS):
         if not cur.any():
             break
-        cand, ok = _propose_stacked(rngs, W, step)
+        cand, ok = propose(W, step)
         val = _hard_worsts(pool, cand)
         accept = ok & (val <= cur) & (cur > 0.0)
         step = np.where(accept & (val < cur), np.minimum(step * 1.2, 0.5),
@@ -664,6 +739,7 @@ def solve_bisection(measures, k: int,
     of float products, not an exact re-check.
     """
     config = config or SolverConfig()
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     d = _common_dim(measures)

@@ -42,7 +42,7 @@ EXACT_COMMANDS = {
         {"parity", "momentcurve", "polynomials"},
 }
 SOLVE_COMMAND = "solve --input LINE --k 1 --restarts 2"
-SOLVE_MODULES = {"parity", "momentcurve", "polynomials", "testmap"}
+SOLVE_MODULES = {"testmap"}
 # the commands that print or read JSON; the others never load json
 JSON_COMMANDS = {"enumerate 2 2 --params 1,2,3,4,5,6,7,8", SOLVE_COMMAND}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -304,6 +305,24 @@ def test_solver_one_dimensional_median():
     assert arr.k == 1
 
 
+def test_solver_json_carries_the_arrangements_floats():
+    # to_jsonable reads the hyperplanes off the directions; they are the
+    # floats that arrangement() round-trips through OrientedHyperplane
+    rng = np.random.default_rng(6)
+    ms = [DiscreteMeasure(rng.normal(size=(30, 2)) + 4 * i, np.ones(30))
+          for i in range(2)]
+    res = solve_bisection(ms, 2, SolverConfig(seed=1, max_restarts=3))
+    assert res.success
+    rendered = res.to_jsonable()["arrangement"]
+    assert rendered == [{"normal": [float(u) for u in h.normal],
+                         "offset": float(h.offset)}
+                        for h in res.arrangement().hyperplanes]
+    # and as text, since == does not tell -0.0 from 0.0
+    assert json.dumps(rendered) == json.dumps(
+        [{"normal": list(h.normal), "offset": h.offset}
+         for h in res.arrangement().hyperplanes])
+
+
 def _schedule(monkeypatch, iterations_per_stage, polish_iterations,
               initial_step=testmap._INITIAL_STEP):
     """Set the solver's search schedule for one test."""
@@ -446,6 +465,42 @@ def test_solver_config_keeps_three_checked_fields():
     assert SolverConfig(seed=0, max_restarts=1).seed == 0
 
 
+def test_solver_config_stores_plain_integers():
+    config = SolverConfig(seed=np.int64(3), max_restarts=np.int64(2))
+    assert type(config.seed) is int and config.seed == 3
+    assert type(config.max_restarts) is int and config.max_restarts == 2
+
+
+def test_solver_result_with_a_numpy_seed_is_json():
+    m = DiscreteMeasure(np.arange(6.0)[:, None], np.ones(6))
+    result = solve_bisection([m], 1, SolverConfig(seed=np.int64(3)))
+    assert result.success and type(result.seed) is int
+    assert json.loads(json.dumps(result.to_jsonable()))["seed"] == 3
+
+
+@pytest.mark.parametrize("field,value", [("seed", True), ("seed", 1.5),
+                                         ("seed", np.True_), ("seed", "3"),
+                                         ("max_restarts", 2.5),
+                                         ("max_restarts", False)])
+def test_solver_config_refuses_bools_and_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("k", [1.5, True, np.float64(2.0), "2"])
+def test_solver_refuses_a_k_that_is_not_an_integer(k):
+    m = DiscreteMeasure(np.arange(6.0)[:, None], np.ones(6))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        solve_bisection([m], k, SolverConfig(max_restarts=1))
+
+
+def test_solver_accepts_a_numpy_integer_k():
+    m = DiscreteMeasure(np.arange(6.0)[:, None], np.ones(6))
+    config = SolverConfig(max_restarts=2)
+    assert (solve_bisection([m], np.int64(1), config).to_jsonable()
+            == solve_bisection([m], 1, config).to_jsonable())
+
+
 def test_solver_validates_measures():
     with pytest.raises(ValueError, match="at least one measure"):
         solve_bisection([], 1)
@@ -571,6 +626,53 @@ def test_pooled_kernel_single_one_point_measure():
                 == hard_worst(lifted, [m.weights], [m.total], W))
 
 
+def _equal_instance(rng, j, d, n=13):
+    """j measures of n points each, with non-uniform weights, plus their
+    per-measure oracle input: the pool sums them in one stacked product."""
+    ms = [DiscreteMeasure(rng.normal(size=(n, d)) * 4 + 7,
+                          rng.uniform(0.2, 3.0, n)) for _ in range(j)]
+    return ms, centred_lifted(ms)
+
+
+def _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k):
+    weights = [m.weights for m in ms]
+    totals = [m.total for m in ms]
+    pool = _pool(ms, k)
+    d = ms[0].dim
+    stack = np.stack([_random_directions(rng, k, d) for _ in range(6)])
+    for temp in (2.5, 0.3, 0.02, 1e-4):
+        want = [soft_imbalance(lifted, weights, totals, W, temp)
+                for W in stack]
+        assert testmap._soft_imbalances(pool, stack, temp).tolist() == want
+        assert [testmap._soft_imbalance(pool, W, temp)
+                for W in stack] == want
+    want = [hard_worst(lifted, weights, totals, W) for W in stack]
+    assert testmap._hard_worsts(pool, stack).tolist() == want
+    assert [testmap._hard_worst(pool, W) for W in stack] == want
+
+
+@pytest.mark.parametrize("j", [2, 8, 9])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_pooled_kernel_equals_per_measure_kernel_on_equal_sizes(j, k, d):
+    # equal sizes take the one stacked reduction over all measures, whose
+    # squares must still be added left to right (np.sum adds eight or
+    # more in another order)
+    rng = np.random.default_rng(1000 * j + 100 * k + d)
+    ms, lifted = _equal_instance(rng, j, d)
+    assert _pool(ms, k).w_stack is not None
+    _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_scorers_equal_per_measure_kernel_on_unequal_sizes(k):
+    rng = np.random.default_rng(70 + k)
+    for d in (1, 3):
+        ms, lifted = _kernel_instance(rng, d)
+        assert _pool(ms, k).w_stack is None
+        _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
+
+
 @pytest.mark.parametrize("k,d", [(1, 1), (1, 2), (2, 2)])
 def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
     # solve once with the pooled kernel and once with the per-measure
@@ -636,6 +738,63 @@ def test_lockstep_search_equals_single_searches(k, d, short_schedule):
     seeds = [7 * k + d + i for i in range(4)]
     _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], ms, k)
+
+
+@pytest.mark.parametrize("j", [2, 8, 9])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lockstep_search_equals_single_searches_on_equal_sizes(j, k, d,
+                                                              short_schedule):
+    ms, _ = _equal_instance(np.random.default_rng(400 + 100 * j + 10 * k + d),
+                            j, d)
+    seeds = [3 * j + 7 * k + d + i for i in range(3)]
+    _assert_lockstep_equals_single(
+        lambda: [np.random.default_rng(s) for s in seeds], ms, k)
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
+                                                          short_schedule):
+    # max_restarts=2 runs restart 2 as a lockstep batch of one; a
+    # tolerance between the two restarts' imbalances makes it the winner
+    rng = np.random.default_rng(80)
+    sizes = (20, 20, 20) if equal else (14, 20, 27)
+    ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
+                          rng.uniform(0.5, 2.0, n)) for n in sizes]
+    wins = []
+    for seed in range(30):
+        config = SolverConfig(seed=seed, max_restarts=2)
+        first, second = [float(rel.max()) for _, _, rel in
+                         sequential_restarts(ms, 2, config)]
+        if second < min(first, 1.0):
+            wins.append(dataclasses.replace(config, tolerance=second))
+    assert wins
+    for config in wins[:3]:
+        batched = solve_bisection(ms, 2, config)
+        reference = solve_bisection_sequentially(ms, 2, config)
+        assert batched.restarts_used == reference.restarts_used == 2
+        assert batched.to_jsonable() == reference.to_jsonable()
+        assert batched.directions.tobytes() == reference.directions.tobytes()
+
+
+def test_solver_matches_sequential_restarts_on_eight_gaussian_clouds(
+        short_schedule):
+    # the shape of the benchmark's hardest certified instance: eight
+    # equal Gaussian clouds of 300 points in R^4, bisected by 2 hyperplanes
+    rng = np.random.default_rng(90)
+    ms = [DiscreteMeasure(rng.normal(size=(300, 4)) + rng.uniform(-3, 3, 4),
+                          np.ones(300)) for _ in range(8)]
+    config = SolverConfig(seed=2, max_restarts=4)
+    rels = [float(rel.max()) for _, _, rel in
+            sequential_restarts(ms, 2, config)]
+    for tol in sorted({r for r in rels if r < 1})[:2] + [1e-3]:
+        config = dataclasses.replace(config, tolerance=tol)
+        batched = solve_bisection(ms, 2, config)
+        reference = solve_bisection_sequentially(ms, 2, config)
+        assert batched.to_jsonable() == reference.to_jsonable()
+        if reference.success:
+            assert (batched.directions.tobytes()
+                    == reference.directions.tobytes())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
