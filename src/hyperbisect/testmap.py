@@ -37,15 +37,18 @@ floating-point operations, in the same order, as scoring each measure
 on its own, so solver output is bit-identical to the per-measure
 kernel kept in tests/oracles.py.
 
-Restarts after the first run in lockstep batches: each iteration, every
-member draws its own proposal from its own generator, and the batch's
-proposals are built and scored together in stacked numpy calls (one
-stacked matrix product, one tanh or sign over the batch, the stacked
-dot products), so the per-call overhead that dominates a small
-proposal is paid once per batch.  Each stacked call runs the same BLAS
-routine or elementwise operation per member as the single-restart path,
-so every member ends bit for bit where it would alone; tests/oracles.py
-keeps the sequential restart loop as the reference.
+Every restart, alone or in a batch, is scored by the same two stacked
+functions, one per objective (_soft_imbalances, _hard_worsts).  The
+first restart runs alone and scores each proposal as a stack of one.
+The others run in lockstep batches: each iteration, every member draws
+its own proposal from its own generator, and the batch's proposals are
+built and scored together in stacked numpy calls (one stacked matrix
+product, one tanh or sign over the batch, the stacked dot products), so
+the per-call overhead that dominates a small proposal is paid once per
+batch.  Each stacked call runs the same BLAS routine or elementwise
+operation per member as a stack of one, so every member ends bit for
+bit where it would alone; tests/oracles.py keeps the sequential restart
+loop as the reference.
 """
 
 from __future__ import annotations
@@ -198,6 +201,8 @@ def _direction_matrix(directions, d: int | None = None) -> np.ndarray:
     W = np.asarray(directions, dtype=float)
     if W.ndim != 2:
         raise ValueError(f"directions must be (k, d+1), got shape {W.shape}")
+    if not len(W):
+        raise ValueError("need at least one direction (k >= 1), got none")
     if d is not None and W.shape[1] != d + 1:
         raise ValueError(f"directions live in R^{W.shape[1]}, measures in R^{d}")
     if not np.isfinite(W).all():
@@ -223,20 +228,21 @@ class _Pool:
     stacked_products(W) gives, for each arrangement of a stack (a single
     one is a stack of one), a row of the pooled length N; spans holds,
     per measure, the start and stop of its columns and its weights, and
-    total_list and totals the measures' totals.  The lifted points are
-    kept (N, d+1) row-major for k = 1 and as the contiguous (d+1, N)
-    transpose for k >= 2.  These are the fastest layouts whose BLAS
-    products equal lifted @ W.T taken per measure, bit for bit (at k = 1
-    the transpose takes another BLAS path and differs).  The exception
-    is a one-point measure, which numpy multiplies as a vector on yet
-    another path; its column is recomputed that way.
+    totals the measures' totals.  The lifted points are kept (N, d+1)
+    row-major for k = 1 and as the contiguous (d+1, N) transpose for
+    k >= 2.  These are the fastest layouts whose BLAS products equal
+    lifted @ W.T taken per measure, bit for bit (at k = 1 the transpose
+    takes another BLAS path and differs).  The exception is a one-point
+    measure, which numpy multiplies as a vector on yet another path; its
+    column is recomputed that way.
 
     The functional values of a stack of B arrangements sit in k blocks
     of (B, N) of a work array (see _size_work_array), so the products
     are taken in place in block 0, contiguous, and every elementwise
-    pass runs on contiguous memory.  When all measures have the same number n >= 2 of points, w_stack
-    holds their weights as (j, n, 1) and stacked_sums is one matrix
-    product; otherwise it is None and the sums are taken per measure.
+    pass runs on contiguous memory.  When all measures have the same
+    number n >= 2 of points, w_stack holds their weights as (j, n, 1)
+    and stacked_sums is one matrix product; otherwise it is None and
+    the sums are taken per measure.
     """
 
     def __init__(self, measures, k: int, points: np.ndarray | None = None):
@@ -246,7 +252,7 @@ class _Pool:
         self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
         self.values = np.empty((k, 0, len(X)))  # see _size_work_array
         self.spans = []  # (start, stop, weights) per measure
-        self.total_list = [m.total for m in measures]
+        self.totals = np.array([m.total for m in measures])
         self.lone_points = []  # (column, (1, d+1) lifted row)
         start = 0
         for m in measures:
@@ -256,11 +262,7 @@ class _Pool:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
 
-    # built on first use, so that phi and boundary_mass never pay for them
-    @cached_property
-    def totals(self) -> np.ndarray:
-        return np.array(self.total_list)
-
+    # built on first use, so that phi and boundary_mass never pay for it
     @cached_property
     def w_stack(self) -> np.ndarray | None:
         sizes = {len(w) for _, _, w in self.spans}
@@ -522,40 +524,14 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
     return _normalize_rows(np.hstack([u, v * radius - u @ center[:, None]]))
 
 
-def _soft_imbalance(pool: _Pool, W, temp) -> float:
-    """Sum over measures of the squared relative tanh imbalance.
+def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
+    """Per arrangement of a (B, k, d+1) stack, the sum over measures of
+    the squared relative tanh imbalance.
 
     One pooled product pass, then tanh(product / temp) in place and the
-    weighted sums of the measures' spans, added left to right.
-    """
-    buf = pool.stacked_products(W[None])
-    np.divide(buf, temp, out=buf)
-    np.tanh(buf, out=buf)
-    obj = 0.0
-    for s, tot in zip(pool.stacked_sums(buf)[0].tolist(), pool.total_list):
-        s /= tot
-        obj += s * s
-    return obj
-
-
-def _hard_worst(pool: _Pool, W) -> float:
-    """Largest relative sign imbalance over the measures.
-
-    One pooled product pass, then its signs and the weighted sums of the
-    measures' spans.
-    """
-    signs = np.sign(pool.stacked_products(W[None]), out=pool.spare)
-    worst = 0.0
-    for s, tot in zip(pool.stacked_sums(signs)[0].tolist(), pool.total_list):
-        worst = max(worst, abs(s) / tot)
-    return worst
-
-
-def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
-    """_soft_imbalance of each arrangement of a (B, k, d+1) stack.
-
-    The squares are added across measures left to right, as the single
-    path adds them; np.sum would add eight or more in another order.
+    weighted sums of the measures' spans.  The squares are added across
+    measures left to right, as a sum taken one measure at a time adds
+    them; np.sum would add eight or more in another order.
     """
     buf = pool.stacked_products(W)
     np.divide(buf, temp, out=buf)
@@ -566,7 +542,8 @@ def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
 
 
 def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
-    """_hard_worst of each arrangement of a (B, k, d+1) stack."""
+    """Per arrangement of a (B, k, d+1) stack, the largest relative sign
+    imbalance over the measures."""
     signs = np.sign(pool.stacked_products(W), out=pool.spare)
     s = pool.stacked_sums(signs) / pool.totals
     return np.abs(s, out=s).max(axis=1)
@@ -590,19 +567,19 @@ def _single_search(rng, pool: _Pool, k, d, diameter) -> np.ndarray:
     step = _INITIAL_STEP
     for factor in _STAGE_FACTORS:
         temp = factor * diameter
-        cur = _soft_imbalance(pool, W, temp)
+        cur = _soft_imbalances(pool, W[None], temp)[0]
         for _ in range(_ITERATIONS_PER_STAGE):
             cand = _propose(rng, W, step)
             if cand is None:
                 continue
-            val = _soft_imbalance(pool, cand, temp)
+            val = _soft_imbalances(pool, cand[None], temp)[0]
             if val <= cur:
                 W, cur = cand, val
                 step = min(step * 1.25, 2.0)
             else:
                 step = max(step * 0.85, _MIN_STEP)
     # hard-sign polish: walk directly on the sign imbalance
-    cur = _hard_worst(pool, W)
+    cur = _hard_worsts(pool, W[None])[0]
     step = 0.1
     for _ in range(_POLISH_ITERATIONS):
         if cur == 0.0:
@@ -610,7 +587,7 @@ def _single_search(rng, pool: _Pool, k, d, diameter) -> np.ndarray:
         cand = _propose(rng, W, step)
         if cand is None:
             continue
-        val = _hard_worst(pool, cand)
+        val = _hard_worsts(pool, cand[None])[0]
         if val <= cur:
             if val < cur:
                 step = min(step * 1.2, 0.5)
@@ -704,9 +681,10 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
     return W
 
 
-# Restarts after the first run in lockstep batches of at most this many
-# (bounding the stacked work arrays at O(32·k·N)); a batch of one runs
-# _single_search, which is faster alone.
+# Restarts after the first run in lockstep batches of at most this many,
+# which bounds the stacked work arrays at 32·max(k, 2)·N floats.  Only the
+# first restart runs in _single_search, which is faster than a batch of
+# one; a later batch of one runs in _lockstep_search all the same.
 _LOCKSTEP_BATCH = 32
 
 
@@ -749,7 +727,6 @@ def solve_bisection(measures, k: int,
     centered = (pts - center) / radius
     pool = _Pool(measures, k, centered)
     diameter = _data_diameter(centered)
-    totals = np.array([m.total for m in measures])
     for batch, rngs in _restart_batches(config.seed, config.max_restarts):
         if len(rngs) == 1:
             found = [_single_search(rngs[0], pool, k, d, diameter)]
@@ -758,7 +735,7 @@ def solve_bisection(measures, k: int,
         for idx, W in zip(batch, found):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)
-            rel = np.abs(imb) / totals
+            rel = np.abs(imb) / pool.totals
             if float(rel.max()) <= config.tolerance:
                 return SolveResult(status="SUCCESS", directions=W,
                                    imbalances=imb, relative_imbalances=rel,
@@ -800,6 +777,8 @@ def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
             ws = [p["w"] for p in m["points"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"measure {m_idx} malformed: {exc}") from exc
+        if not pts:
+            raise ValueError(f"measure {m_idx} malformed: it has no points")
         if not all(isinstance(x, list) and len(x) == d
                    and all(map(_is_json_number, x)) for x in pts):
             raise ValueError(f"measure {m_idx}: each x must be a list of "

@@ -178,17 +178,15 @@ def verdict(d: int, j: int, k: int) -> LambdaVerdict:
         return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH),
                              witness_d0=j)
 
-    for kind, least in ((THM25_I, _least_thm25i(j, k)),
-                        (THM25_II, _least_thm25ii(j, k))):
+    # each criterion is monotone in d: it applies from its least d0 on
+    for kind, least_of in ((THM25_I, _least_thm25i),
+                           (THM25_II, _least_thm25ii),
+                           (THM1_IDEAL, _least_thm1)):
+        least = least_of(j, k)
         if least is not None and least[0] <= d:
-            break
-    else:
-        # membership is monotone in d, so one query at d decides THM1
-        if not _thm1_fires(d, j, k):
-            return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
-        kind, least = THM1_IDEAL, _least_thm1(j, k)
-    return LambdaVerdict(d, j, k, Status.IN, Certificate(kind, *least),
-                         witness_d0=least[0])
+            return LambdaVerdict(d, j, k, Status.IN, Certificate(kind, *least),
+                                 witness_d0=least[0])
+    return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
 
 
 def certificate_checks(v: LambdaVerdict) -> bool:

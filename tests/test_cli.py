@@ -710,8 +710,9 @@ def test_lambda_table_bad_k_is_usage_error(capsys):
 def test_solve_schema_violation(capsys, tmp_path):
     bad = tmp_path / "schema.json"
     bad.write_text(json.dumps({"d": 2, "measures": [{"points": []}]}))
-    code, _, _ = _run(capsys, ["solve", "--input", str(bad), "--k", "2"])
+    code, _, err = _run(capsys, ["solve", "--input", str(bad), "--k", "2"])
     assert code == 3
+    assert err == "error: measure 0 malformed: it has no points\n"
 
 
 def test_usage_errors_exit_two(capsys):

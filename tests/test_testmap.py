@@ -147,6 +147,8 @@ def test_phi_and_boundary_mass_validate_measures(fn):
              DiscreteMeasure(np.ones((2, 3)), np.ones(2))]
     with pytest.raises(ValueError, match="mixed dimension"):
         fn(mixed, np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="at least one direction"):
+        fn(mixed[:1], np.zeros((0, 3)))
 
 
 def test_phi_rejects_poles():
@@ -396,6 +398,7 @@ def test_measure_json_rejects_dimension_below_one(d):
     {"points": [[1.0, 1.0]]},                # a point that is no object
     {"points": 3},                           # points that are no list
     "nope",                                  # a measure that is no object
+    {"points": []},                          # a measure with no points
 ])
 def test_measure_json_rejects_malformed_measures(measure):
     with pytest.raises(ValueError, match="measure 0 malformed"):
@@ -583,9 +586,9 @@ def test_pooled_kernel_equals_per_measure_kernel(k, d):
         for _ in range(4):
             W = _random_directions(rng, k, d)
             for temp in (2.5, 0.3, 0.02, 1e-4):
-                assert (testmap._soft_imbalance(pool, W, temp)
+                assert (testmap._soft_imbalances(pool, W[None], temp)[0]
                         == soft_imbalance(lifted, weights, totals, W, temp))
-            assert (testmap._hard_worst(pool, W)
+            assert (testmap._hard_worsts(pool, W[None])[0]
                     == hard_worst(lifted, weights, totals, W))
         W = _random_directions(rng, k, d)
         prods = [signed_products(m, W) for m in ms]
@@ -620,9 +623,9 @@ def test_pooled_kernel_single_one_point_measure():
     for k in (1, 2, 3):
         W = _random_directions(np.random.default_rng(k), k, 2)
         lifted = centred_lifted([m])
-        assert (testmap._soft_imbalance(_pool([m], k), W, 0.7)
+        assert (testmap._soft_imbalances(_pool([m], k), W[None], 0.7)[0]
                 == soft_imbalance(lifted, [m.weights], [m.total], W, 0.7))
-        assert (testmap._hard_worst(_pool([m], k), W)
+        assert (testmap._hard_worsts(_pool([m], k), W[None])[0]
                 == hard_worst(lifted, [m.weights], [m.total], W))
 
 
@@ -644,11 +647,12 @@ def _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k):
         want = [soft_imbalance(lifted, weights, totals, W, temp)
                 for W in stack]
         assert testmap._soft_imbalances(pool, stack, temp).tolist() == want
-        assert [testmap._soft_imbalance(pool, W, temp)
+        # each arrangement as a stack of one, as a restart run alone
+        assert [testmap._soft_imbalances(pool, W[None], temp)[0]
                 for W in stack] == want
     want = [hard_worst(lifted, weights, totals, W) for W in stack]
     assert testmap._hard_worsts(pool, stack).tolist() == want
-    assert [testmap._hard_worst(pool, W) for W in stack] == want
+    assert [testmap._hard_worsts(pool, W[None])[0] for W in stack] == want
 
 
 @pytest.mark.parametrize("j", [2, 8, 9])
@@ -673,33 +677,62 @@ def test_stacked_scorers_equal_per_measure_kernel_on_unequal_sizes(k):
         _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
 
 
-@pytest.mark.parametrize("k,d", [(1, 1), (1, 2), (2, 2)])
-def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
+def _assert_solver_matches_the_per_measure_kernel(monkeypatch, ms, k, cfg):
     # solve once with the pooled kernel and once with the per-measure
-    # oracle in its place: identical directions, bit for bit
-    rng = np.random.default_rng(30 + 10 * k + d)
-    ms = [DiscreteMeasure(rng.normal(size=(n, d)) + 3, np.ones(n))
-          for n in (40, 24)[:d]]
-    cfg = SolverConfig(seed=5, max_restarts=4)
+    # oracle scoring each row of every stack, the first restart's and
+    # the lockstep batches': identical directions, bit for bit; returns
+    # the result and the sizes of the stacks the oracle scored
     pooled = solve_bisection(ms, k, cfg)
     assert pooled.success
 
     lifted = centred_lifted(ms)
     weights = [m.weights for m in ms]
     totals = [m.total for m in ms]
-    calls = []
+    stacks = []
 
     def soft(pool, W, temp):
-        calls.append(1)
-        return soft_imbalance(lifted, weights, totals, W, temp)
+        stacks.append(len(W))
+        return np.array([soft_imbalance(lifted, weights, totals, w, temp)
+                         for w in W])
 
-    monkeypatch.setattr(testmap, "_soft_imbalance", soft)
-    monkeypatch.setattr(testmap, "_hard_worst",
-                        lambda pool, W: hard_worst(lifted, weights, totals, W))
-    oracle = solve_bisection(ms, k, cfg)
-    assert calls
+    def hard(pool, W):
+        return np.array([hard_worst(lifted, weights, totals, w) for w in W])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(testmap, "_soft_imbalances", soft)
+        patch.setattr(testmap, "_hard_worsts", hard)
+        oracle = solve_bisection(ms, k, cfg)
+    assert stacks
     assert oracle.directions.tobytes() == pooled.directions.tobytes()
     assert oracle.to_jsonable() == pooled.to_jsonable()
+    return pooled, stacks
+
+
+@pytest.mark.parametrize("k,d", [(1, 1), (1, 2), (2, 2)])
+def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
+    rng = np.random.default_rng(30 + 10 * k + d)
+    ms = [DiscreteMeasure(rng.normal(size=(n, d)) + 3, np.ones(n))
+          for n in (40, 24)[:d]]
+    _assert_solver_matches_the_per_measure_kernel(
+        monkeypatch, ms, k, SolverConfig(seed=5, max_restarts=4))
+
+
+def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
+        monkeypatch, short_schedule):
+    # a tolerance at a later restart's own imbalance, below the earlier
+    # ones', so that the winner comes out of a lockstep batch
+    rng = np.random.default_rng(33)
+    ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
+                          rng.uniform(0.5, 2.0, n)) for n in (30, 22)]
+    config = SolverConfig(seed=5, max_restarts=4)
+    rels = [float(rel.max()) for _, _, rel in
+            sequential_restarts(ms, 2, config)]
+    wins = [r for i, r in enumerate(rels) if i and r < min(rels[:i] + [1.0])]
+    assert wins
+    config = dataclasses.replace(config, tolerance=wins[0])
+    result, stacks = _assert_solver_matches_the_per_measure_kernel(
+        monkeypatch, ms, 2, config)
+    assert result.restarts_used >= 2 and max(stacks) > 1
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)
@@ -878,8 +911,8 @@ def test_lockstep_polish_drops_members_that_reach_zero(monkeypatch):
     _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
     pool = _search_args([m], 1)[0]
-    worst = [testmap._hard_worst(pool, testmap._single_search(
-        np.random.default_rng(s), *_search_args([m], 1)))
+    worst = [testmap._hard_worsts(pool, testmap._single_search(
+        np.random.default_rng(s), *_search_args([m], 1))[None])[0]
         for s in seeds]
     assert 0.0 in worst and max(worst) > 0.0
 
