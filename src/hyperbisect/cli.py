@@ -65,13 +65,19 @@ def _emit_json(data) -> None:
     _emit(json.dumps(data, indent=2))
 
 
+def _emit_format(args, data, text: str) -> None:
+    """data as JSON under --format json, text otherwise."""
+    if args.format == "json":
+        _emit_json(data)
+    else:
+        _emit(text)
+
+
 def _cmd_lambda_check(args) -> int:
     v = this.verdict(args.d, args.j, args.k)
-    if args.format == "json":
-        _emit_json(v.to_jsonable())
-    else:
-        _emit(f"(d={v.d}, j={v.j}, k={v.k}): {v.status}\n"
-              f"certificate: {v.certificate}")
+    _emit_format(args, v.to_jsonable(),
+                 f"(d={v.d}, j={v.j}, k={v.k}): {v.status}\n"
+                 f"certificate: {v.certificate}")
     if args.expect_in and v.status is not this.Status.IN:
         return 1
     return 0
@@ -105,31 +111,23 @@ def _cmd_ideal_member(args) -> int:
     if member != (count == 0):  # raised, so python -O keeps the cross-check
         raise RuntimeError(f"ideal_member says {member} but "
                            f"{count} monomials survive")
-    if args.format == "json":
-        _emit_json({"d": args.d, "j": args.j, "k": args.k,
-                    "member": member, "surviving_monomials": count})
-    else:
-        _emit(f"member={'true' if member else 'false'} "
-              f"surviving_monomials={count}")
+    _emit_format(args, {"d": args.d, "j": args.j, "k": args.k,
+                        "member": member, "surviving_monomials": count},
+                 f"member={'true' if member else 'false'} "
+                 f"surviving_monomials={count}")
     return 0
 
 
 def _cmd_parity_lemma1(args) -> int:
     p = this.equal_blocks_parity(args.d, args.k)
-    if args.format == "json":
-        _emit_json({"d": args.d, "k": args.k, "parity": str(p)})
-    else:
-        _emit(str(p))
+    _emit_format(args, {"d": args.d, "k": args.k, "parity": str(p)}, str(p))
     return 0
 
 
 def _cmd_parity_lemma2(args) -> int:
     p = this.anchored_blocks_parity(args.d, args.k, args.ell)
-    if args.format == "json":
-        _emit_json({"d": args.d, "k": args.k, "ell": args.ell,
-                    "parity": str(p)})
-    else:
-        _emit(str(p))
+    _emit_format(args, {"d": args.d, "k": args.k, "ell": args.ell,
+                        "parity": str(p)}, str(p))
     return 0
 
 
@@ -159,10 +157,8 @@ def _cmd_count(args) -> int:
                          f"than the {limit} Python converts to a string "
                          f"(sys.get_int_max_str_digits())")
     n = this.count_bisections(args.d, args.k, args.ell)
-    if args.format == "json":
-        _emit_json({"d": args.d, "k": args.k, "ell": args.ell, "count": n})
-    else:
-        _emit(str(n))
+    _emit_format(args, {"d": args.d, "k": args.k, "ell": args.ell,
+                        "count": n}, str(n))
     return 0
 
 

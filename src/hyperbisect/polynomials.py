@@ -65,16 +65,10 @@ def divide(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     dq, lead = len(q) - 1, q[-1]
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quot[shift] = factor
+    quot = [Fraction(0)] * max(len(p) - dq, 0)
+    for shift in reversed(range(len(quot))):
+        factor = quot[shift] = rem[shift + dq] / lead
         for i, c in enumerate(q):
             rem[shift + i] -= factor * c
     return make(quot), make(rem)

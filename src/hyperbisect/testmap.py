@@ -38,11 +38,13 @@ on its own, so solver output is bit-identical to the per-measure
 kernel kept in tests/oracles.py.
 
 Every restart, alone or in a batch, is scored by the same two stacked
-functions, one per objective (_soft_imbalances, _hard_worsts).  The
-first restart runs alone and scores each proposal as a stack of one.
-The others run in lockstep batches: each iteration, every member draws
-its own proposal from its own generator, and the batch's proposals are
-built and scored together in stacked numpy calls (one stacked matrix
+functions, one per objective (_soft_imbalances, _hard_worsts); phi, the
+polish's sign objective and the success check read one signed-sum
+kernel (_signed_sums).  The first restart, and a last batch of one,
+run alone and score each proposal as a stack of one.  The others run
+in lockstep batches: each iteration, every member draws its own
+proposal from its own generator, and the batch's proposals are built
+and scored together in stacked numpy calls (one stacked matrix
 product, one tanh or sign over the batch, the stacked dot products), so
 the per-call overhead that dominates a small proposal is paid once per
 batch.  Each stacked call runs the same BLAS routine or elementwise
@@ -56,7 +58,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -197,13 +198,13 @@ def hyperplane_to_sphere_point(h: OrientedHyperplane) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _direction_matrix(directions, d: int | None = None) -> np.ndarray:
+def _direction_matrix(directions, d: int) -> np.ndarray:
     W = np.asarray(directions, dtype=float)
     if W.ndim != 2:
         raise ValueError(f"directions must be (k, d+1), got shape {W.shape}")
     if not len(W):
         raise ValueError("need at least one direction (k >= 1), got none")
-    if d is not None and W.shape[1] != d + 1:
+    if W.shape[1] != d + 1:
         raise ValueError(f"directions live in R^{W.shape[1]}, measures in R^{d}")
     if not np.isfinite(W).all():
         raise ValueError("directions must be finite")
@@ -240,9 +241,9 @@ class _Pool:
     of (B, N) of a work array (see _size_work_array), so the products
     are taken in place in block 0, contiguous, and every elementwise
     pass runs on contiguous memory.  When all measures have the same
-    number n >= 2 of points, w_stack holds their weights as (j, n, 1)
-    and stacked_sums is one matrix product; otherwise it is None and
-    the sums are taken per measure.
+    number n >= 2 of points, w_stack, built with the pool, holds their
+    weights as (j, n, 1) and stacked_sums is one matrix product;
+    otherwise it is None and the sums are taken per measure.
     """
 
     def __init__(self, measures, k: int, points: np.ndarray | None = None):
@@ -261,14 +262,10 @@ class _Pool:
             if stop - start == 1:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
-
-    # built on first use, so that phi and boundary_mass never pay for it
-    @cached_property
-    def w_stack(self) -> np.ndarray | None:
-        sizes = {len(w) for _, _, w in self.spans}
-        if len(sizes) > 1 or sizes == {1}:
-            return None
-        return np.stack([w[:, None] for _, _, w in self.spans])
+        sizes = {len(m.weights) for m in measures}
+        self.w_stack = (np.concatenate([m.weights for m in measures])
+                        .reshape(len(measures), -1, 1)
+                        if len(sizes) == 1 and sizes != {1} else None)
 
     def stacked_products(self, W: np.ndarray) -> np.ndarray:
         """Per arrangement of a (B, k, d+1) stack and per point, the
@@ -328,10 +325,13 @@ def phi(measures, directions) -> np.ndarray:
     for measure i means the arrangement bisects it.
     """
     W = _direction_matrix(directions, _common_dim(measures))
-    pool = _Pool(measures, len(W))
-    signs = np.sign(pool.stacked_products(W[None])[0], out=pool.spare[0])
-    return np.array([float(signs[start:stop] @ w)
-                     for start, stop, w in pool.spans])
+    return _signed_sums(_Pool(measures, len(W)), W[None])[0]
+
+
+def _signed_sums(pool: _Pool, W: np.ndarray) -> np.ndarray:
+    """Per arrangement of a (B, k, d+1) stack and measure, phi: the
+    weighted sum of the signs of the products, as (B, j)."""
+    return pool.stacked_sums(np.sign(pool.stacked_products(W), out=pool.spare))
 
 
 def boundary_mass(measures, directions) -> np.ndarray:
@@ -544,8 +544,7 @@ def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
 def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
     """Per arrangement of a (B, k, d+1) stack, the largest relative sign
     imbalance over the measures."""
-    signs = np.sign(pool.stacked_products(W), out=pool.spare)
-    s = pool.stacked_sums(signs) / pool.totals
+    s = _signed_sums(pool, W) / pool.totals
     return np.abs(s, out=s).max(axis=1)
 
 
@@ -682,9 +681,9 @@ def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
 
 
 # Restarts after the first run in lockstep batches of at most this many,
-# which bounds the stacked work arrays at 32·max(k, 2)·N floats.  Only the
-# first restart runs in _single_search, which is faster than a batch of
-# one; a later batch of one runs in _lockstep_search all the same.
+# which bounds the stacked work arrays at 32·max(k, 2)·N floats.  Every
+# batch of one, the first restart's and a last one alike, runs in
+# _single_search, which is faster than _lockstep_search on one generator.
 _LOCKSTEP_BATCH = 32
 
 
@@ -709,12 +708,13 @@ def solve_bisection(measures, k: int,
 
     Deterministic in (measures, k, config): restart r uses the r-th
     spawn of the seed sequence.  The first restart runs alone, the
-    others in lockstep batches of up to _LOCKSTEP_BATCH; each batch is
-    checked in index order and the first success wins, so the result is
-    the one running every restart alone, in order, gives.  Success means
-    that phi of the directions, mapped back to the input frame, is
-    within the tolerance relative to each measure's total: float signs
-    of float products, not an exact re-check.
+    others in lockstep batches of up to _LOCKSTEP_BATCH (a batch of one
+    alone); each batch is checked in index order and the first success
+    wins, so the result is the one running every restart alone, in
+    order, gives.  Success means that phi of the directions, mapped
+    back to the input frame, is within the tolerance relative to each
+    measure's total: float signs of float products, not an exact
+    re-check.
     """
     config = config or SolverConfig()
     k = _integer("k", k)

@@ -3,7 +3,8 @@
 The truncated F2 expansion of (t_1 + ... + t_k)^j that
 hyperbisect.gf2poly's closed forms and its bit-dealing listing are
 checked against, search oracles for the closed forms, the loop over a
-that THM25_II's least dimension was found by, polynomials built
+that THM25_II's least dimension was found by, the trimming long
+division that polynomials.divide replaced, polynomials built
 from their roots, the lcm-denominator and Fraction kernels for root-set
 hyperplanes, the tuple-partition enumeration that the small-integer
 enumeration in hyperbisect.momentcurve replaced, an exact
@@ -175,6 +176,29 @@ def canonical_arrangement(arr: Arrangement) -> Arrangement:
     """The arrangement's canonical hyperplanes, sorted by their keys."""
     return Arrangement(tuple(sorted((h.canonical() for h in arr.hyperplanes),
                                     key=OrientedHyperplane.sort_key)))
+
+
+def divide_by_trimming(p: poly.Coeffs, q: poly.Coeffs
+                       ) -> tuple[poly.Coeffs, poly.Coeffs]:
+    """Quotient and remainder of nonzero q, by long division that trims
+    the remainder's zero top before each step and stops once it is zero
+    or of lower degree than q."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    dq, lead = len(q) - 1, q[-1]
+    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dq:
+            break
+        shift = len(rem) - 1 - dq
+        factor = rem[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+    return poly.make(quot), poly.make(rem)
 
 
 def from_roots(roots) -> poly.Coeffs:

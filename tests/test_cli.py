@@ -196,6 +196,43 @@ def test_parity_and_count_json_bytes(capsys, argv, expect):
     assert out == expect
 
 
+@pytest.mark.parametrize("argv, text, json_out", [
+    (["lambda", "check", "2", "4", "2"],
+     "(d=2, j=4, k=2): IN\ncertificate: THM25_I(d0=2, a=1)\n",
+     '{\n  "d": 2,\n  "j": 4,\n  "k": 2,\n  "status": "IN",\n'
+     '  "certificate": {\n    "kind": "THM25_I",\n    "d0": 2,\n'
+     '    "a": 1\n  },\n  "witness_d0": 2\n}\n'),
+    (["lambda", "check", "1", "3", "2"],
+     "(d=1, j=3, k=2): NOT_IN\ncertificate: MOMENT_CURVE_NECESSITY\n",
+     '{\n  "d": 1,\n  "j": 3,\n  "k": 2,\n  "status": "NOT_IN",\n'
+     '  "certificate": {\n    "kind": "MOMENT_CURVE_NECESSITY"\n  }\n}\n'),
+    (["lambda", "check", "3", "5", "2"],
+     "(d=3, j=5, k=2): UNKNOWN\ncertificate: NONE\n",
+     '{\n  "d": 3,\n  "j": 5,\n  "k": 2,\n  "status": "UNKNOWN",\n'
+     '  "certificate": {\n    "kind": "NONE"\n  }\n}\n'),
+    (["lambda", "check", "3", "3", "1"],
+     "(d=3, j=3, k=1): IN\ncertificate: HAM_SANDWICH\n",
+     '{\n  "d": 3,\n  "j": 3,\n  "k": 1,\n  "status": "IN",\n'
+     '  "certificate": {\n    "kind": "HAM_SANDWICH"\n  },\n'
+     '  "witness_d0": 3\n}\n'),
+    (["ideal", "member", "1", "2", "2"],
+     "member=true surviving_monomials=0\n",
+     '{\n  "d": 1,\n  "j": 2,\n  "k": 2,\n  "member": true,\n'
+     '  "surviving_monomials": 0\n}\n'),
+    (["ideal", "member", "2", "3", "2"],
+     "member=false surviving_monomials=2\n",
+     '{\n  "d": 2,\n  "j": 3,\n  "k": 2,\n  "member": false,\n'
+     '  "surviving_monomials": 2\n}\n'),
+], ids=["in", "not-in", "unknown", "ham-sandwich", "member", "not-member"])
+def test_check_and_member_bytes_in_both_formats(capsys, argv, text, json_out):
+    # the exact stdout, the default text and --format json alike
+    for extra, expect in (([], text), (["--format", "text"], text),
+                          (["--format", "json"], json_out)):
+        code, out, err = _run(capsys, [*argv, *extra])
+        assert code == 0 and err == ""
+        assert out == expect
+
+
 def test_count_command(capsys):
     code, out, _ = _run(capsys, ["count", "2", "2"])
     assert code == 0 and out.strip() == "3"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hyperbisect import polynomials as poly
-from oracles import from_roots
+from oracles import divide_by_trimming, from_roots
 
 
 def test_make_trims():
@@ -36,6 +36,30 @@ def test_divide_round_trips():
         q, r = poly.divide(a, b)
         assert poly.add(poly.multiply(q, b), r) == a
         assert poly.degree(r) < poly.degree(b) or r == ()
+
+
+def _random_coeffs(rnd, length, zeros):
+    # untrimmed: the top may be zero, and so may any other entry
+    return [Fraction(0) if rnd.random() < zeros
+            else Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+            for _ in range(length)]
+
+
+def test_divide_equals_the_trimming_long_division():
+    rnd = random.Random(20)
+    cases = 0
+    for _ in range(600):
+        q = poly.make(_random_coeffs(rnd, rnd.randint(1, 6), 0.3))
+        if not q:
+            continue
+        # dividends shorter than, as long as and longer than the divisor,
+        # with zero coefficients below the top, some of them untrimmed
+        p = _random_coeffs(rnd, rnd.randint(0, 12), rnd.choice((0.0, 0.4, 0.8)))
+        if rnd.random() < 0.7:
+            p = poly.make(p)
+        assert poly.divide(p, q) == divide_by_trimming(p, q)
+        cases += 1
+    assert cases > 500
 
 
 def test_divide_by_zero():

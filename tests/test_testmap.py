@@ -666,6 +666,10 @@ def test_pooled_kernel_equals_per_measure_kernel_on_equal_sizes(j, k, d):
     ms, lifted = _equal_instance(rng, j, d)
     assert _pool(ms, k).w_stack is not None
     _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
+    # phi takes the same stacked reduction
+    W = _random_directions(rng, k, d)
+    assert phi(ms, W).tolist() == [float(np.sign(signed_products(m, W))
+                                         @ m.weights) for m in ms]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -787,9 +791,13 @@ def test_lockstep_search_equals_single_searches_on_equal_sizes(j, k, d,
 
 @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
 def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
-                                                          short_schedule):
-    # max_restarts=2 runs restart 2 as a lockstep batch of one; a
-    # tolerance between the two restarts' imbalances makes it the winner
+                                                          short_schedule,
+                                                          monkeypatch):
+    # max_restarts=2 makes restart 2 a batch of one, which the solver runs
+    # alone in _single_search, as it does restart 1; a tolerance between
+    # the two restarts' imbalances makes it the winner.  _lockstep_search
+    # on restart 2's generator alone, a lockstep batch of one, ends where
+    # _single_search does.
     rng = np.random.default_rng(80)
     sizes = (20, 20, 20) if equal else (14, 20, 27)
     ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
@@ -803,11 +811,22 @@ def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
             wins.append(dataclasses.replace(config, tolerance=second))
     assert wins
     for config in wins[:3]:
-        batched = solve_bisection(ms, 2, config)
+        ran = []
+        with monkeypatch.context() as patch:
+            for name in ("_single_search", "_lockstep_search"):
+                def spy(rngs, *args, _name=name, _search=getattr(testmap, name)):
+                    ran.append(_name)
+                    return _search(rngs, *args)
+                patch.setattr(testmap, name, spy)
+            batched = solve_bisection(ms, 2, config)
+        assert ran == ["_single_search", "_single_search"]
         reference = solve_bisection_sequentially(ms, 2, config)
         assert batched.restarts_used == reference.restarts_used == 2
         assert batched.to_jsonable() == reference.to_jsonable()
         assert batched.directions.tobytes() == reference.directions.tobytes()
+        child = np.random.SeedSequence(config.seed).spawn(2)[1]
+        _assert_lockstep_equals_single(
+            lambda: [np.random.default_rng(child)], ms, 2)
 
 
 def test_solver_matches_sequential_restarts_on_eight_gaussian_clouds(
