@@ -7,7 +7,10 @@ sign-imbalance in stages, polishes against the sign imbalance, and only
 reports SUCCESS after the candidate hyperplanes pass a check: for every
 measure, the signed mass difference across the arrangement, taken from
 float signs of float products, must sit within the requested tolerance.
-Everything is seeded, so reruns are bit-identical.
+Each step of a restart scores eight proposals, each moving one hyperplane,
+in one stacked call and keeps the best if it is no worse; restarts run
+in batches of 1, 2, 4 and then 8.  Everything is seeded, so reruns are
+bit-identical, whatever the batching.
 """
 
 import json

@@ -37,9 +37,8 @@ _EXPORTS = {
         "AtInfinityError", "DiscreteMeasure", "GroupElement", "JoinPoint",
         "NOT_FOUND", "SolveResult", "SolverConfig",
         "act_on_join", "act_on_target", "boundary_mass",
-        "hyperplane_to_sphere_point", "interval_quadrature_measures",
-        "measures_from_jsonable", "measures_to_jsonable", "phi", "psi",
-        "solve_bisection", "sphere_to_hyperplane"),
+        "interval_quadrature_measures", "measures_from_jsonable", "phi",
+        "psi", "solve_bisection", "sphere_to_hyperplane"),
 }
 
 

@@ -16,41 +16,43 @@ permutation group acts on everything; equivariance of phi and psi under
 that action is what the tests pin down, and a zero of psi with all
 lambda_i = 1/k is exactly a bisecting arrangement.
 
-The solver looks for such zeros directly: it minimizes a softened
-version of phi (tanh instead of sign) with the temperature annealed
-downward over stages, multi-starting from seeded random directions, and
-accepts only candidates whose phi -- float signs of float products, a
-numerical check and not an exact one -- passes the tolerance.
+The solver looks for such zeros directly: a (1+λ) evolution strategy
+(Beyer & Schwefel 2002) minimizes a softened version of phi (tanh
+instead of sign) with the temperature annealed downward over stages,
+then polishes on phi's signs, multi-starting from seeded random
+directions, and accepts only candidates whose phi -- float signs of
+float products, a numerical check and not an exact one -- passes the
+tolerance.  Each iteration of a restart moves one uniformly drawn row
+of its arrangement by a Gaussian step and renormalises it, λ = 8 times
+over, and keeps the best of those proposals if it is no worse.
 
 Kernel layout: the lifted points of all j measures sit in one array
 (_Pool), built once per solve from the centred cloud, with, per
 measure, its span of the pooled columns, its weights and its total.
-Scoring a stack of B proposals (one, for a restart run alone) is one
-matrix product into a (k, B, N) work array, the k rows multiplied in
-place into row 0's contiguous (B, N) block, one elementwise pass over
-that block (tanh in place, or sign into a spare block) and one weighted
-dot product per proposal and measure's slice of the result.  When all
-measures have the same number of points (more than one), those dot
-products are one stacked matrix product, and the squared imbalances
-are added across measures left to right.  Every step does the same
-floating-point operations, in the same order, as scoring each measure
-on its own, so solver output is bit-identical to the per-measure
-kernel kept in tests/oracles.py.
+Scoring a stack of B arrangements is one matrix product into a
+(k, B, N) work array, the k rows multiplied in place into row 0's
+contiguous (B, N) block, one elementwise pass over that block (tanh in
+place, or sign into a spare block) and one weighted dot product per
+arrangement and measure's slice of the result.  When all measures have
+the same number of points (more than one), those dot products are one
+stacked matrix product, and the squared imbalances are added across
+measures left to right.  Every step does the same floating-point
+operations, in the same order, as scoring each measure on its own, so
+solver output is bit-identical to the per-measure kernel kept in
+tests/oracles.py.
 
-Every restart, alone or in a batch, is scored by the same two stacked
-functions, one per objective (_soft_imbalances, _hard_worsts); phi, the
-polish's sign objective and the success check read one signed-sum
-kernel (_signed_sums).  The first restart, and a last batch of one,
-run alone and score each proposal as a stack of one.  The others run
-in lockstep batches: each iteration, every member draws its own
-proposal from its own generator, and the batch's proposals are built
-and scored together in stacked numpy calls (one stacked matrix
-product, one tanh or sign over the batch, the stacked dot products), so
-the per-call overhead that dominates a small proposal is paid once per
-batch.  Each stacked call runs the same BLAS routine or elementwise
-operation per member as a stack of one, so every member ends bit for
-bit where it would alone; tests/oracles.py keeps the sequential restart
-loop as the reference.
+Every restart is scored by the same two stacked functions, one per
+objective (_soft_imbalances, _hard_worsts); phi, the polish's sign
+objective and the success check read one signed-sum kernel
+(_signed_sums).  Restarts run in lockstep batches of 1, 2, 4 and then
+8, so one scored stack holds at most 64 proposals, and the per-call
+overhead that dominates a small stack is paid once per batch and
+iteration.  Each generator draws a whole stage's rows and Gaussian
+steps in one call, so an iteration is array work over the batch alone.
+Each stacked call runs the same BLAS routine or elementwise operation
+per member as a batch of one, so every member ends bit for bit where it
+would alone and the output never depends on the batching;
+tests/oracles.py keeps the sequential restart loop as the reference.
 """
 
 from __future__ import annotations
@@ -190,12 +192,6 @@ def sphere_to_hyperplane(w) -> OrientedHyperplane:
     _refuse_poles(w)
     from .momentcurve import OrientedHyperplane
     return OrientedHyperplane(tuple(float(x) for x in w[:-1]), -float(w[-1]))
-
-
-def hyperplane_to_sphere_point(h: OrientedHyperplane) -> np.ndarray:
-    """Inverse direction of sphere_to_hyperplane, up to positive scale."""
-    w = np.array([float(u) for u in h.normal] + [-float(h.offset)])
-    return w / np.linalg.norm(w)
 
 
 def _direction_matrix(directions, d: int) -> np.ndarray:
@@ -409,13 +405,18 @@ def interval_quadrature_measures(family: IntervalFamily, n: int) -> list[Discret
 NOT_FOUND = "NOT_FOUND"
 
 # the search schedule: the annealing temperatures, as multiples of the
-# data diameter, the proposals per temperature, the first step size, the
-# proposals of the hard-sign polish, and the floor under every step size
+# data diameter, the iterations per temperature, the first step size, the
+# iterations of the hard-sign polish, the floor under every step size,
+# the proposals (λ) each restart scores per iteration, and the largest
+# batch of restarts searched together, which bounds a scored stack at
+# _MAX_BATCH·_PROPOSALS arrangements
 _STAGE_FACTORS = (1.0, 0.1, 0.01)
-_ITERATIONS_PER_STAGE = 500
+_ITERATIONS_PER_STAGE = 125
 _INITIAL_STEP = 0.6
 _POLISH_ITERATIONS = 400
 _MIN_STEP = 1e-4
+_PROPOSALS = 8
+_MAX_BATCH = 8
 
 
 def _integer(name: str, value) -> int:
@@ -548,158 +549,88 @@ def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
     return np.abs(s, out=s).max(axis=1)
 
 
-def _propose(rng, W: np.ndarray, step: float) -> np.ndarray | None:
-    """W with one seeded row moved by a seeded Gaussian step and renormalized;
-    None when that row lands on zero or on a pole."""
-    r = int(rng.integers(len(W)))
-    cand = W.copy()
-    cand[r] = cand[r] + step * rng.normal(size=W.shape[1])
-    norm = math.sqrt(cand[r] @ cand[r])
-    if norm == 0 or not cand[r, :-1].any():
-        return None
-    cand[r] /= norm
-    return cand
+def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
+          grow: float, ceiling: float, shrink: float,
+          polish: bool = False) -> np.ndarray:
+    """One stage of the (1+λ) search for every restart of the (B, k, d+1)
+    stack W, member b drawing from rngs[b]; W and the (B,) steps are
+    updated in place.
 
-
-def _single_search(rng, pool: _Pool, k, d, diameter) -> np.ndarray:
-    W = _normalize_rows(rng.normal(size=(k, d + 1)))
-    step = _INITIAL_STEP
-    for factor in _STAGE_FACTORS:
-        temp = factor * diameter
-        cur = _soft_imbalances(pool, W[None], temp)[0]
-        for _ in range(_ITERATIONS_PER_STAGE):
-            cand = _propose(rng, W, step)
-            if cand is None:
-                continue
-            val = _soft_imbalances(pool, cand[None], temp)[0]
-            if val <= cur:
-                W, cur = cand, val
-                step = min(step * 1.25, 2.0)
-            else:
-                step = max(step * 0.85, _MIN_STEP)
-    # hard-sign polish: walk directly on the sign imbalance
-    cur = _hard_worsts(pool, W[None])[0]
-    step = 0.1
-    for _ in range(_POLISH_ITERATIONS):
-        if cur == 0.0:
+    Each generator draws the whole stage at once: every proposal's row,
+    then every Gaussian step.  Per iteration, each member moves a drawn
+    row of W by its step times the Gaussian step and renormalises it, λ
+    times; a proposal whose row lands on zero or on a pole is rejected.
+    All B·λ proposals are scored as one stack, and each member moves to
+    its best one (the first of equals) if that scores no more than its
+    current arrangement.  Its step then grows to at most the ceiling,
+    or shrinks to at least _MIN_STEP when no scored proposal was taken.
+    In the polish the step grows only on a strict improvement, and a
+    member at 0 takes nothing more.  Every operation acts on each member
+    alone, so member b ends bit for bit where it would in a stack of one.
+    """
+    B, k, n = W.shape
+    rows = np.stack([rng.integers(k, size=(iterations, _PROPOSALS))
+                     for rng in rngs], axis=1)
+    moves = np.stack([rng.standard_normal((iterations, _PROPOSALS, n))
+                      for rng in rngs], axis=1)
+    members = np.arange(B)
+    each, slots = members[:, None], np.arange(_PROPOSALS)  # index (B, λ)
+    cand = np.empty((B, _PROPOSALS, k, n))
+    stack = cand.reshape(-1, k, n)
+    cur = score(W)
+    for r, z in zip(rows, moves):
+        if polish and not cur.any():
             break
-        cand = _propose(rng, W, step)
-        if cand is None:
-            continue
-        val = _hard_worsts(pool, cand[None])[0]
-        if val <= cur:
-            if val < cur:
-                step = min(step * 1.2, 0.5)
-            W, cur = cand, val
-        else:
-            step = max(step * 0.9, _MIN_STEP)
+        z *= step[:, None, None]
+        z += W[each, r]
+        norms = np.sqrt(np.add.reduce(z * z, axis=-1))
+        ok = (norms != 0) & z[..., :-1].any(axis=-1)
+        z /= np.where(ok, norms, 1.0)[..., None]
+        cand[...] = W[:, None]
+        cand[each, slots, r] = z
+        val = np.where(ok, score(stack).reshape(B, -1), np.inf)
+        best = val.argmin(axis=1)
+        new = val[members, best]
+        accept = new <= cur
+        if polish:
+            accept &= cur > 0.0
+        grown = accept & (new < cur) if polish else accept
+        step[:] = np.where(grown, np.minimum(step * grow, ceiling),
+                           np.where(ok.any(axis=1) & ~accept,
+                                    np.maximum(step * shrink, _MIN_STEP),
+                                    step))
+        np.copyto(W, cand[members, best], where=accept[:, None, None])
+        np.copyto(cur, new, where=accept)
     return W
 
 
-class _StackedProposals:
-    """_propose for each arrangement of a (B, k, d+1) stack, member b
-    drawing from rngs[b], into work arrays kept for the whole search.
-
-    Calling it with W and the (B,) steps gives the candidates and a mask
-    of those _propose returns.  Each generator draws what _propose
-    draws, in the same order, through its methods bound once (every row
-    index, then every Gaussian step: the generators are independent);
-    the arithmetic, with commuted operands, runs once over the stack.  A
-    rejected candidate keeps its row unnormalised (divided by 1), to be
-    ignored by the caller; the candidates are overwritten by the next
-    call.
-    """
-
-    def __init__(self, rngs, k: int, n: int):
-        B = len(rngs)
-        self.k = k
-        self.z = np.empty((B, n))
-        self.integers = [rng.integers for rng in rngs]
-        self.normals = [(rng.standard_normal, z)
-                        for rng, z in zip(rngs, self.z)]
-        self.rows = np.empty(B, dtype=np.intp)
-        self.at = (np.arange(B), self.rows)
-        self.cand = np.empty((B, k, n))
-
-    def __call__(self, W: np.ndarray, steps: np.ndarray):
-        z, at, k = self.z, self.at, self.k
-        self.rows[:] = [integers(k) for integers in self.integers]
-        for standard_normal, out in self.normals:
-            standard_normal(out=out)
-        z += 0.0  # normal() returns 0.0 + 1.0 * standard_normal(): -0.0 -> 0.0
-        z *= steps[:, None]
-        z += W[at]
-        norms = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
-        ok = (norms != 0) & z[:, :-1].any(axis=1)
-        z /= np.where(ok, norms, 1.0)[:, None]
-        np.copyto(self.cand, W)
-        self.cand[at] = z
-        return self.cand, ok
-
-
-def _lockstep_search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
-    """_single_search for every generator of rngs, all in one stack.
-
-    Every arrangement takes its own accept and reject decisions, and
-    accepts nothing more in the polish once its worst imbalance is 0, so
-    row b of the (B, k, d+1) result is what _single_search(rngs[b], ...)
-    returns, bit for bit; proposals and scoring run once per iteration
-    for all.
-    """
+def _search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
+    """The search of every generator of rngs, as a (B, k, d+1) stack:
+    seeded random unit directions, the annealing stages on the tanh
+    objective at falling temperatures, then the hard-sign polish."""
     W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
                   for rng in rngs])
-    propose = _StackedProposals(rngs, k, d + 1)
     step = np.full(len(rngs), _INITIAL_STEP)
     for factor in _STAGE_FACTORS:
         temp = factor * diameter
-        cur = _soft_imbalances(pool, W, temp)
-        for _ in range(_ITERATIONS_PER_STAGE):
-            cand, ok = propose(W, step)
-            val = _soft_imbalances(pool, cand, temp)
-            accept = ok & (val <= cur)
-            np.copyto(W, cand, where=accept[:, None, None])
-            np.copyto(cur, val, where=accept)
-            step = np.where(accept, np.minimum(step * 1.25, 2.0),
-                            np.where(ok, np.maximum(step * 0.85, _MIN_STEP),
-                                     step))
-    # hard-sign polish; a member at 0 draws on but accepts nothing, as
-    # _single_search stops there
-    cur = _hard_worsts(pool, W)
-    step = np.full(len(rngs), 0.1)
-    for _ in range(_POLISH_ITERATIONS):
-        if not cur.any():
-            break
-        cand, ok = propose(W, step)
-        val = _hard_worsts(pool, cand)
-        accept = ok & (val <= cur) & (cur > 0.0)
-        step = np.where(accept & (val < cur), np.minimum(step * 1.2, 0.5),
-                        np.where(ok & ~accept,
-                                 np.maximum(step * 0.9, _MIN_STEP), step))
-        np.copyto(W, cand, where=accept[:, None, None])
-        np.copyto(cur, val, where=accept)
-    return W
-
-
-# Restarts after the first run in lockstep batches of at most this many,
-# which bounds the stacked work arrays at 32·max(k, 2)·N floats.  Every
-# batch of one, the first restart's and a last one alike, runs in
-# _single_search, which is faster than _lockstep_search on one generator.
-_LOCKSTEP_BATCH = 32
+        _walk(rngs, W, step, _ITERATIONS_PER_STAGE,
+              lambda V: _soft_imbalances(pool, V, temp), 1.25, 2.0, 0.85)
+    return _walk(rngs, W, np.full(len(rngs), 0.1), _POLISH_ITERATIONS,
+                 lambda V: _hard_worsts(pool, V), 1.2, 0.5, 0.9, polish=True)
 
 
 def _restart_batches(seed: int, max_restarts: int):
-    """Restart indices and their generators, the first restart alone and
-    then up to _LOCKSTEP_BATCH at a time.  Restart i is seeded with the
-    child SeedSequence(seed).spawn(max_restarts)[i]: successive spawns
+    """Restart indices and their generators, in batches of 1, 2, 4, and
+    then _MAX_BATCH at a time.  Restart i is seeded with the child
+    SeedSequence(seed).spawn(max_restarts)[i]: successive spawns
     continue where the last one stopped, so each batch spawns its own
     children rather than all up front."""
     root = np.random.SeedSequence(seed)
-    start = 0
+    start, size = 0, 1
     while start < max_restarts:
-        batch = range(start, min(start + (_LOCKSTEP_BATCH if start else 1),
-                                 max_restarts))
+        batch = range(start, min(start + size, max_restarts))
         yield batch, [np.random.default_rng(s) for s in root.spawn(len(batch))]
-        start = batch.stop
+        start, size = batch.stop, min(2 * size, _MAX_BATCH)
 
 
 def solve_bisection(measures, k: int,
@@ -707,11 +638,10 @@ def solve_bisection(measures, k: int,
     """Search for k hyperplanes bisecting all measures at once.
 
     Deterministic in (measures, k, config): restart r uses the r-th
-    spawn of the seed sequence.  The first restart runs alone, the
-    others in lockstep batches of up to _LOCKSTEP_BATCH (a batch of one
-    alone); each batch is checked in index order and the first success
-    wins, so the result is the one running every restart alone, in
-    order, gives.  Success means that phi of the directions, mapped
+    spawn of the seed sequence.  Restarts run in batches of 1, 2, 4 and
+    then _MAX_BATCH; each batch is checked in index order and the first
+    success wins, so the result is the one running every restart alone,
+    in order, gives.  Success means that phi of the directions, mapped
     back to the input frame, is within the tolerance relative to each
     measure's total: float signs of float products, not an exact
     re-check.
@@ -728,11 +658,7 @@ def solve_bisection(measures, k: int,
     pool = _Pool(measures, k, centered)
     diameter = _data_diameter(centered)
     for batch, rngs in _restart_batches(config.seed, config.max_restarts):
-        if len(rngs) == 1:
-            found = [_single_search(rngs[0], pool, k, d, diameter)]
-        else:
-            found = _lockstep_search(rngs, pool, k, d, diameter)
-        for idx, W in zip(batch, found):
+        for idx, W in zip(batch, _search(rngs, pool, k, d, diameter)):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)
             rel = np.abs(imb) / pool.totals
@@ -793,10 +719,3 @@ def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
         measures.append(DiscreteMeasure(points, weights))
     return d, measures
 
-
-def measures_to_jsonable(d: int, measures) -> dict:
-    return {"d": d, "measures": [
-        {"points": [{"x": [float(v) for v in x], "w": float(w)}
-                    for x, w in zip(m.points, m.weights)]}
-        for m in measures
-    ]}

@@ -12,7 +12,9 @@ root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
 per-measure solver kernel
 that the pooled kernel in hyperbisect.testmap must match bit for bit,
-and the sequential restart loop that its lockstep batches must match.
+the sequential restart loop that its batches of restarts must match,
+the inverse of sphere_to_hyperplane, and the writer of the measure JSON
+that measures_from_jsonable reads.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -362,7 +364,7 @@ def hard_worst(lifted, weights, totals, W) -> float:
 def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
     """Each restart of solve_bisection run alone, in index order: yields
     its directions in the input frame, their phi, and their relative
-    imbalances.  Restart r searches with _single_search and the r-th
+    imbalances.  Restart r searches as a batch of one, with the r-th
     child of SeedSequence(seed).spawn(max_restarts)."""
     d = testmap._common_dim(measures)
     pts = np.vstack([m.points for m in measures])
@@ -374,7 +376,7 @@ def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
     children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
     for child in children:
         rng = np.random.default_rng(child)
-        W = testmap._single_search(rng, pool, k, d, diameter)
+        W = testmap._search([rng], pool, k, d, diameter)[0]
         W = testmap._uncenter_directions(W, center, radius)
         imb = testmap.phi(measures, W)
         yield W, imb, np.abs(imb) / totals
@@ -396,3 +398,19 @@ def solve_bisection_sequentially(measures, k: int,
         status=testmap.NOT_FOUND, directions=None, imbalances=None,
         relative_imbalances=None, restarts_used=config.max_restarts,
         seed=config.seed)
+
+
+def hyperplane_to_sphere_point(h: OrientedHyperplane) -> np.ndarray:
+    """Inverse direction of testmap.sphere_to_hyperplane, up to positive
+    scale."""
+    w = np.array([float(u) for u in h.normal] + [-float(h.offset)])
+    return w / np.linalg.norm(w)
+
+
+def measures_to_jsonable(d: int, measures) -> dict:
+    """The measure JSON that testmap.measures_from_jsonable reads."""
+    return {"d": d, "measures": [
+        {"points": [{"x": [float(v) for v in x], "w": float(w)}
+                    for x, w in zip(m.points, m.weights)]}
+        for m in measures
+    ]}

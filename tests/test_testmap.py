@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,15 +16,14 @@ from hyperbisect.testmap import (AtInfinityError, DiscreteMeasure,
                                  GroupElement, JoinPoint, MeasureOverflowError,
                                  SolveResult, SolverConfig,
                                  act_on_join, act_on_target, boundary_mass,
-                                 hyperplane_to_sphere_point,
                                  interval_quadrature_measures,
-                                 measures_from_jsonable, measures_to_jsonable,
-                                 phi, psi, solve_bisection,
-                                 sphere_to_hyperplane)
+                                 measures_from_jsonable, phi, psi,
+                                 solve_bisection, sphere_to_hyperplane)
 from hyperbisect.momentcurve import (enumerate_bisections,
                                      well_separated_family)
 from hyperbisect import testmap
-from oracles import (centred_lifted, hard_worst, sequential_restarts,
+from oracles import (centred_lifted, hard_worst, hyperplane_to_sphere_point,
+                     measures_to_jsonable, sequential_restarts,
                      signed_products, soft_imbalance,
                      solve_bisection_sequentially)
 
@@ -283,6 +283,31 @@ def test_exact_arrangements_are_numerical_zeros():
     c = max(1.0, max(n * e for n, e in errs.items()))
     for n, e in errs.items():
         assert e <= c / n
+
+
+def _sphere_distance(W, key) -> float:
+    """Summed distance on the sphere between the rows of W and those of
+    key, at the best order and orientation of key's rows."""
+    return min(sum(min(np.linalg.norm(w - v), np.linalg.norm(w + v))
+                   for w, v in zip(W, key[list(order)]))
+               for order in itertools.permutations(range(len(key))))
+
+
+@pytest.mark.parametrize("d,k", [(1, 2), (2, 2), (1, 3), (2, 3)])
+def test_solver_successes_match_the_moment_curve_answer_key(d, k):
+    # for an unanchored family the enumeration is every bisection, so a
+    # success must land on one of them, up to quadrature error.  Every
+    # seed succeeds; the (1+1) search that the (1+λ) one replaced found
+    # 5, 5, 5 and 1 of the 5
+    fam = well_separated_family(d, k)
+    ms = interval_quadrature_measures(fam, 200)
+    keys = [np.array([hyperplane_to_sphere_point(h) for h in arr.hyperplanes])
+            for arr in enumerate_bisections(fam, k)]
+    for seed in range(5):
+        result = solve_bisection(ms, k, SolverConfig(seed=seed))
+        assert result.success
+        assert min(_sphere_distance(result.directions, key)
+                   for key in keys) <= 1e-3
 
 
 def test_quadrature_measures_shape():
@@ -683,9 +708,9 @@ def test_stacked_scorers_equal_per_measure_kernel_on_unequal_sizes(k):
 
 def _assert_solver_matches_the_per_measure_kernel(monkeypatch, ms, k, cfg):
     # solve once with the pooled kernel and once with the per-measure
-    # oracle scoring each row of every stack, the first restart's and
-    # the lockstep batches': identical directions, bit for bit; returns
-    # the result and the sizes of the stacks the oracle scored
+    # oracle scoring each row of every stack, of every batch of restarts:
+    # identical directions, bit for bit; returns the result and the sizes
+    # of the stacks the oracle scored
     pooled = solve_bisection(ms, k, cfg)
     assert pooled.success
 
@@ -724,7 +749,7 @@ def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
 def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
         monkeypatch, short_schedule):
     # a tolerance at a later restart's own imbalance, below the earlier
-    # ones', so that the winner comes out of a lockstep batch
+    # ones', so that the winner comes out of a batch of restarts
     rng = np.random.default_rng(33)
     ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
                           rng.uniform(0.5, 2.0, n)) for n in (30, 22)]
@@ -736,7 +761,10 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
     config = dataclasses.replace(config, tolerance=wins[0])
     result, stacks = _assert_solver_matches_the_per_measure_kernel(
         monkeypatch, ms, 2, config)
-    assert result.restarts_used >= 2 and max(stacks) > 1
+    # restarts 2 and 3 form the second batch: their proposals, and their
+    # current arrangements at each stage's start, are scored as stacks
+    assert result.restarts_used >= 2
+    assert max(stacks) == 2 * testmap._PROPOSALS and 2 in stacks
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)
@@ -744,7 +772,8 @@ _SHORT = SolverConfig(seed=3, max_restarts=5)
 
 @pytest.fixture
 def short_schedule(monkeypatch):
-    # a short schedule, so that lockstep batches can be checked on many shapes
+    # a short schedule, so that batches of restarts can be checked on many
+    # shapes
     _schedule(monkeypatch, 40, 60)
 
 
@@ -757,13 +786,15 @@ def _search_args(ms, k):
 
 
 def _assert_lockstep_equals_single(make_rngs, ms, k):
-    # make_rngs() gives a fresh batch of generators on each call
+    # make_rngs() gives a fresh batch of generators on each call; the
+    # batch searched in one stack ends where each member does alone
     rngs = make_rngs()
-    stacked = testmap._lockstep_search(rngs, *_search_args(ms, k))
+    stacked = testmap._search(rngs, *_search_args(ms, k))
     assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
     for W, rng in zip(stacked, make_rngs(), strict=True):
-        alone = testmap._single_search(rng, *_search_args(ms, k))
-        assert W.tobytes() == alone.tobytes()
+        alone = testmap._search([rng], *_search_args(ms, k))
+        assert alone.shape == (1, k, ms[0].dim + 1)
+        assert W.tobytes() == alone[0].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -793,11 +824,11 @@ def test_lockstep_search_equals_single_searches_on_equal_sizes(j, k, d,
 def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
                                                           short_schedule,
                                                           monkeypatch):
-    # max_restarts=2 makes restart 2 a batch of one, which the solver runs
-    # alone in _single_search, as it does restart 1; a tolerance between
-    # the two restarts' imbalances makes it the winner.  _lockstep_search
-    # on restart 2's generator alone, a lockstep batch of one, ends where
-    # _single_search does.
+    # max_restarts=2 cuts the second batch to restart 2 alone, searched as
+    # a batch of one, like restart 1; a tolerance between the two
+    # restarts' imbalances makes it the winner.  The search of restart
+    # 2's generator in a batch beside restart 1's ends where it does
+    # alone.
     rng = np.random.default_rng(80)
     sizes = (20, 20, 20) if equal else (14, 20, 27)
     ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
@@ -813,20 +844,19 @@ def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
     for config in wins[:3]:
         ran = []
         with monkeypatch.context() as patch:
-            for name in ("_single_search", "_lockstep_search"):
-                def spy(rngs, *args, _name=name, _search=getattr(testmap, name)):
-                    ran.append(_name)
-                    return _search(rngs, *args)
-                patch.setattr(testmap, name, spy)
+            def spy(rngs, *args, _search=testmap._search):
+                ran.append(len(rngs))
+                return _search(rngs, *args)
+            patch.setattr(testmap, "_search", spy)
             batched = solve_bisection(ms, 2, config)
-        assert ran == ["_single_search", "_single_search"]
+        assert ran == [1, 1]
         reference = solve_bisection_sequentially(ms, 2, config)
         assert batched.restarts_used == reference.restarts_used == 2
         assert batched.to_jsonable() == reference.to_jsonable()
         assert batched.directions.tobytes() == reference.directions.tobytes()
-        child = np.random.SeedSequence(config.seed).spawn(2)[1]
+        children = np.random.SeedSequence(config.seed).spawn(2)
         _assert_lockstep_equals_single(
-            lambda: [np.random.default_rng(child)], ms, 2)
+            lambda: [np.random.default_rng(c) for c in children[::-1]], ms, 2)
 
 
 def test_solver_matches_sequential_restarts_on_eight_gaussian_clouds(
@@ -868,86 +898,122 @@ def test_solver_matches_sequential_restarts(k, d, short_schedule):
             assert batched.directions.tobytes() == reference.directions.tobytes()
 
 
-class _FirstProposalRejected:
-    """A seeded generator whose first proposal is rejected: its Gaussian
-    step cancels the moved row exactly (zero norm), or all of the row but
-    the offset (a pole).  The initial step must be a power of two, so
-    that step * (-row / step) == -row."""
+class _FirstProposalsRejected:
+    """A seeded generator whose first iteration rejects the proposals
+    numbered in `rejected`: their Gaussian steps cancel the moved row
+    exactly (zero norm), or all of the row but the offset (a pole).  The
+    initial step must be a power of two, so that
+    step * (-row / step) == -row."""
 
-    def __init__(self, seed: int, step: float, pole: bool):
+    def __init__(self, seed: int, step: float, pole: bool, rejected):
         self.rng = np.random.default_rng(seed)
-        self.step, self.pole = step, pole
-        self.W = self.row = None
+        self.step, self.pole, self.rejected = step, pole, rejected
+        self.W = self.rows = None
 
-    def integers(self, high):
-        self.row = self.rng.integers(high)
-        return self.row
-
-    def normal(self, size):
+    def normal(self, size):  # the initial directions
         z = self.rng.normal(size=size)
-        if self.W is None:  # the initial directions
-            self.W = testmap._normalize_rows(z)
-        elif self.row is not None:
-            cancel = -self.W[self.row] / self.step
-            if self.pole:
-                z[:-1] = cancel[:-1]
-            else:
-                z[:] = cancel
-            self.row = None  # only the first proposal
+        self.W = testmap._normalize_rows(z)
         return z
 
-    def standard_normal(self, out):
-        out[...] = self.normal(out.shape)
+    def integers(self, high, size):
+        rows = self.rng.integers(high, size=size)
+        if self.rows is None:  # the first stage's
+            self.rows = rows[0]
+        return rows
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        for i in self.rejected:
+            cancel = -self.W[self.rows[i]] / self.step
+            if self.pole:
+                z[0, i, :-1] = cancel[:-1]
+            else:
+                z[0, i] = cancel
+        self.rejected = ()  # the first stage only
+        return z
 
 
 def test_lockstep_keeps_rejected_proposals_apart(monkeypatch):
-    # a batch in which some members' first proposal is rejected (zero
-    # norm or a pole) while the others' is scored
+    # a batch in which some members reject some or all of their first
+    # iteration's proposals (zero norm or a pole) while the others score
+    # all of theirs
     rng = np.random.default_rng(61)
     ms = [DiscreteMeasure(rng.normal(size=(30, 2)), rng.uniform(0.5, 2, 30))
           for _ in range(2)]
     _schedule(monkeypatch, 40, 60, initial_step=0.5)
-    for pole in (False, True):
-        fake = _FirstProposalRejected(5, 0.5, pole)
-        W = testmap._normalize_rows(fake.normal((2, 3)))
-        assert testmap._propose(fake, W, 0.5) is None
+    lam = testmap._PROPOSALS
+    some, every = (0, 3, 4, lam - 1), range(lam)
     for k in (1, 2):
+        pool = _search_args(ms, k)[0]
+        for pole in (False, True):
+            for rejected in (some, every):
+                # the rows the search moves from the fake's draws: exactly
+                # the chosen ones land on zero, or on a pole
+                fake = _FirstProposalsRejected(5, 0.5, pole, rejected)
+                W = testmap._normalize_rows(fake.normal((k, 3)))
+                rows = fake.integers(k, (40, lam))[0]
+                moved = W[rows] + 0.5 * fake.standard_normal((40, lam, 3))[0]
+                assert (~moved[:, :-1].any(axis=1)).tolist() == [
+                    i in rejected for i in range(lam)]
+                assert (~moved.any(axis=1)).tolist() == [
+                    i in rejected and not pole for i in range(lam)]
+                # one iteration: a zero row would score a worst imbalance
+                # of 0, yet no rejected proposal is taken, and when all
+                # are rejected neither the arrangement nor the step moves
+                fake = _FirstProposalsRejected(5, 0.5, pole, rejected)
+                W = testmap._normalize_rows(fake.normal((k, 3)))[None]
+                start, step = W.copy(), np.array([0.5])
+                testmap._walk([fake], W, step, 1,
+                              lambda V: testmap._hard_worsts(pool, V),
+                              1.25, 2.0, 0.85)
+                assert W[..., :-1].any(axis=-1).all()
+                if rejected is every:
+                    assert W.tobytes() == start.tobytes()
+                    assert step.tolist() == [0.5]
+
         def members():
-            return [np.random.default_rng(1), _FirstProposalRejected(2, 0.5, False),
-                    np.random.default_rng(3), _FirstProposalRejected(4, 0.5, True),
-                    _FirstProposalRejected(5, 0.5, False)]
+            return [np.random.default_rng(1),
+                    _FirstProposalsRejected(2, 0.5, False, every),
+                    np.random.default_rng(3),
+                    _FirstProposalsRejected(4, 0.5, True, every),
+                    _FirstProposalsRejected(5, 0.5, False, some),
+                    _FirstProposalsRejected(6, 0.5, True, some)]
         _assert_lockstep_equals_single(members, ms, k)
 
 
 def test_lockstep_polish_drops_members_that_reach_zero(monkeypatch):
     # 40 equal atoms on a line: a cut between the middle two balances
-    # them exactly, which a short polish reaches on some restarts only;
-    # those stop moving while the others walk on
+    # them exactly, which a short polish reaches on some restarts only
+    # (7 of these 10); those stop moving while the others walk on
     m = DiscreteMeasure(np.random.default_rng(62).normal(size=(40, 1)),
                         np.ones(40))
-    _schedule(monkeypatch, 3, 25)
+    _schedule(monkeypatch, 3, 5)
     seeds = range(10)
     _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
     pool = _search_args([m], 1)[0]
-    worst = [testmap._hard_worsts(pool, testmap._single_search(
-        np.random.default_rng(s), *_search_args([m], 1))[None])[0]
+    worst = [testmap._hard_worsts(pool, testmap._search(
+        [np.random.default_rng(s)], *_search_args([m], 1)))[0]
         for s in seeds]
     assert 0.0 in worst and max(worst) > 0.0
 
 
 def test_first_success_wins_inside_a_batch(short_schedule):
-    # choose the tolerance so that restarts 1 and 2 fail, and the first
-    # success sits inside the lockstep batch with a later success behind
-    rng = np.random.default_rng(64)
-    ms = [DiscreteMeasure(rng.normal(size=(25, 2)) + 3 * i, np.ones(25))
-          for i in range(3)]
+    # choose the tolerance so that every restart before some member of a
+    # batch fails, the batch's first member among them, and the first
+    # success sits inside that batch with a later success behind it;
+    # non-uniform weights keep the imbalances of the restarts apart
+    rng = np.random.default_rng(73)
+    ms = [DiscreteMeasure(rng.normal(size=(25, 2)) + 3 * i,
+                          rng.uniform(0.5, 2.0, 25)) for i in range(3)]
     config = dataclasses.replace(_SHORT, max_restarts=8)
     rels = [float(rel.max()) for _, _, rel in
             sequential_restarts(ms, 2, config)]
     picks = [(first, max(rels[first], rels[later]))
-             for first in range(2, 7) for later in range(first + 1, 8)
-             if min(rels[:first]) > max(rels[first], rels[later])]
+             for batch, _ in testmap._restart_batches(0, 8)
+             for first in batch for later in batch
+             if batch[0] < first < later
+             and min(rels[:first]) > max(rels[first], rels[later])]
     assert picks
     first, tol = picks[0]
     config = dataclasses.replace(config, tolerance=tol)
@@ -958,14 +1024,21 @@ def test_first_success_wins_inside_a_batch(short_schedule):
     assert res.directions.tobytes() == reference.directions.tobytes()
 
 
+# restarts -> the batch sizes: 1, 2, 4, then 8 at a time, the last cut
+_BATCH_SIZES = {1: [1], 2: [1, 1], 3: [1, 2], 7: [1, 2, 4],
+                20: [1, 2, 4, 8, 5], 33: [1, 2, 4, 8, 8, 8, 2],
+                70: [1, 2, 4] + [8] * 7 + [7]}
+
+
 @pytest.mark.parametrize("seed", [0, 12345, 2**70 + 3])
 def test_restart_batches_seed_restarts_with_the_spawned_children(seed):
-    for n in (1, 2, 20, 33, 34, 70):
+    for n, sizes in _BATCH_SIZES.items():
         batches = list(testmap._restart_batches(seed, n))
         assert [i for b, _ in batches for i in b] == list(range(n))
-        assert len(batches[0][0]) == 1
-        assert all(len(b) == len(rngs) <= testmap._LOCKSTEP_BATCH
-                   for b, rngs in batches)
+        assert [len(b) for b, _ in batches] == sizes
+        assert all(len(b) == len(rngs) for b, rngs in batches)
+        # at most 64 proposals in one scored stack
+        assert max(sizes) * testmap._PROPOSALS <= 64
         built = [rng.bit_generator.seed_seq for _, rngs in batches
                  for rng in rngs]
         for a, b in zip(np.random.SeedSequence(seed).spawn(n), built,
