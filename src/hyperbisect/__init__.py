@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 # home module -> the names the package exports from it
 _EXPORTS = {
     "parity": (
-        "Parity", "anchored_blocks_parity", "count_bisections", "digit_sum",
-        "equal_blocks_parity", "is_carry_free", "legendre_valuation",
-        "multinomial_parity", "multinomial_valuation"),
+        "Parity", "anchored_blocks_parity", "count_bisections",
+        "equal_blocks_parity", "multinomial_parity"),
     "gf2poly": ("ideal_member", "surviving_monomials"),
     "verdicts": (
         "Certificate", "FrontierRow", "FrontierTable", "LambdaVerdict",
         "Status", "certificate_checks", "frontier_csv", "frontier_json",
-        "frontier_table", "is_power_of_two", "verdict"),
+        "frontier_table", "verdict"),
     "figures": ("frontier_svg",),
     "momentcurve": (
         "Arrangement", "DegenerateInputError", "GenericityWarning",

@@ -82,18 +82,6 @@ def multinomial_parity(n: int, parts: list[int]) -> Parity:
     return Parity.EVEN if multinomial_valuation(n, parts) > 0 else Parity.ODD
 
 
-def is_carry_free(parts: list[int]) -> bool:
-    """True when the binary additions of the parts produce no carries."""
-    total = 0
-    acc = 0
-    for k in parts:
-        if k < 0:
-            raise ValueError(f"negative part in {parts}")
-        total += k
-        acc |= k
-    return acc == total
-
-
 def _check_valuation(v: int) -> None:
     """A block count is an integer, so its 2-adic valuation is >= 0;
     raised, not asserted, so python -O keeps the check."""

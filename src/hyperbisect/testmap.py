@@ -44,14 +44,13 @@ tests/oracles.py.
 Every restart is scored by the same two stacked functions, one per
 objective (_soft_imbalances, _hard_worsts); phi, the polish's sign
 objective and the success check read one signed-sum kernel
-(_signed_sums).  Restarts run in lockstep batches of 1, 2, 4 and then
-8, so one scored stack holds at most 64 proposals, and the per-call
-overhead that dominates a small stack is paid once per batch and
-iteration.  Each generator draws a whole stage's rows and Gaussian
-steps in one call, so an iteration is array work over the batch alone.
-Each stacked call runs the same BLAS routine or elementwise operation
-per member as a batch of one, so every member ends bit for bit where it
-would alone and the output never depends on the batching;
+(_signed_sums).  Restarts run in lockstep batches, restart 1 alone and
+then up to 8 at a time, or up to 64 on a small input (_restart_batches),
+so the per-call overhead that dominates a small stack is paid once per
+batch and iteration; each generator draws a whole stage's randomness in
+one call.  Each stacked call runs the same BLAS routine or elementwise
+operation per member as a batch of one, so every member ends bit for bit
+where it would alone and the output never depends on the batching;
 tests/oracles.py keeps the sequential restart loop as the reference.
 """
 
@@ -408,8 +407,11 @@ NOT_FOUND = "NOT_FOUND"
 # data diameter, the iterations per temperature, the first step size, the
 # iterations of the hard-sign polish, the floor under every step size,
 # the proposals (λ) each restart scores per iteration, and the largest
-# batch of restarts searched together, which bounds a scored stack at
-# _MAX_BATCH·_PROPOSALS arrangements
+# batch of restarts searched together, or on a small input the most, up
+# to _WIDEST_BATCH, that fit a stack of _DISPATCH_POINTS point products
+# (N·k each).  Timing _search at 1 to 64 restarts on the benchmark's shapes
+# (one x86-64 CPU, one BLAS thread) gave 23 µs per iteration plus 1.4-1.7
+# ns per point product, so such a stack costs about twice the fixed part
 _STAGE_FACTORS = (1.0, 0.1, 0.01)
 _ITERATIONS_PER_STAGE = 125
 _INITIAL_STEP = 0.6
@@ -417,6 +419,8 @@ _POLISH_ITERATIONS = 400
 _MIN_STEP = 1e-4
 _PROPOSALS = 8
 _MAX_BATCH = 8
+_DISPATCH_POINTS = 16_000
+_WIDEST_BATCH = 64
 
 
 def _integer(name: str, value) -> int:
@@ -563,43 +567,48 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
     All B·λ proposals are scored as one stack, and each member moves to
     its best one (the first of equals) if that scores no more than its
     current arrangement.  Its step then grows to at most the ceiling,
-    or shrinks to at least _MIN_STEP when no scored proposal was taken.
-    In the polish the step grows only on a strict improvement, and a
-    member at 0 takes nothing more.  Every operation acts on each member
-    alone, so member b ends bit for bit where it would in a stack of one.
+    or shrinks to at least _MIN_STEP when no scored proposal was taken,
+    by one clip: exact, as the steps start, and stay, in that range.  In
+    the polish the step grows only on a strict improvement, and a member
+    at 0 takes nothing more.  Every operation acts on each member alone,
+    so member b ends bit for bit where it would in a stack of one.
     """
     B, k, n = W.shape
     rows = np.stack([rng.integers(k, size=(iterations, _PROPOSALS))
                      for rng in rngs], axis=1)
     moves = np.stack([rng.standard_normal((iterations, _PROPOSALS, n))
                       for rng in rngs], axis=1)
-    members = np.arange(B)
-    each, slots = members[:, None], np.arange(_PROPOSALS)  # index (B, λ)
-    cand = np.empty((B, _PROPOSALS, k, n))
-    stack = cand.reshape(-1, k, n)
+    # per proposal, its moved row's index in W and in λ copies of W (cand)
+    slots = np.arange(B * _PROPOSALS).reshape(B, -1)
+    copies, first = slots.ravel() // _PROPOSALS, slots[:, 0]
+    taken, placed = rows + k * copies.reshape(B, -1), rows + k * slots
+    cand = np.empty((B * _PROPOSALS, k, n))
+    factors, scale = np.array([1.0, shrink, grow]), step[:, None, None]
     cur = score(W)
-    for r, z in zip(rows, moves):
-        if polish and not cur.any():
+    for taken_i, placed_i, z in zip(taken, placed, moves):
+        if polish and not np.count_nonzero(cur):
             break
-        z *= step[:, None, None]
-        z += W[each, r]
+        z *= scale
+        z += W.reshape(-1, n).take(taken_i, axis=0)
         norms = np.sqrt(np.add.reduce(z * z, axis=-1))
-        ok = (norms != 0) & z[..., :-1].any(axis=-1)
-        z /= np.where(ok, norms, 1.0)[..., None]
-        cand[...] = W[:, None]
-        cand[each, slots, r] = z
-        val = np.where(ok, score(stack).reshape(B, -1), np.inf)
-        best = val.argmin(axis=1)
-        new = val[members, best]
-        accept = new <= cur
-        if polish:
-            accept &= cur > 0.0
+        # clean, as usual: no norm and no coordinate of a normal part is 0
+        clean = np.count_nonzero(z[..., :-1]) + np.count_nonzero(norms) == z.size
+        if not clean:
+            ok = (norms != 0) & z[..., :-1].any(axis=-1)
+        z /= (norms if clean else np.where(ok, norms, 1.0))[..., None]
+        W.take(copies, axis=0, out=cand)
+        cand.reshape(-1, n)[placed_i] = z
+        val = score(cand).reshape(B, -1)
+        if not clean:
+            val = np.where(ok, val, np.inf)
+        pick = first + val.argmin(axis=1)
+        new = val.take(pick)
+        accept = (new <= cur) & (cur > 0.0) if polish else new <= cur
         grown = accept & (new < cur) if polish else accept
-        step[:] = np.where(grown, np.minimum(step * grow, ceiling),
-                           np.where(ok.any(axis=1) & ~accept,
-                                    np.maximum(step * shrink, _MIN_STEP),
-                                    step))
-        np.copyto(W, cand[members, best], where=accept[:, None, None])
+        shrunk = ~accept if clean else ok.any(axis=1) > accept
+        step *= factors.take(2 * grown + shrunk)
+        step.clip(_MIN_STEP, ceiling, out=step)
+        np.copyto(W, cand.take(pick, axis=0), where=accept[:, None, None])
         np.copyto(cur, new, where=accept)
     return W
 
@@ -619,18 +628,21 @@ def _search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
                  lambda V: _hard_worsts(pool, V), 1.2, 0.5, 0.9, polish=True)
 
 
-def _restart_batches(seed: int, max_restarts: int):
-    """Restart indices and their generators, in batches of 1, 2, 4, and
-    then _MAX_BATCH at a time.  Restart i is seeded with the child
-    SeedSequence(seed).spawn(max_restarts)[i]: successive spawns
-    continue where the last one stopped, so each batch spawns its own
-    children rather than all up front."""
+def _restart_batches(seed: int, max_restarts: int, work: int):
+    """Restart indices and their generators: restart 1 alone, then
+    batches of 2, 4 and _MAX_BATCH, each widened to as many restarts, up
+    to _WIDEST_BATCH, as a stack of _DISPATCH_POINTS point products holds
+    at `work` (N·k) per arrangement.  Restart i is seeded with the child
+    SeedSequence(seed).spawn(max_restarts)[i]: successive spawns continue
+    where the last one stopped, so each batch spawns its own children."""
     root = np.random.SeedSequence(seed)
-    start, size = 0, 1
+    fits = min(_DISPATCH_POINTS // (_PROPOSALS * work), _WIDEST_BATCH)
+    start, doubling = 0, 1
     while start < max_restarts:
+        size = max(doubling, fits) if start else 1
         batch = range(start, min(start + size, max_restarts))
         yield batch, [np.random.default_rng(s) for s in root.spawn(len(batch))]
-        start, size = batch.stop, min(2 * size, _MAX_BATCH)
+        start, doubling = batch.stop, min(2 * doubling, _MAX_BATCH)
 
 
 def solve_bisection(measures, k: int,
@@ -638,13 +650,13 @@ def solve_bisection(measures, k: int,
     """Search for k hyperplanes bisecting all measures at once.
 
     Deterministic in (measures, k, config): restart r uses the r-th
-    spawn of the seed sequence.  Restarts run in batches of 1, 2, 4 and
-    then _MAX_BATCH; each batch is checked in index order and the first
-    success wins, so the result is the one running every restart alone,
-    in order, gives.  Success means that phi of the directions, mapped
-    back to the input frame, is within the tolerance relative to each
-    measure's total: float signs of float products, not an exact
-    re-check.
+    spawn of the seed sequence.  Restarts run in batches sized by the
+    work they score (_restart_batches, given N·k); each batch is checked
+    in index order and the first success wins, so the result is the one
+    running every restart alone, in order, gives.  Success means that
+    phi of the directions, mapped back to the input frame, is within the
+    tolerance relative to each measure's total: float signs of float
+    products, not an exact re-check.
     """
     config = config or SolverConfig()
     k = _integer("k", k)
@@ -657,7 +669,8 @@ def solve_bisection(measures, k: int,
     centered = (pts - center) / radius
     pool = _Pool(measures, k, centered)
     diameter = _data_diameter(centered)
-    for batch, rngs in _restart_batches(config.seed, config.max_restarts):
+    for batch, rngs in _restart_batches(config.seed, config.max_restarts,
+                                        len(centered) * k):
         for idx, W in zip(batch, _search(rngs, pool, k, d, diameter)):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)

@@ -2,6 +2,7 @@
 
 The truncated F2 expansion of (t_1 + ... + t_k)^j that
 hyperbisect.gf2poly's closed forms and its bit-dealing listing are
+checked against, the carry-free test that binomial parities are
 checked against, search oracles for the closed forms, the loop over a
 that THM25_II's least dimension was found by, the trimming long
 division that polynomials.divide replaced, polynomials built
@@ -111,6 +112,18 @@ def truncated_power_of_sum(j: int, k: int, d: int) -> F2Poly:
 def ideal_member_by_expansion(j: int, k: int, d: int) -> bool:
     """Ideal membership the slow way: expand, reduce, test for zero."""
     return truncated_power_of_sum(j, k, d).is_zero
+
+
+def is_carry_free(parts: list[int]) -> bool:
+    """True when the binary additions of the parts produce no carries."""
+    total = 0
+    acc = 0
+    for k in parts:
+        if k < 0:
+            raise ValueError(f"negative part in {parts}")
+        total += k
+        acc |= k
+    return acc == total
 
 
 def carry_free_composition(j: int, k: int, d: int) -> tuple[int, ...] | None:

@@ -138,6 +138,15 @@ def test_every_exported_name_resolves():
     assert set(hyperbisect.__all__) <= set(namespace)
 
 
+def test_helpers_only_tests_call_are_not_exported():
+    for name in ("digit_sum", "is_carry_free", "legendre_valuation",
+                 "multinomial_valuation", "is_power_of_two",
+                 "hyperplane_to_sphere_point", "measures_to_jsonable"):
+        assert name not in hyperbisect.__all__, name
+        with pytest.raises(AttributeError):
+            getattr(hyperbisect, name)
+
+
 def test_lazy_names_are_the_testmap_objects():
     assert hyperbisect.solve_bisection is testmap.solve_bisection
     assert hyperbisect.SolverConfig is testmap.SolverConfig

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import pytest
 
 from hyperbisect.parity import (Parity, anchored_blocks_parity, digit_sum,
-                                equal_blocks_parity, is_carry_free,
-                                legendre_valuation, multinomial_parity,
-                                multinomial_valuation)
+                                equal_blocks_parity, legendre_valuation,
+                                multinomial_parity, multinomial_valuation)
+from oracles import is_carry_free
 
 
 def _factorial_valuation(n):

@@ -761,10 +761,12 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
     config = dataclasses.replace(config, tolerance=wins[0])
     result, stacks = _assert_solver_matches_the_per_measure_kernel(
         monkeypatch, ms, 2, config)
-    # restarts 2 and 3 form the second batch: their proposals, and their
-    # current arrangements at each stage's start, are scored as stacks
+    # at N·k = 104, restarts 2 to 4 form the second batch: their proposals,
+    # and their current arrangements at each stage's start, are scored as
+    # stacks beside restart 1's
     assert result.restarts_used >= 2
-    assert max(stacks) == 2 * testmap._PROPOSALS and 2 in stacks
+    lam = testmap._PROPOSALS
+    assert sorted(set(stacks)) == [1, 3, lam, 3 * lam]
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)
@@ -981,6 +983,28 @@ def test_lockstep_keeps_rejected_proposals_apart(monkeypatch):
         _assert_lockstep_equals_single(members, ms, k)
 
 
+@pytest.mark.parametrize("polish", [False, True])
+def test_walk_steps_stop_at_the_ceiling_and_the_floor(polish):
+    # a score on which member 0's proposals always improve, strictly, and
+    # member 1's never do: their steps grow to the ceiling and shrink to
+    # _MIN_STEP and then stay there, and member 1 never moves
+    calls = itertools.count()
+
+    def score(V):
+        c = next(calls)
+        return np.repeat([1e6 - c, 1.0 + c], len(V) // 2)
+
+    W = testmap._normalize_rows(
+        np.random.default_rng(4).normal(size=(4, 3))).reshape(2, 2, 3)
+    start, step = W.copy(), np.array([0.1, 0.1])
+    grow, ceiling, shrink = (1.2, 0.5, 0.9) if polish else (1.25, 2.0, 0.85)
+    testmap._walk([np.random.default_rng(s) for s in (5, 6)], W, step, 120,
+                  score, grow, ceiling, shrink, polish=polish)
+    assert step.tolist() == [ceiling, testmap._MIN_STEP]
+    assert W[0].tobytes() != start[0].tobytes()
+    assert W[1].tobytes() == start[1].tobytes()
+
+
 def test_lockstep_polish_drops_members_that_reach_zero(monkeypatch):
     # 40 equal atoms on a line: a cut between the middle two balances
     # them exactly, which a short polish reaches on some restarts only
@@ -1010,7 +1034,7 @@ def test_first_success_wins_inside_a_batch(short_schedule):
     rels = [float(rel.max()) for _, _, rel in
             sequential_restarts(ms, 2, config)]
     picks = [(first, max(rels[first], rels[later]))
-             for batch, _ in testmap._restart_batches(0, 8)
+             for batch, _ in testmap._restart_batches(0, 8, 75 * 2)
              for first in batch for later in batch
              if batch[0] < first < later
              and min(rels[:first]) > max(rels[first], rels[later])]
@@ -1024,27 +1048,85 @@ def test_first_success_wins_inside_a_batch(short_schedule):
     assert res.directions.tobytes() == reference.directions.tobytes()
 
 
-# restarts -> the batch sizes: 1, 2, 4, then 8 at a time, the last cut
+# restarts -> the batch sizes on a large input: 1, 2, 4, then 8 at a
+# time, the last cut
 _BATCH_SIZES = {1: [1], 2: [1, 1], 3: [1, 2], 7: [1, 2, 4],
                 20: [1, 2, 4, 8, 5], 33: [1, 2, 4, 8, 8, 8, 2],
                 70: [1, 2, 4] + [8] * 7 + [7]}
+_LARGE_WORK = 5400  # N·k of (2,6,3) on 6 clouds of 300 points
+
+# (N·k, restarts) -> the batch sizes on smaller inputs, where each batch
+# after restart 1 widens to fill a stack of _DISPATCH_POINTS point
+# products, at most 64 restarts
+_SMALL_BATCH_SIZES = {(12, 1): [1], (12, 2): [1, 1], (12, 20): [1, 19],
+                      (12, 70): [1, 64, 5], (12, 130): [1, 64, 64, 1],
+                      (200, 20): [1, 10, 9], (400, 20): [1, 5, 5, 8, 1]}
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**70 + 3])
 def test_restart_batches_seed_restarts_with_the_spawned_children(seed):
-    for n, sizes in _BATCH_SIZES.items():
-        batches = list(testmap._restart_batches(seed, n))
+    lam = testmap._PROPOSALS
+    assert testmap._DISPATCH_POINTS == 16_000
+    cases = [((_LARGE_WORK, n), sizes) for n, sizes in _BATCH_SIZES.items()]
+    for (work, n), sizes in cases + list(_SMALL_BATCH_SIZES.items()):
+        batches = list(testmap._restart_batches(seed, n, work))
         assert [i for b, _ in batches for i in b] == list(range(n))
         assert [len(b) for b, _ in batches] == sizes
         assert all(len(b) == len(rngs) for b, rngs in batches)
-        # at most 64 proposals in one scored stack
-        assert max(sizes) * testmap._PROPOSALS <= 64
+        # at most 64 restarts in a batch, and at most 64 arrangements or
+        # _DISPATCH_POINTS point products in one scored stack
+        assert max(sizes) <= 64
+        assert all(size * lam <= 64
+                   or size * lam * work <= testmap._DISPATCH_POINTS
+                   for size in sizes)
         built = [rng.bit_generator.seed_seq for _, rngs in batches
                  for rng in rngs]
         for a, b in zip(np.random.SeedSequence(seed).spawn(n), built,
                         strict=True):
             assert a.spawn_key == b.spawn_key and a.entropy == b.entropy
             assert a.generate_state(8).tolist() == b.generate_state(8).tolist()
+
+
+def test_restart_batches_stay_bounded_on_a_tiny_input():
+    # a million restarts of a tiny input spawn 64 children per batch, not
+    # all of them in the second batch
+    tracemalloc.start()
+    try:
+        batches = list(itertools.islice(
+            testmap._restart_batches(0, 10**6, 12), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(b) for b, _ in batches] == [1, 64, 64]
+    assert [b.start for b, _ in batches] == [0, 1, 65]
+    assert peak < 2**20
+
+
+def test_infeasible_atom_pairs_search_in_two_batches(monkeypatch):
+    # criterion 10's input, three unit-atom pairs on a line (N·k = 12):
+    # restart 1 alone, then restarts 2 to 20 in one batch, every restart
+    # ending bit for bit where it does alone
+    ms = [DiscreteMeasure(np.array([[s], [s + 1.0]]), np.full(2, 1.0))
+          for s in (0.0, 10.0, 20.0)]
+    config = SolverConfig(seed=0)
+    searched = []
+    with monkeypatch.context() as patch:
+        def spy(rngs, *args, _search=testmap._search):
+            searched.append(_search(rngs, *args))
+            return searched[-1]
+        patch.setattr(testmap, "_search", spy)
+        batched = solve_bisection(ms, 2, config)
+    assert [len(W) for W in searched] == [1, 19]
+    reference = solve_bisection_sequentially(ms, 2, config)
+    assert batched.to_jsonable() == reference.to_jsonable()
+    assert batched.to_jsonable()["status"] == "NOT_FOUND"
+    pts = np.vstack([m.points for m in ms])
+    center, radius = testmap._centering(pts)
+    for W, (alone, _, _) in zip(np.concatenate(searched),
+                                sequential_restarts(ms, 2, config),
+                                strict=True):
+        W = testmap._uncenter_directions(W, center, radius)
+        assert W.tobytes() == alone.tobytes()
 
 
 def test_solver_spawns_children_lazily():
