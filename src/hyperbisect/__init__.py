@@ -27,8 +27,8 @@ _EXPORTS = {
         "frontier_table", "verdict"),
     "figures": ("frontier_svg",),
     "momentcurve": (
-        "Arrangement", "DegenerateInputError", "GenericityWarning",
-        "IntervalFamily", "OrientedHyperplane", "arrangement_from_jsonable",
+        "Arrangement", "DegenerateInputError", "IntervalFamily",
+        "OrientedHyperplane", "arrangement_from_jsonable",
         "arrangement_to_jsonable", "curve_restriction", "enumerate_bisections",
         "hyperplane_through", "moment_point", "verify_bisection",
         "well_separated_family"),

@@ -584,7 +584,8 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
     taken, placed = rows + k * copies.reshape(B, -1), rows + k * slots
     cand = np.empty((B * _PROPOSALS, k, n))
     factors, scale = np.array([1.0, shrink, grow]), step[:, None, None]
-    cur = score(W)
+    # the start is scored as λ copies of each member: one stack size
+    cur = score(W.take(copies, axis=0, out=cand)).take(first)
     for taken_i, placed_i, z in zip(taken, placed, moves):
         if polish and not np.count_nonzero(cur):
             break

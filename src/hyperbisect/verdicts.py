@@ -20,9 +20,10 @@ can and says UNKNOWN otherwise:
     A criterion's least certificate at (j, k) applies to (d, j, k) when
     its d0 <= d, and the certificate names that least d0.
 
-Certificates carry their parameters so a checker can re-derive the
-claim; the preference order is HAM_SANDWICH, THM25_I, THM25_II,
-THM1_IDEAL.
+A certificate is its kind and, for the three criteria, its least d0: a
+checker re-derives the claim from (d, j, k) and d0, and THM25's a and
+ell are read off d0 = 2^a + ell.  The preference order is HAM_SANDWICH,
+THM25_I, THM25_II, THM1_IDEAL.
 """
 
 from __future__ import annotations
@@ -58,18 +59,21 @@ _KINDS = (HAM_SANDWICH, THM1_IDEAL, THM25_I, THM25_II,
 class Certificate:
     kind: str
     d0: int | None = None
-    a: int | None = None
-    ell: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
+        if self.d0 is not None and self.d0 < 1:
+            raise ValueError(f"need d0 >= 1, got {self.d0}")
 
     def _params(self) -> dict:
-        """The parameters that are set, in their fixed order."""
-        return {n: v for n, v in
-                (("d0", self.d0), ("a", self.a), ("ell", self.ell))
-                if v is not None}
+        """d0 and, for THM25, the a (and ell) of d0 = 2^a + ell."""
+        if self.d0 is None or self.kind not in (THM25_I, THM25_II):
+            return {} if self.d0 is None else {"d0": self.d0}
+        a = self.d0.bit_length() - 1  # 2^a is d0's top bit
+        if self.kind == THM25_I:
+            return {"d0": self.d0, "a": a}
+        return {"d0": self.d0, "a": a, "ell": self.d0 - (1 << a)}
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}={v}" for n, v in self._params().items())
@@ -86,7 +90,6 @@ class LambdaVerdict:
     k: int
     status: Status
     certificate: Certificate
-    witness_d0: int | None = None
 
     def __post_init__(self) -> None:
         if self.status is Status.NOT_IN and (
@@ -101,8 +104,8 @@ class LambdaVerdict:
         out: dict = {"d": self.d, "j": self.j, "k": self.k,
                      "status": self.status.value,
                      "certificate": self.certificate.to_jsonable()}
-        if self.witness_d0 is not None:
-            out["witness_d0"] = self.witness_d0
+        if self.status is Status.IN:  # HAM_SANDWICH applies from d = j
+            out["witness_d0"] = self.certificate.d0 or self.j
         return out
 
 
@@ -110,58 +113,41 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _thm25i_fires(d0: int, j: int, k: int) -> int | None:
-    """Exponent a when j == d0*k and d0 == 2^a, else None."""
-    if j == d0 * k and is_power_of_two(d0):
-        return d0.bit_length() - 1
-    return None
+def _thm25i_fires(d0: int, j: int, k: int) -> bool:
+    """j == d0*k with d0 == 2^a."""
+    return j == d0 * k and is_power_of_two(d0)
 
 
-def _thm25ii_fires(d0: int, j: int, k: int) -> tuple[int, int] | None:
-    """(a, ell) when d0 = 2^a + ell splits so that j == 2^a*k + ell."""
-    if k < 2 or k % 2 == 0:
-        return None
-    if d0 < 3 or is_power_of_two(d0):
-        return None  # need ell >= 1, so d0 strictly between powers of two
+def _thm25ii_fires(d0: int, j: int, k: int) -> bool:
+    """d0 = 2^a + ell splits so that j == 2^a*k + ell."""
+    if k < 2 or k % 2 == 0 or d0 < 3 or is_power_of_two(d0):
+        return False  # need ell >= 1, so d0 strictly between powers of two
     a = d0.bit_length() - 1
     ell = d0 - (1 << a)
     # d0 < 2^(a+1) guarantees 1 <= ell <= 2^a - 1
-    if j == (1 << a) * k + ell:
-        return a, ell
-    return None
+    return j == (1 << a) * k + ell
 
 
-def _thm1_fires(d0: int, j: int, k: int) -> bool:
-    return not ideal_member(j, k, d0)
+# Each THM25 criterion's least certificate dimension d0 at (j, k), or None
+# where it never fires; THM1_IDEAL's is gf2poly.least_surviving_d.
 
-
-# Each criterion's least certificate at (j, k) as its parameters, d0 first
-# (tuples: a frontier row keeps only d0), or None where it never fires.
-
-def _least_thm25i(j: int, k: int) -> tuple[int, int] | None:
-    """(d0, a) with d0 = j/k = 2^a, when j/k is a power of two."""
+def _least_thm25i(j: int, k: int) -> int | None:
+    """d0 = j/k = 2^a, when j/k is a power of two."""
     if j % k:
         return None
     d0 = j // k
-    return (d0, d0.bit_length() - 1) if is_power_of_two(d0) else None
+    return d0 if is_power_of_two(d0) else None
 
 
-def _least_thm25ii(j: int, k: int) -> tuple[int, int, int] | None:
-    """(d0, a, ell) for odd k >= 3: j = 2^a*k + ell with
+def _least_thm25ii(j: int, k: int) -> int | None:
+    """d0 = 2^a + ell for odd k >= 3: j = 2^a*k + ell with
     1 <= ell <= 2^a - 1 puts j // k in [2^a, 2^(a+1)), so 2^a is its top
     bit, and a >= 1 needs j // k >= 2."""
     if k % 2 == 0 or k < 3 or j < 2 * k:
         return None
     a = (j // k).bit_length() - 1
     ell = j - (k << a)
-    if not 1 <= ell <= (1 << a) - 1:
-        return None
-    return (1 << a) + ell, a, ell
-
-
-def _least_thm1(j: int, k: int) -> tuple[int]:
-    """(d0,): the power survives from d0 on."""
-    return (least_surviving_d(j, k),)
+    return (1 << a) + ell if 1 <= ell <= (1 << a) - 1 else None
 
 
 def verdict(d: int, j: int, k: int) -> LambdaVerdict:
@@ -175,17 +161,15 @@ def verdict(d: int, j: int, k: int) -> LambdaVerdict:
 
     if k == 1:
         # d >= j holds here because d*1 >= j survived the necessity test
-        return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH),
-                             witness_d0=j)
+        return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH))
 
     # each criterion is monotone in d: it applies from its least d0 on
     for kind, least_of in ((THM25_I, _least_thm25i),
                            (THM25_II, _least_thm25ii),
-                           (THM1_IDEAL, _least_thm1)):
-        least = least_of(j, k)
-        if least is not None and least[0] <= d:
-            return LambdaVerdict(d, j, k, Status.IN, Certificate(kind, *least),
-                                 witness_d0=least[0])
+                           (THM1_IDEAL, least_surviving_d)):
+        d0 = least_of(j, k)
+        if d0 is not None and d0 <= d:
+            return LambdaVerdict(d, j, k, Status.IN, Certificate(kind, d0))
     return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
 
 
@@ -199,16 +183,16 @@ def certificate_checks(v: LambdaVerdict) -> bool:
     if v.status is not Status.IN:
         return False
     if c.kind == HAM_SANDWICH:
-        return v.k == 1 and v.d >= v.j and v.witness_d0 == v.j
+        return v.k == 1 and v.d >= v.j and c.d0 is None
     # every other criterion names its least d0 <= d as the witness
-    if c.d0 is None or c.d0 > v.d or v.witness_d0 != c.d0:
+    if c.d0 is None or c.d0 > v.d:
         return False
     if c.kind == THM1_IDEAL:
-        return _thm1_fires(c.d0, v.j, v.k)
+        return not ideal_member(v.j, v.k, c.d0)
     if c.kind == THM25_I:
-        return _thm25i_fires(c.d0, v.j, v.k) == c.a
+        return _thm25i_fires(c.d0, v.j, v.k)
     if c.kind == THM25_II:
-        return _thm25ii_fires(c.d0, v.j, v.k) == (c.a, c.ell)
+        return _thm25ii_fires(c.d0, v.j, v.k)
     return False
 
 
@@ -246,13 +230,10 @@ def frontier_table(k: int, j_max: int) -> FrontierTable:
     if k < 1 or j_max < 1:
         raise ValueError(f"need k >= 1 and j_max >= 1, got k={k}, j_max={j_max}")
 
-    def cell(least: tuple[int, ...] | None) -> int | None:
-        return None if least is None else least[0]
-
     rows = tuple(FrontierRow(j=j, d_conjecture=-(-j // k),
-                             d_thm1=cell(_least_thm1(j, k)),
-                             d_thm25i=cell(_least_thm25i(j, k)),
-                             d_thm25ii=cell(_least_thm25ii(j, k)))
+                             d_thm1=least_surviving_d(j, k),
+                             d_thm25i=_least_thm25i(j, k),
+                             d_thm25ii=_least_thm25ii(j, k))
                  for j in range(1, j_max + 1))
     return FrontierTable(k=k, j_max=j_max, rows=rows)
 

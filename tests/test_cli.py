@@ -215,6 +215,16 @@ def test_parity_and_count_json_bytes(capsys, argv, expect):
      '{\n  "d": 3,\n  "j": 3,\n  "k": 1,\n  "status": "IN",\n'
      '  "certificate": {\n    "kind": "HAM_SANDWICH"\n  },\n'
      '  "witness_d0": 3\n}\n'),
+    (["lambda", "check", "3", "7", "3"],
+     "(d=3, j=7, k=3): IN\ncertificate: THM25_II(d0=3, a=1, ell=1)\n",
+     '{\n  "d": 3,\n  "j": 7,\n  "k": 3,\n  "status": "IN",\n'
+     '  "certificate": {\n    "kind": "THM25_II",\n    "d0": 3,\n'
+     '    "a": 1,\n    "ell": 1\n  },\n  "witness_d0": 3\n}\n'),
+    (["lambda", "check", "4", "5", "2"],
+     "(d=4, j=5, k=2): IN\ncertificate: THM1_IDEAL(d0=4)\n",
+     '{\n  "d": 4,\n  "j": 5,\n  "k": 2,\n  "status": "IN",\n'
+     '  "certificate": {\n    "kind": "THM1_IDEAL",\n    "d0": 4\n  },\n'
+     '  "witness_d0": 4\n}\n'),
     (["ideal", "member", "1", "2", "2"],
      "member=true surviving_monomials=0\n",
      '{\n  "d": 1,\n  "j": 2,\n  "k": 2,\n  "member": true,\n'
@@ -223,7 +233,8 @@ def test_parity_and_count_json_bytes(capsys, argv, expect):
      "member=false surviving_monomials=2\n",
      '{\n  "d": 2,\n  "j": 3,\n  "k": 2,\n  "member": false,\n'
      '  "surviving_monomials": 2\n}\n'),
-], ids=["in", "not-in", "unknown", "ham-sandwich", "member", "not-member"])
+], ids=["in", "not-in", "unknown", "ham-sandwich", "thm25-ii", "thm1-ideal",
+        "member", "not-member"])
 def test_check_and_member_bytes_in_both_formats(capsys, argv, text, json_out):
     # the exact stdout, the default text and --format json alike
     for extra, expect in (([], text), (["--format", "text"], text),

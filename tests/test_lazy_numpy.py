@@ -141,7 +141,8 @@ def test_every_exported_name_resolves():
 def test_helpers_only_tests_call_are_not_exported():
     for name in ("digit_sum", "is_carry_free", "legendre_valuation",
                  "multinomial_valuation", "is_power_of_two",
-                 "hyperplane_to_sphere_point", "measures_to_jsonable"):
+                 "hyperplane_to_sphere_point", "measures_to_jsonable",
+                 "GenericityWarning"):
         assert name not in hyperbisect.__all__, name
         with pytest.raises(AttributeError):
             getattr(hyperbisect, name)

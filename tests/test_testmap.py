@@ -761,12 +761,25 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
     config = dataclasses.replace(config, tolerance=wins[0])
     result, stacks = _assert_solver_matches_the_per_measure_kernel(
         monkeypatch, ms, 2, config)
-    # at N·k = 104, restarts 2 to 4 form the second batch: their proposals,
-    # and their current arrangements at each stage's start, are scored as
-    # stacks beside restart 1's
+    # at N·k = 104, restarts 2 to 4 form the second batch after restart 1.
+    # Each soft stage scores its start and then each iteration's proposals
+    # as one stack of λ arrangements per restart (the start as λ copies)
     assert result.restarts_used >= 2
     lam = testmap._PROPOSALS
-    assert sorted(set(stacks)) == [1, 3, lam, 3 * lam]
+    per_batch = (len(testmap._STAGE_FACTORS)
+                 * (testmap._ITERATIONS_PER_STAGE + 1))
+    assert stacks == [lam] * per_batch + [3 * lam] * per_batch
+
+
+def test_a_search_keeps_one_work_array(short_schedule):
+    # the stages' starts are scored in the proposals' stack, so the
+    # pool's work array is sized once, for B·λ arrangements
+    rng = np.random.default_rng(41)
+    pool, *rest = _search_args(_random_measures(rng, 2, 2, n=30), 2)
+    sized, size = [], pool._size_work_array
+    pool._size_work_array = lambda B, k: (sized.append(B), size(B, k))
+    testmap._search([np.random.default_rng(s) for s in range(3)], pool, *rest)
+    assert sized == [3 * testmap._PROPOSALS]
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)

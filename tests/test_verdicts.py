@@ -27,33 +27,36 @@ def _thm1_fires_by_search(d0, j, k):
 
 
 def _verdict_by_scan(d, j, k):
-    """The engine before its closed forms: each criterion scanned over
-    d0 = 1..d, THM1 decided by the composition search."""
+    """The JSON of the engine before its closed forms: each criterion
+    scanned over d0 = 1..d with its own a and ell, THM1 decided by the
+    composition search.  It shares no code with the verdict records."""
+    head = {"d": d, "j": j, "k": k}
     if d * k < j:
-        return LambdaVerdict(d, j, k, Status.NOT_IN,
-                             Certificate(MOMENT_CURVE_NECESSITY))
+        return {**head, "status": "NOT_IN",
+                "certificate": {"kind": MOMENT_CURVE_NECESSITY}}
     if k == 1:
-        return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH),
-                             witness_d0=j)
+        return {**head, "status": "IN",
+                "certificate": {"kind": HAM_SANDWICH}, "witness_d0": j}
+
+    def certified(kind, d0, **params):
+        return {**head, "status": "IN",
+                "certificate": {"kind": kind, "d0": d0, **params},
+                "witness_d0": d0}
+
     for d0 in range(1, d + 1):
-        a = _thm25i_fires(d0, j, k)
-        if a is not None:
-            return LambdaVerdict(d, j, k, Status.IN,
-                                 Certificate(THM25_I, d0=d0, a=a),
-                                 witness_d0=d0)
+        for a in range(d0.bit_length()):
+            if d0 == 2 ** a and j == d0 * k:
+                return certified(THM25_I, d0, a=a)
     for d0 in range(1, d + 1):
-        hit = _thm25ii_fires(d0, j, k)
-        if hit is not None:
-            a, ell = hit
-            return LambdaVerdict(d, j, k, Status.IN,
-                                 Certificate(THM25_II, d0=d0, a=a, ell=ell),
-                                 witness_d0=d0)
+        for a in range(1, d0.bit_length()):
+            ell = d0 - 2 ** a
+            if (k >= 3 and k % 2 == 1 and 1 <= ell <= 2 ** a - 1
+                    and j == 2 ** a * k + ell):
+                return certified(THM25_II, d0, a=a, ell=ell)
     for d0 in range(1, d + 1):
         if _thm1_fires_by_search(d0, j, k):
-            return LambdaVerdict(d, j, k, Status.IN,
-                                 Certificate(THM1_IDEAL, d0=d0),
-                                 witness_d0=d0)
-    return LambdaVerdict(d, j, k, Status.UNKNOWN, Certificate(NONE))
+            return certified(THM1_IDEAL, d0)
+    return {**head, "status": "UNKNOWN", "certificate": {"kind": NONE}}
 
 
 def _first_d(fires, bound):
@@ -69,10 +72,8 @@ def _frontier_by_scan(k, j_max):
             j=j,
             d_conjecture=math.ceil(j / k),
             d_thm1=_first_d(lambda d: _thm1_fires_by_search(d, j, k), bound),
-            d_thm25i=_first_d(lambda d: _thm25i_fires(d, j, k) is not None,
-                              bound),
-            d_thm25ii=_first_d(lambda d: _thm25ii_fires(d, j, k) is not None,
-                               bound),
+            d_thm25i=_first_d(lambda d: _thm25i_fires(d, j, k), bound),
+            d_thm25ii=_first_d(lambda d: _thm25ii_fires(d, j, k), bound),
         ))
     return FrontierTable(k=k, j_max=j_max, rows=tuple(rows))
 
@@ -86,8 +87,10 @@ def test_power_of_two_helper():
 def test_verdict_examples():
     v = verdict(2, 4, 2)
     assert v.status is Status.IN
-    assert v.certificate == Certificate(THM25_I, d0=2, a=1)
-    assert v.witness_d0 == 2
+    assert v.certificate == Certificate(THM25_I, d0=2)
+    out = v.to_jsonable()
+    assert out["certificate"] == {"kind": THM25_I, "d0": 2, "a": 1}
+    assert out["witness_d0"] == 2
 
     v = verdict(1, 3, 2)
     assert v.status is Status.NOT_IN
@@ -104,8 +107,8 @@ def test_ham_sandwich_family():
             v = verdict(d, j, 1)
             if d >= j:
                 assert v.status is Status.IN
-                assert v.certificate.kind == HAM_SANDWICH
-                assert v.witness_d0 == j
+                assert v.certificate == Certificate(HAM_SANDWICH)
+                assert v.to_jsonable()["witness_d0"] == j
             else:
                 assert v.status is Status.NOT_IN
 
@@ -142,17 +145,25 @@ def test_witness_is_minimal_for_its_criterion():
         for j in range(1, 14):
             for k in range(2, 5):
                 v = verdict(d, j, k)
-                if v.witness_d0 is not None:
-                    assert 1 <= v.witness_d0 <= d
+                w = v.to_jsonable().get("witness_d0")
+                assert (w is not None) == (v.status is Status.IN)
+                if w is not None:
+                    assert 1 <= w <= d and w == v.certificate.d0
+                    # the same certificate from w on, and not below it
+                    assert verdict(w, j, k).certificate == v.certificate
+                    assert (w == 1 or verdict(w - 1, j, k).certificate
+                            != v.certificate)
 
 
 def test_preference_order():
     # at (4, 4, 2) both THM25_I (d0=2) and THM1_IDEAL (d0=4) apply
     v = verdict(4, 4, 2)
-    assert v.certificate == Certificate(THM25_I, d0=2, a=1)
+    assert v.certificate == Certificate(THM25_I, d0=2)
+    assert str(v.certificate) == "THM25_I(d0=2, a=1)"
     # at (4, 7, 3) both THM25_II (d0=3) and THM1_IDEAL (d0=4) apply
     v = verdict(4, 7, 3)
-    assert v.certificate == Certificate(THM25_II, d0=3, a=1, ell=1)
+    assert v.certificate == Certificate(THM25_II, d0=3)
+    assert str(v.certificate) == "THM25_II(d0=3, a=1, ell=1)"
     # THM1 wins only when nothing else fires: k=2 rules out THM25_II,
     # j=3 is not k * power-of-two, so (2, 3, 2) must be THM1
     v = verdict(2, 3, 2)
@@ -161,10 +172,23 @@ def test_preference_order():
 
 
 def test_certificate_rendering():
-    assert str(Certificate(THM25_II, d0=3, a=1, ell=1)) == "THM25_II(d0=3, a=1, ell=1)"
+    # a and ell are read off d0 = 2^a + ell, 2^a its top bit
+    assert str(Certificate(THM25_II, d0=3)) == "THM25_II(d0=3, a=1, ell=1)"
+    assert str(Certificate(THM25_II, d0=13)) == "THM25_II(d0=13, a=3, ell=5)"
+    assert str(Certificate(THM25_I, d0=8)) == "THM25_I(d0=8, a=3)"
+    assert str(Certificate(THM1_IDEAL, d0=6)) == "THM1_IDEAL(d0=6)"
+    assert Certificate(THM25_II, d0=13).to_jsonable() == {
+        "kind": THM25_II, "d0": 13, "a": 3, "ell": 5}
     assert str(Certificate(HAM_SANDWICH)) == "HAM_SANDWICH"
+    # a THM25 certificate without d0 renders as its kind alone
+    for kind in (THM25_I, THM25_II):
+        assert str(Certificate(kind)) == kind
+        assert Certificate(kind).to_jsonable() == {"kind": kind}
     with pytest.raises(ValueError):
         Certificate("THM99")
+    for d0 in (0, -3):
+        with pytest.raises(ValueError, match="need d0 >= 1"):
+            Certificate(THM25_II, d0=d0)
 
 
 @pytest.mark.parametrize("status, certificate, d", [
@@ -214,20 +238,23 @@ def _tampered(triple, cert=None, **fields):
 
 
 @pytest.mark.parametrize("triple, cert, fields", [
-    ((2, 4, 2), {"d0": None}, {}),
-    ((2, 4, 2), {"d0": None}, {"witness_d0": None}),
+    ((2, 4, 2), {"d0": None}, {}),                # THM25_I without d0
+    ((2, 3, 2), {"d0": None}, {}),                # THM1_IDEAL without d0
     ((2, 4, 2), None, {"d": 1}),                  # d0 = 2 > d
     ((3, 7, 3), None, {"d": 2}),                  # d0 = 3 > d
     ((2, 3, 2), None, {"d": 1}),                  # d0 = 2 > d
-    ((5, 4, 2), None, {"witness_d0": 3}),
-    ((5, 4, 2), None, {"witness_d0": None}),
-    ((2, 4, 2), {"a": 2}, {}),
-    ((2, 4, 2), {"a": None}, {}),
-    ((3, 7, 3), {"a": 2}, {}),
-    ((3, 7, 3), {"ell": 2}, {}),
-    ((3, 7, 3), {"ell": None}, {}),
-    ((2, 3, 2), {"d0": 1}, {"witness_d0": 1}),     # THM1 does not fire at 1
-    ((3, 2, 1), None, {"witness_d0": 3}),
+    # 3 is no power of two
+    ((5, 4, 2), None, {"certificate": Certificate(THM25_I, d0=3)}),
+    ((5, 4, 2), None, {"certificate": Certificate(THM25_I)}),
+    ((4, 4, 2), {"d0": 4}, {}),                   # a = 2: j != 4k
+    ((3, 7, 3), {"d0": None}, {}),                # THM25_II without d0
+    ((5, 7, 3), {"d0": 5}, {}),                   # a = 2, ell = 1: j != 13
+    ((4, 7, 3), {"d0": 4}, {}),                   # a = 2, ell = 0
+    ((3, 7, 3), {"d0": 2}, {}),                   # a = 1, ell = 0
+    ((2, 3, 2), {"d0": 1}, {}),                   # THM1 does not fire at 1
+    # HAM_SANDWICH names no d0, not even j
+    ((3, 2, 1), None, {"certificate": Certificate(HAM_SANDWICH, d0=3)}),
+    ((3, 2, 1), {"d0": 2}, {}),
 ])
 def test_certificate_checks_rejects_a_tampered_in_verdict(triple, cert,
                                                           fields):
@@ -319,7 +346,9 @@ def test_verdict_matches_the_scan():
         for j in range(1, 65):
             for d in range(1, 2 * j + 2):
                 v = verdict(d, j, k)
-                assert v.to_jsonable() == _verdict_by_scan(d, j, k).to_jsonable()
+                # key order too: the CLI prints these dicts as they are
+                assert (json.dumps(v.to_jsonable())
+                        == json.dumps(_verdict_by_scan(d, j, k)))
                 assert certificate_checks(v)
 
 
@@ -335,6 +364,18 @@ def test_frontier_matches_the_scan():
                    for dd in (r.d_thm1, r.d_thm25i, r.d_thm25ii))
 
 
+def _thm25ii_matches_the_loop(j, k):
+    """The closed form's d0, and the a and ell the verdict at d0 prints,
+    are the loop oracle's (d0, a, ell)."""
+    want = least_thm25ii_by_loop(j, k)
+    d0 = _least_thm25ii(j, k)
+    if want is None:
+        return d0 is None
+    cert = verdict(d0, j, k).to_jsonable()["certificate"]
+    return d0 == want[0] and cert == {"kind": THM25_II, "d0": want[0],
+                                      "a": want[1], "ell": want[2]}
+
+
 def test_thm25ii_closed_form_matches_the_loop_over_a():
     rng = random.Random(2511)
     for _ in range(6000):
@@ -346,11 +387,11 @@ def test_thm25ii_closed_form_matches_the_loop_over_a():
             ell = rng.choice([0, 1, (1 << a) - 1, 1 << a,
                               rng.randint(0, 1 << a)])
             j = max(1, (k << a) + ell)
-        assert _least_thm25ii(j, k) == least_thm25ii_by_loop(j, k)
+        assert _thm25ii_matches_the_loop(j, k)
     for k in range(1, 16):
         for j in range(1, 400):
+            assert _thm25ii_matches_the_loop(j, k)
             want = least_thm25ii_by_loop(j, k)
-            assert _least_thm25ii(j, k) == want
             # the least d0 at which the criterion's own re-derivation fires
-            scan = _first_d(lambda d0: _thm25ii_fires(d0, j, k) is not None, j)
+            scan = _first_d(lambda d0: _thm25ii_fires(d0, j, k), j)
             assert scan == (None if want is None else want[0])
