@@ -3,13 +3,15 @@ Finding bisections numerically, with receipts
 =============================================
 
 The solver works on finite weighted point clouds.  It minimizes a softened
-sign-imbalance in stages, polishes against the sign imbalance, and only
+sign-imbalance in stages, scored in float32, polishes against the sign
+imbalance in float64, and only
 reports SUCCESS after the candidate hyperplanes pass a check: for every
 measure, the signed mass difference across the arrangement, taken from
 float signs of float products, must sit within the requested tolerance.
 Each step of a restart scores eight proposals, each moving one hyperplane,
-in one stacked call and keeps the best if it is no worse; restarts run
-in batches of 1, 2, 4 and then 8.  Everything is seeded, so reruns are
+in one stacked call and keeps the best if it is no worse; restart 1
+runs alone, later ones in batches of 2, 4 and then 8, each widened on a
+small input to as many as 64.  Everything is seeded, so reruns are
 bit-identical, whatever the batching.
 """
 

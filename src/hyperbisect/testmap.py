@@ -29,17 +29,19 @@ over, and keeps the best of those proposals if it is no worse.
 Kernel layout: the lifted points of all j measures sit in one array
 (_Pool), built once per solve from the centred cloud, with, per
 measure, its span of the pooled columns, its weights and its total.
-Scoring a stack of B arrangements is one matrix product into a
-(k, B, N) work array, the k rows multiplied in place into row 0's
-contiguous (B, N) block, one elementwise pass over that block (tanh in
-place, or sign into a spare block) and one weighted dot product per
-arrangement and measure's slice of the result.  When all measures have
-the same number of points (more than one), those dot products are one
-stacked matrix product, and the squared imbalances are added across
-measures left to right.  Every step does the same floating-point
-operations, in the same order, as scoring each measure on its own, so
-solver output is bit-identical to the per-measure kernel kept in
-tests/oracles.py.
+Scoring a stack of B arrangements is one matrix product (at k = 1, one
+per measure) into a (k, B, N) work array, the k rows multiplied in
+place into row 0's contiguous (B, N) block, one elementwise pass over
+that block (tanh in place, or sign into a spare block) and one weighted
+dot product per arrangement and measure's slice of the result.  When
+all measures have the same number of points (more than one), those dot
+products are one stacked matrix product, and the squared imbalances are
+added across measures left to right.  The annealing scorer, which only
+picks the proposal kept, runs in float32 on the pool's twin, weighted
+by shares of each measure's total; the polish, phi and the success test
+run in float64.  Every step does the same floating-point operations, in
+the same order, as scoring each measure on its own, so solver output is
+bit-identical to the per-measure kernels kept in tests/oracles.py.
 
 Every restart is scored by the same two stacked functions, one per
 objective (_soft_imbalances, _hard_worsts); phi, the polish's sign
@@ -59,6 +61,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -225,12 +228,13 @@ class _Pool:
     one is a stack of one), a row of the pooled length N; spans holds,
     per measure, the start and stop of its columns and its weights, and
     totals the measures' totals.  The lifted points are kept (N, d+1)
-    row-major for k = 1 and as the contiguous (d+1, N) transpose for
-    k >= 2.  These are the fastest layouts whose BLAS products equal
-    lifted @ W.T taken per measure, bit for bit (at k = 1 the transpose
-    takes another BLAS path and differs).  The exception is a one-point
-    measure, which numpy multiplies as a vector on yet another path; its
-    column is recomputed that way.
+    row-major for k = 1, multiplied one measure's rows at a time, and as
+    the contiguous (d+1, N) transpose for k >= 2.  These are the fastest
+    layouts whose BLAS products equal lifted @ W.T taken per measure, bit
+    for bit: at k = 1 numpy takes a matrix-vector product, which in
+    float32 rounds a row by its place among blocks of rows.  At k >= 2
+    a one-point measure is the exception, which numpy multiplies as a
+    vector on yet another path; its column is recomputed that way.
 
     The functional values of a stack of B arrangements sit in k blocks
     of (B, N) of a work array (see _size_work_array), so the products
@@ -244,23 +248,34 @@ class _Pool:
     def __init__(self, measures, k: int, points: np.ndarray | None = None):
         if points is None:
             points = np.vstack([m.points for m in measures])
-        X = np.hstack([points, np.ones((len(points), 1))])
+        X = np.hstack([points, np.ones((len(points), 1), points.dtype)])
         self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
-        self.values = np.empty((k, 0, len(X)))  # see _size_work_array
+        self.values = np.empty((k, 0, len(X)), X.dtype)  # see _size_work_array
         self.spans = []  # (start, stop, weights) per measure
         self.totals = np.array([m.total for m in measures])
         self.lone_points = []  # (column, (1, d+1) lifted row)
+        self.source = measures, k, points  # what twin is built from
+        # in float32, shares of each measure's float64 total: raw weights
+        # of 1e300 or 1e-300 would overflow or vanish
+        weights = [m.weights if X.dtype == np.float64 else
+                   (m.weights / m.total).astype(X.dtype) for m in measures]
         start = 0
-        for m in measures:
-            stop = start + len(m.weights)
-            self.spans.append((start, stop, m.weights))
-            if stop - start == 1:
+        for w in weights:
+            stop = start + len(w)
+            self.spans.append((start, stop, w))
+            if stop - start == 1 and k > 1:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
-        sizes = {len(m.weights) for m in measures}
-        self.w_stack = (np.concatenate([m.weights for m in measures])
-                        .reshape(len(measures), -1, 1)
+        sizes = {len(w) for w in weights}
+        self.w_stack = (np.concatenate(weights).reshape(len(weights), -1, 1)
                         if len(sizes) == 1 and sizes != {1} else None)
+
+    @cached_property
+    def twin(self) -> _Pool:
+        """This pool in float32, built by the annealing scorer's first
+        call; phi's pools, whose raw coordinates could overflow, have none."""
+        measures, k, points = self.source
+        return _Pool(measures, k, points.astype(np.float32))
 
     def stacked_products(self, W: np.ndarray) -> np.ndarray:
         """Per arrangement of a (B, k, d+1) stack and per point, the
@@ -274,10 +289,13 @@ class _Pool:
         views, while B stays the same.
         """
         B, k = W.shape[:2]
+        W = W.astype(self.values.dtype, copy=False)
         if self.values.shape[1] != B:
             self._size_work_array(B, k)
         if k == 1:
-            np.matmul(self.lifted, W.transpose(0, 2, 1), out=self.out)
+            for start, stop, _ in self.spans:
+                np.matmul(self.lifted[start:stop], W.transpose(0, 2, 1),
+                          out=self.out[:, start:stop])
         else:
             np.matmul(W, self.lifted, out=self.out)
         for col, x in self.lone_points:
@@ -293,7 +311,8 @@ class _Pool:
         1, free once they are taken, as spare: numpy's sign runs several
         times slower in place on contiguous memory than into another
         array."""
-        self.values = np.empty((max(k, 2), B, self.values.shape[2]))
+        self.values = np.empty((max(k, 2), B, self.values.shape[2]),
+                               self.values.dtype)
         self.rows = self.values[:k]
         self.first, *self.rest = self.rows
         self.spare = self.values[1]
@@ -307,7 +326,7 @@ class _Pool:
         w = self.w_stack
         if w is not None:
             return (buf.reshape(len(buf), len(w), 1, -1) @ w)[..., 0, 0]
-        sums = np.empty((len(buf), len(self.spans)))
+        sums = np.empty((len(buf), len(self.spans)), buf.dtype)
         for c, (start, stop, w) in enumerate(self.spans):
             sums[:, c] = (buf[:, None, start:stop] @ w[:, None])[:, 0, 0]
         return sums
@@ -531,17 +550,18 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
 
 def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
     """Per arrangement of a (B, k, d+1) stack, the sum over measures of
-    the squared relative tanh imbalance.
+    the squared relative tanh imbalance, in float32.
 
-    One pooled product pass, then tanh(product / temp) in place and the
-    weighted sums of the measures' spans.  The squares are added across
-    measures left to right, as a sum taken one measure at a time adds
-    them; np.sum would add eight or more in another order.
+    One product pass of the pool's float32 twin, then tanh(product /
+    temp) in place and the weighted sums of the measures' spans, which
+    are relative already: the twin's weights are shares.  The squares are
+    added across measures left to right, as a sum taken one measure at a
+    time adds them; np.sum would add eight or more in another order.
     """
-    buf = pool.stacked_products(W)
+    buf = pool.twin.stacked_products(W)
     np.divide(buf, temp, out=buf)
     np.tanh(buf, out=buf)
-    s = pool.stacked_sums(buf) / pool.totals
+    s = pool.twin.stacked_sums(buf)
     np.multiply(s, s, out=s)
     return np.add.accumulate(s, axis=1)[:, -1]
 

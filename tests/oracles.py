@@ -11,11 +11,11 @@ hyperplanes, the tuple-partition enumeration that the small-integer
 enumeration in hyperbisect.momentcurve replaced, an exact
 root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
-per-measure solver kernel
-that the pooled kernel in hyperbisect.testmap must match bit for bit,
-the sequential restart loop that its batches of restarts must match,
-the inverse of sphere_to_hyperplane, and the writer of the measure JSON
-that measures_from_jsonable reads.
+per-measure solver kernels that the pooled ones in hyperbisect.testmap
+must match bit for bit (the annealing objective in float32, the sign
+objective in float64), the sequential restart loop that its batches of
+restarts must match, the inverse of sphere_to_hyperplane, and the
+writer of the measure JSON that measures_from_jsonable reads.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -355,12 +355,15 @@ def signed_products(measure, W) -> np.ndarray:
     return np.prod(lifted @ W.T, axis=1)
 
 
-def soft_imbalance(lifted, weights, totals, W, temp) -> float:
-    """The solver's smoothed objective, one measure at a time."""
-    obj = 0.0
+def soft_imbalance(lifted, weights, totals, W, temp) -> np.float32:
+    """The solver's smoothed objective, one measure at a time, in float32:
+    the points and W cast, each weight divided by its measure's total
+    and cast, and the squares added left to right."""
+    f32 = np.float32
+    obj = f32(0.0)
     for X, w, tot in zip(lifted, weights, totals):
-        prods = np.prod(X @ W.T, axis=1)
-        s = float(np.tanh(prods / temp) @ w) / tot
+        prods = np.prod(X.astype(f32) @ W.astype(f32).T, axis=1)
+        s = np.tanh(prods / f32(temp)) @ (w / tot).astype(f32)
         obj += s * s
     return obj
 
