@@ -11,6 +11,7 @@ resolved from its home module on first access (PEP 562), so a caller
 pays only for the layers it uses, and only the solver loads numpy.
 """
 
+import operator
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -60,6 +61,16 @@ def _lazy_names(namespace: dict, exports: dict) -> tuple:
         return sorted(set(namespace) | set(home))
 
     return __getattr__, __dir__
+
+
+def _integer(name: str, value) -> int:
+    """operator.index(value); ValueError for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 __getattr__, __dir__ = _lazy_names(globals(), _EXPORTS)

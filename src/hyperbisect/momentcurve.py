@@ -65,10 +65,11 @@ class OrientedHyperplane:
     def __post_init__(self) -> None:
         if not any(self.normal):
             raise ValueError("normal vector must be nonzero")
-        # only a float can be NaN or infinite; a loop, not any() over a
-        # generator, since enumeration builds every plane through here
+        # ints and Fractions are finite; any other real (numpy float32
+        # too) is checked, in a loop: enumeration builds every plane here
         for x in (*self.normal, self.offset):
-            if isinstance(x, float) and not math.isfinite(x):
+            if (type(x) is not int and type(x) is not Fraction
+                    and not math.isfinite(x)):
                 raise ValueError("normal and offset must be finite")
 
     @property

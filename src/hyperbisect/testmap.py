@@ -37,10 +37,11 @@ dot product per arrangement and measure's slice of the result.  When
 all measures have the same number of points (more than one), those dot
 products are one stacked matrix product, and the squared imbalances are
 added across measures left to right.  The annealing scorer, which only
-picks the proposal kept, runs in float32 on the pool's twin, weighted
-by shares of each measure's total; the polish, phi and the success test
-run in float64.  Every step does the same floating-point operations, in
-the same order, as scoring each measure on its own, so solver output is
+picks the proposal kept, runs on a float32 pool of the centred points,
+weighted by shares of each measure's total, and the polish on a float64
+pool of them (_search_frame builds both); phi and the success test run
+in float64.  Every step does the same floating-point operations, in the
+same order, as scoring each measure on its own, so solver output is
 bit-identical to the per-measure kernels kept in tests/oracles.py.
 
 Every restart is scored by the same two stacked functions, one per
@@ -59,12 +60,12 @@ tests/oracles.py keeps the sequential restart loop as the reference.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from . import _integer
 
 if TYPE_CHECKING:  # the solver itself never needs the exact layers
     from .momentcurve import Arrangement, IntervalFamily, OrientedHyperplane
@@ -222,7 +223,8 @@ def _common_dim(measures) -> int:
 
 class _Pool:
     """The lifted points (x, 1) of all measures in one array, for k
-    hyperplanes, so that p(x) = <(x, 1), w>.
+    hyperplanes, so that p(x) = <(x, 1), w>, in the dtype of points (by
+    default the raw ones in float64: they could overflow float32).
 
     stacked_products(W) gives, for each arrangement of a stack (a single
     one is a stack of one), a row of the pooled length N; spans holds,
@@ -254,7 +256,6 @@ class _Pool:
         self.spans = []  # (start, stop, weights) per measure
         self.totals = np.array([m.total for m in measures])
         self.lone_points = []  # (column, (1, d+1) lifted row)
-        self.source = measures, k, points  # what twin is built from
         # in float32, shares of each measure's float64 total: raw weights
         # of 1e300 or 1e-300 would overflow or vanish
         weights = [m.weights if X.dtype == np.float64 else
@@ -269,13 +270,6 @@ class _Pool:
         sizes = {len(w) for w in weights}
         self.w_stack = (np.concatenate(weights).reshape(len(weights), -1, 1)
                         if len(sizes) == 1 and sizes != {1} else None)
-
-    @cached_property
-    def twin(self) -> _Pool:
-        """This pool in float32, built by the annealing scorer's first
-        call; phi's pools, whose raw coordinates could overflow, have none."""
-        measures, k, points = self.source
-        return _Pool(measures, k, points.astype(np.float32))
 
     def stacked_products(self, W: np.ndarray) -> np.ndarray:
         """Per arrangement of a (B, k, d+1) stack and per point, the
@@ -442,16 +436,6 @@ _DISPATCH_POINTS = 16_000
 _WIDEST_BATCH = 64
 
 
-def _integer(name: str, value) -> int:
-    """operator.index(value); ValueError for a bool or a non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-2          # max allowed relative imbalance, in (0, 1)
@@ -510,23 +494,21 @@ def _normalize_rows(W: np.ndarray) -> np.ndarray:
     return W / np.linalg.norm(W, axis=1, keepdims=True)
 
 
-def _data_diameter(pts: np.ndarray) -> float:
-    """Diagonal of the bounding box: the temperature scale of the search."""
-    spread = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    return spread if spread > 0 else 1.0
-
-
-def _centering(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Centroid and radius of the pooled point cloud.
+def _search_frame(measures, k: int):
+    """The frame a solve searches in: the centroid and radius of the
+    pooled point cloud, the pools of its centred points in float32, which
+    the annealing scores, and in float64, which the polish scores, and the
+    temperature scale, the diagonal of the centred cloud's bounding box.
 
     Searching in centered unit-radius coordinates keeps the offset
     component of the sphere parameterization O(1) regardless of where the
     data sits; a cloud far from the origin would otherwise need directions
-    crowded against the poles.
+    crowded against the poles, and raw coordinates could overflow float32.
 
     MeasureOverflowError when these norms, or the squares of the offsets
     (up to radius + |center|) of directions mapped back, overflow float64.
     """
+    pts = np.vstack([m.points for m in measures])
     with np.errstate(over="ignore", invalid="ignore"):
         center = pts.mean(axis=0)
         radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
@@ -535,7 +517,11 @@ def _centering(pts: np.ndarray) -> tuple[np.ndarray, float]:
         raise MeasureOverflowError(
             "point coordinates overflow float64 when centred: the "
             "centroid or the radius is not finite")
-    return center, radius if radius > 0 else 1.0
+    radius = radius if radius > 0 else 1.0
+    pts = (pts - center) / radius
+    spread = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    return (center, radius, _Pool(measures, k, pts.astype(np.float32)),
+            _Pool(measures, k, pts), spread if spread > 0 else 1.0)
 
 
 def _uncenter_directions(W: np.ndarray, center: np.ndarray,
@@ -550,18 +536,18 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
 
 def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
     """Per arrangement of a (B, k, d+1) stack, the sum over measures of
-    the squared relative tanh imbalance, in float32.
+    the squared relative tanh imbalance, on a float32 pool.
 
-    One product pass of the pool's float32 twin, then tanh(product /
-    temp) in place and the weighted sums of the measures' spans, which
-    are relative already: the twin's weights are shares.  The squares are
-    added across measures left to right, as a sum taken one measure at a
-    time adds them; np.sum would add eight or more in another order.
+    One product pass, then tanh(product / temp) in place and the weighted
+    sums of the measures' spans, which are relative already: a float32
+    pool's weights are shares.  The squares are added across measures
+    left to right, as a sum taken one measure at a time adds them; np.sum
+    would add eight or more in another order.
     """
-    buf = pool.twin.stacked_products(W)
+    buf = pool.stacked_products(W)
     np.divide(buf, temp, out=buf)
     np.tanh(buf, out=buf)
-    s = pool.twin.stacked_sums(buf)
+    s = pool.stacked_sums(buf)
     np.multiply(s, s, out=s)
     return np.add.accumulate(s, axis=1)[:, -1]
 
@@ -634,19 +620,20 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
     return W
 
 
-def _search(rngs, pool: _Pool, k, d, diameter) -> np.ndarray:
+def _search(rngs, k, d, pool32, pool64, diameter) -> np.ndarray:
     """The search of every generator of rngs, as a (B, k, d+1) stack:
     seeded random unit directions, the annealing stages on the tanh
-    objective at falling temperatures, then the hard-sign polish."""
+    objective at falling temperatures, scored on pool32, then the
+    hard-sign polish, scored on pool64."""
     W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
                   for rng in rngs])
     step = np.full(len(rngs), _INITIAL_STEP)
     for factor in _STAGE_FACTORS:
         temp = factor * diameter
         _walk(rngs, W, step, _ITERATIONS_PER_STAGE,
-              lambda V: _soft_imbalances(pool, V, temp), 1.25, 2.0, 0.85)
+              lambda V: _soft_imbalances(pool32, V, temp), 1.25, 2.0, 0.85)
     return _walk(rngs, W, np.full(len(rngs), 0.1), _POLISH_ITERATIONS,
-                 lambda V: _hard_worsts(pool, V), 1.2, 0.5, 0.9, polish=True)
+                 lambda V: _hard_worsts(pool64, V), 1.2, 0.5, 0.9, polish=True)
 
 
 def _restart_batches(seed: int, max_restarts: int, work: int):
@@ -685,17 +672,14 @@ def solve_bisection(measures, k: int,
         raise ValueError(f"need k >= 1, got {k}")
     d = _common_dim(measures)
 
-    pts = np.vstack([m.points for m in measures])
-    center, radius = _centering(pts)
-    centered = (pts - center) / radius
-    pool = _Pool(measures, k, centered)
-    diameter = _data_diameter(centered)
-    for batch, rngs in _restart_batches(config.seed, config.max_restarts,
-                                        len(centered) * k):
-        for idx, W in zip(batch, _search(rngs, pool, k, d, diameter)):
+    center, radius, pool32, pool64, diameter = _search_frame(measures, k)
+    work = k * sum(len(m.weights) for m in measures)  # N·k
+    for batch, rngs in _restart_batches(config.seed, config.max_restarts, work):
+        found = _search(rngs, k, d, pool32, pool64, diameter)
+        for idx, W in zip(batch, found):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)
-            rel = np.abs(imb) / pool.totals
+            rel = np.abs(imb) / pool64.totals
             if float(rel.max()) <= config.tolerance:
                 return SolveResult(status="SUCCESS", directions=W,
                                    imbalances=imb, relative_imbalances=rel,

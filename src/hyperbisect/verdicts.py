@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import _integer
 from .gf2poly import ideal_member, least_surviving_d
 
 
@@ -151,7 +152,10 @@ def _least_thm25ii(j: int, k: int) -> int | None:
 
 
 def verdict(d: int, j: int, k: int) -> LambdaVerdict:
-    """Decide (d, j, k) membership with a machine-checkable certificate."""
+    """Decide (d, j, k) membership with a machine-checkable certificate;
+    d, j and k are stored as ints, and a bool or non-integer is refused."""
+    if not type(d) is type(j) is type(k) is int:  # plain ints skip this
+        d, j, k = map(_integer, "djk", (d, j, k))
     if d < 1 or j < 1 or k < 1:
         raise ValueError(f"need d, j, k >= 1, got ({d}, {j}, {k})")
 

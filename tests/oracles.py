@@ -13,9 +13,10 @@ root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
 per-measure solver kernels that the pooled ones in hyperbisect.testmap
 must match bit for bit (the annealing objective in float32, the sign
-objective in float64), the sequential restart loop that its batches of
-restarts must match, the inverse of sphere_to_hyperplane, and the
-writer of the measure JSON that measures_from_jsonable reads.
+objective in float64), the sequential restart loop, in the solver's own
+search frame, that its batches of restarts must match, the inverse of
+sphere_to_hyperplane, and the writer of the measure JSON that
+measures_from_jsonable reads.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -383,16 +384,12 @@ def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
     imbalances.  Restart r searches as a batch of one, with the r-th
     child of SeedSequence(seed).spawn(max_restarts)."""
     d = testmap._common_dim(measures)
-    pts = np.vstack([m.points for m in measures])
-    center, radius = testmap._centering(pts)
-    centered = (pts - center) / radius
-    pool = testmap._Pool(measures, k, centered)
-    diameter = testmap._data_diameter(centered)
+    center, radius, *frame = testmap._search_frame(measures, k)
     totals = np.array([m.total for m in measures])
     children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
     for child in children:
         rng = np.random.default_rng(child)
-        W = testmap._search([rng], pool, k, d, diameter)[0]
+        W = testmap._search([rng], k, d, *frame)[0]
         W = testmap._uncenter_directions(W, center, radius)
         imb = testmap.phi(measures, W)
         yield W, imb, np.abs(imb) / totals

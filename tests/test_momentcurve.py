@@ -9,6 +9,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from hyperbisect.momentcurve import (Arrangement, DegenerateInputError,
@@ -105,16 +106,24 @@ def test_zero_normal_rejected():
     lambda: OrientedHyperplane((math.nan, 0.0), 1.0),
     lambda: OrientedHyperplane((1.0, 0.0), math.nan),
     lambda: OrientedHyperplane((math.inf, 0.0), 1.0),
+    # numpy floats other than float64 are not Python floats
+    lambda: OrientedHyperplane((1, np.float32("nan")), 0),
+    lambda: OrientedHyperplane((1, 0), np.float32("inf")),
+    lambda: OrientedHyperplane((np.float16("nan"), 1), 0),
+    lambda: OrientedHyperplane((1, 0), np.float16("-inf")),
 ], ids=["empty arrangement", "mixed dimensions", "empty normal",
         "zero Fraction normal", "signed zero normal", "NaN normal",
-        "NaN offset", "infinite normal"])
+        "NaN offset", "infinite normal", "float32 NaN normal",
+        "float32 infinite offset", "float16 NaN normal",
+        "float16 infinite offset"])
 def test_records_reject_what_they_cannot_hold(build):
     with pytest.raises(ValueError):
         build()
 
 
 def test_records_accept_a_normal_with_one_nonzero_coordinate():
-    for normal in ((0, 1), (Fraction(0), Fraction(-1, 3)), (0.0, 1e-300)):
+    for normal in ((0, 1), (Fraction(0), Fraction(-1, 3)), (0.0, 1e-300),
+                   (np.float32(0), np.float16(1.5))):
         assert OrientedHyperplane(normal, 0).normal == normal
 
 

@@ -648,10 +648,10 @@ def _kernel_instance(rng, d):
     return ms, centred_lifted(ms)
 
 
-def _pool(ms, k):
-    pts = np.vstack([m.points for m in ms])
-    center, radius = testmap._centering(pts)
-    return testmap._Pool(ms, k, (pts - center) / radius)
+def _pools(ms, k):
+    """The solver's float32 pool, which the annealing scores, and its
+    float64 pool, which the polish scores."""
+    return testmap._search_frame(ms, k)[2:4]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -663,13 +663,13 @@ def test_pooled_kernel_equals_per_measure_kernel(k, d):
         ms, lifted = _kernel_instance(rng, d)
         weights = [m.weights for m in ms]
         totals = [m.total for m in ms]
-        pool = _pool(ms, k)
+        pool32, pool64 = _pools(ms, k)
         for _ in range(4):
             W = _random_directions(rng, k, d)
             for temp in (2.5, 0.3, 0.02, 1e-4):
-                assert (testmap._soft_imbalances(pool, W[None], temp)[0]
+                assert (testmap._soft_imbalances(pool32, W[None], temp)[0]
                         == soft_imbalance(lifted, weights, totals, W, temp))
-            assert (testmap._hard_worsts(pool, W[None])[0]
+            assert (testmap._hard_worsts(pool64, W[None])[0]
                     == hard_worst(lifted, weights, totals, W))
         W = _random_directions(rng, k, d)
         prods = [signed_products(m, W) for m in ms]
@@ -704,9 +704,10 @@ def test_pooled_kernel_single_one_point_measure():
     for k in (1, 2, 3):
         W = _random_directions(np.random.default_rng(k), k, 2)
         lifted = centred_lifted([m])
-        assert (testmap._soft_imbalances(_pool([m], k), W[None], 0.7)[0]
+        pool32, pool64 = _pools([m], k)
+        assert (testmap._soft_imbalances(pool32, W[None], 0.7)[0]
                 == soft_imbalance(lifted, [m.weights], [m.total], W, 0.7))
-        assert (testmap._hard_worsts(_pool([m], k), W[None])[0]
+        assert (testmap._hard_worsts(pool64, W[None])[0]
                 == hard_worst(lifted, [m.weights], [m.total], W))
 
 
@@ -721,19 +722,19 @@ def _equal_instance(rng, j, d, n=13):
 def _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k):
     weights = [m.weights for m in ms]
     totals = [m.total for m in ms]
-    pool = _pool(ms, k)
+    pool32, pool64 = _pools(ms, k)
     d = ms[0].dim
     stack = np.stack([_random_directions(rng, k, d) for _ in range(6)])
     for temp in (2.5, 0.3, 0.02, 1e-4):
         want = [soft_imbalance(lifted, weights, totals, W, temp)
                 for W in stack]
-        assert testmap._soft_imbalances(pool, stack, temp).tolist() == want
+        assert testmap._soft_imbalances(pool32, stack, temp).tolist() == want
         # each arrangement as a stack of one, as a restart run alone
-        assert [testmap._soft_imbalances(pool, W[None], temp)[0]
+        assert [testmap._soft_imbalances(pool32, W[None], temp)[0]
                 for W in stack] == want
     want = [hard_worst(lifted, weights, totals, W) for W in stack]
-    assert testmap._hard_worsts(pool, stack).tolist() == want
-    assert [testmap._hard_worsts(pool, W[None])[0] for W in stack] == want
+    assert testmap._hard_worsts(pool64, stack).tolist() == want
+    assert [testmap._hard_worsts(pool64, W[None])[0] for W in stack] == want
 
 
 @pytest.mark.parametrize("j", [2, 8, 9])
@@ -745,7 +746,7 @@ def test_pooled_kernel_equals_per_measure_kernel_on_equal_sizes(j, k, d):
     # more in another order)
     rng = np.random.default_rng(1000 * j + 100 * k + d)
     ms, lifted = _equal_instance(rng, j, d)
-    assert _pool(ms, k).w_stack is not None
+    assert all(pool.w_stack is not None for pool in _pools(ms, k))
     _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
     # phi takes the same stacked reduction
     W = _random_directions(rng, k, d)
@@ -758,7 +759,7 @@ def test_stacked_scorers_equal_per_measure_kernel_on_unequal_sizes(k):
     rng = np.random.default_rng(70 + k)
     for d in (1, 3):
         ms, lifted = _kernel_instance(rng, d)
-        assert _pool(ms, k).w_stack is None
+        assert all(pool.w_stack is None for pool in _pools(ms, k))
         _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
 
 
@@ -829,18 +830,18 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
 
 def test_a_search_keeps_one_work_array(short_schedule, monkeypatch):
     # the stages' starts are scored in the proposals' stack, so the
-    # pool's float32 twin sizes its work array once, for the annealing
-    # stages, and the pool its own once, for the polish, both for B·λ
+    # float32 pool sizes its work array once, for the annealing stages,
+    # and the float64 pool its own once, for the polish, both for B·λ
     # arrangements
     rng = np.random.default_rng(41)
-    pool, *rest = _search_args(_random_measures(rng, 2, 2, n=30), 2)
+    args = _search_args(_random_measures(rng, 2, 2, n=30), 2)
     sized, size = [], testmap._Pool._size_work_array
 
     def spy(self, B, k):
         sized.append((self.values.dtype, B))
         size(self, B, k)
     monkeypatch.setattr(testmap._Pool, "_size_work_array", spy)
-    testmap._search([np.random.default_rng(s) for s in range(3)], pool, *rest)
+    testmap._search([np.random.default_rng(s) for s in range(3)], *args)
     assert sized == [(np.float32, 3 * testmap._PROPOSALS),
                      (np.float64, 3 * testmap._PROPOSALS)]
 
@@ -852,15 +853,15 @@ def test_only_the_annealing_scorer_runs_in_float32(monkeypatch):
     # (d, k) = (2, 3) by 2e-3 on the sphere, against a bound of 1e-3
     rng = np.random.default_rng(47)
     ms, _ = _kernel_instance(rng, 2)
-    pool = _pool(ms, 2)
+    pool32, pool64 = _pools(ms, 2)
     stack = np.stack([_random_directions(rng, 2, 2) for _ in range(3)])
-    assert testmap._soft_imbalances(pool, stack, 0.3).dtype == np.float32
-    assert testmap._hard_worsts(pool, stack).dtype == np.float64
-    assert testmap._signed_sums(pool, stack).dtype == np.float64
-    assert pool.lifted.dtype == np.float64
-    assert pool.twin.lifted.dtype == np.float32
+    assert testmap._soft_imbalances(pool32, stack, 0.3).dtype == np.float32
+    assert testmap._hard_worsts(pool64, stack).dtype == np.float64
+    assert testmap._signed_sums(pool64, stack).dtype == np.float64
+    assert pool64.lifted.dtype == np.float64
     # phi's and boundary_mass's pools hold raw coordinates, which could
-    # overflow float32: they build no twin, and a solve builds one
+    # overflow float32: they are float64, and a solve builds one float32
+    # pool, of the centred unit-radius points
     built, init = [], testmap._Pool.__init__
 
     def spy(self, *args):
@@ -870,12 +871,10 @@ def test_only_the_annealing_scorer_runs_in_float32(monkeypatch):
     assert phi(ms, stack[0]).dtype == np.float64
     assert boundary_mass(ms, stack[0]).dtype == np.float64
     assert [p.lifted.dtype for p in built] == [np.float64] * 2
-    assert not any("twin" in vars(p) for p in built)
     built.clear()
     solve_bisection(_random_measures(rng, 2, 2), 2, SolverConfig(max_restarts=3))
-    assert [p.lifted.dtype for p in built].count(np.float32) == 1
-    assert not any("twin" in vars(p) for p in built
-                   if p.lifted.dtype == np.float32)
+    (single,) = [p for p in built if p.lifted.dtype == np.float32]
+    assert np.abs(single.lifted).max() <= 1.0
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)
@@ -889,11 +888,7 @@ def short_schedule(monkeypatch):
 
 
 def _search_args(ms, k):
-    pts = np.vstack([m.points for m in ms])
-    center, radius = testmap._centering(pts)
-    centered = (pts - center) / radius
-    return (testmap._Pool(ms, k, centered), k, ms[0].dim,
-            testmap._data_diameter(centered))
+    return (k, ms[0].dim, *testmap._search_frame(ms, k)[2:])
 
 
 def _assert_lockstep_equals_single(make_rngs, ms, k):
@@ -1055,7 +1050,7 @@ def test_lockstep_keeps_rejected_proposals_apart(monkeypatch):
     lam = testmap._PROPOSALS
     some, every = (0, 3, 4, lam - 1), range(lam)
     for k in (1, 2):
-        pool = _search_args(ms, k)[0]
+        pool = _pools(ms, k)[1]
         for pole in (False, True):
             for rejected in (some, every):
                 # the rows the search moves from the fake's draws: exactly
@@ -1124,7 +1119,7 @@ def test_lockstep_polish_drops_members_that_reach_zero(monkeypatch):
     seeds = range(10)
     _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
-    pool = _search_args([m], 1)[0]
+    pool = _pools([m], 1)[1]
     worst = [testmap._hard_worsts(pool, testmap._search(
         [np.random.default_rng(s)], *_search_args([m], 1)))[0]
         for s in seeds]
@@ -1229,8 +1224,7 @@ def test_infeasible_atom_pairs_search_in_two_batches(monkeypatch):
     reference = solve_bisection_sequentially(ms, 2, config)
     assert batched.to_jsonable() == reference.to_jsonable()
     assert batched.to_jsonable()["status"] == "NOT_FOUND"
-    pts = np.vstack([m.points for m in ms])
-    center, radius = testmap._centering(pts)
+    center, radius = testmap._search_frame(ms, 2)[:2]
     for W, (alone, _, _) in zip(np.concatenate(searched),
                                 sequential_restarts(ms, 2, config),
                                 strict=True):

@@ -6,9 +6,12 @@ import copy
 import dataclasses
 import functools
 import json
+import enum
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hyperbisect.verdicts import (HAM_SANDWICH, MOMENT_CURVE_NECESSITY, NONE,
@@ -282,6 +285,36 @@ def test_verdict_rejects_bad_triples():
     for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
         with pytest.raises(ValueError):
             verdict(*bad)
+
+
+@pytest.mark.parametrize("triple", [
+    (2.5, 4, 2), (2.0, 4, 2), (2, 4.0, 2), (2, 4, Fraction(2)),
+    (2, 4, "2"), (np.float64(2.0), 4, 2), (True, 1, 1), (1, True, 1),
+    (3, 4, False), (np.bool_(True), 1, 1),
+])
+def test_verdict_refuses_bools_and_non_integers(triple):
+    # 2.5 passed as d used to give IN THM25_I(d0=2), and certificate_checks
+    # passed it; True printed as "d": true
+    with pytest.raises(ValueError, match="must be an integer"):
+        verdict(*triple)
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("triple", [
+    (np.int64(2), 4, 2), (2, np.int32(4), 2), (2, 4, np.uint8(2)),
+    (_Two.TWO, 4, _Two.TWO), (np.int64(7), np.int64(129), np.int64(3)),
+])
+def test_verdict_stores_integer_like_values_as_ints(triple):
+    # a numpy integer used to reach the JSON, which json.dumps refused
+    v = verdict(*triple)
+    assert [type(x) for x in (v.d, v.j, v.k)] == [int, int, int]
+    want = verdict(*map(int, triple))
+    assert v == want and str(v) == str(want)
+    assert json.dumps(v.to_jsonable()) == json.dumps(want.to_jsonable())
+    assert certificate_checks(v)
 
 
 def test_frontier_rows_k2():
