@@ -63,14 +63,17 @@ def _lazy_names(namespace: dict, exports: dict) -> tuple:
     return __getattr__, __dir__
 
 
-def _integer(name: str, value) -> int:
-    """operator.index(value); ValueError for a bool or a non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int: the one gate of every integer argument.
+    ValueError for a bool (numpy's too), a non-integer or a value < least."""
+    if type(value) is not int:
+        from numbers import Integral  # numpy registers its integers here
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 __getattr__, __dir__ = _lazy_names(globals(), _EXPORTS)

@@ -137,7 +137,7 @@ def _count_digits(d: int, k: int, ell: int) -> int:
     def log_factorial(n: int) -> float:
         return math.lgamma(n + 1)
 
-    j = this.check_shape(d, k, ell)
+    *_, j = this.check_shape(d, k, ell)
     if ell == 0:
         ln = log_factorial(j) - k * log_factorial(d) - log_factorial(k)
     else:
@@ -188,7 +188,7 @@ def _table_json(planes, rows) -> str:
 def _cmd_enumerate(args) -> int:
     d, k, ell = args.d, args.k, args.ell
     # a bad (d, k, ell) is a usage error, like count's
-    j = this.check_shape(d, k, ell)
+    *_, j = this.check_shape(d, k, ell)
     params = _parse_params(args.params)
     try:
         family = this.IntervalFamily(d=d, parameters=params, anchor_count=ell)

@@ -17,18 +17,16 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import _integer
+
 # not called here; the benchmark's tracer (perfbench/tracer.py) wraps it at
 # this attribute, so it stays importable from this module
 from .parity import multinomial_parity  # noqa: F401
 
 
-def _check_args(j: int, k: int, d: int) -> None:
-    if j < 0:
-        raise ValueError(f"exponent j must be >= 0, got {j}")
-    if k < 1:
-        raise ValueError(f"need k >= 1 variables, got {k}")
-    if d < 0:
-        raise ValueError(f"cap parameter d must be >= 0, got {d}")
+def _check_args(j: int, k: int, d: int) -> tuple[int, int, int]:
+    """(j, k, d) through the gate: exponent, variables, cap."""
+    return _integer("j", j, 0), _integer("k", k, 1), _integer("d", d, 0)
 
 
 def least_surviving_d(j: int, k: int) -> int:
@@ -54,7 +52,9 @@ def ideal_member(j: int, k: int, d: int) -> bool:
     scratch by expanding the power and testing for zero, and by a search
     for carry-free compositions, and keep the three in agreement.
     """
-    _check_args(j, k, d)
+    if not (type(j) is type(k) is type(d) is int  # plain ints skip the gate
+            and j >= 0 and k >= 1 and d >= 0):
+        j, k, d = _check_args(j, k, d)
     return d < least_surviving_d(j, k)
 
 
@@ -68,7 +68,7 @@ def count_surviving_monomials(j: int, k: int, d: int) -> int:
     equal d's prefix (the others are already below d and take any bit),
     which is only ever k, 1 or 0.  Cost O(log max(j, d)).
     """
-    _check_args(j, k, d)
+    j, k, d = _check_args(j, k, d)
     ways = Counter({k: 1})  # parts still equal to d's prefix -> deals
     for b in reversed(range(max(j, d).bit_length())):
         d_bit, j_bit = d >> b & 1, j >> b & 1
@@ -96,7 +96,7 @@ def surviving_monomials(j: int, k: int, d: int) -> list[tuple[int, ...]]:
     the number of partial deals, one round per set bit of j, not with j
     itself.
     """
-    _check_args(j, k, d)
+    j, k, d = _check_args(j, k, d)
     deals = [(0,) * k]
     for b in reversed(range(j.bit_length())):
         if j >> b & 1:

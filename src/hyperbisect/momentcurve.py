@@ -31,7 +31,7 @@ from functools import cmp_to_key
 from itertools import combinations
 from operator import mul
 
-from . import polynomials as poly
+from . import _integer, polynomials as poly
 # the closed count lives in parity, beside its parities; still importable here
 from .parity import check_shape, count_bisections  # noqa: F401
 
@@ -117,8 +117,7 @@ class Arrangement:
 
 def moment_point(t, d: int) -> tuple[Fraction, ...]:
     """Curve point (C(t,1), ..., C(t,d)) at rational parameter t."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    d = _integer("d", d, 1)
     t = Fraction(t)
     coords = []
     acc = Fraction(1)
@@ -211,10 +210,9 @@ class IntervalFamily:
     anchor_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
-        if self.anchor_count < 0:
-            raise ValueError(f"negative anchor count {self.anchor_count}")
+        object.__setattr__(self, "d", _integer("d", self.d, 1))
+        object.__setattr__(self, "anchor_count",
+                           _integer("anchor_count", self.anchor_count, 0))
         ps = tuple(Fraction(t) for t in self.parameters)
         object.__setattr__(self, "parameters", ps)
         if len(ps) < 2 or len(ps) % 2:
@@ -241,7 +239,7 @@ class IntervalFamily:
 
 def well_separated_family(d: int, k: int, ell: int = 0) -> IntervalFamily:
     """A canonical test family: unit intervals at integer endpoints."""
-    j = check_shape(d, k, ell)
+    d, _, ell, j = check_shape(d, k, ell)
     start = ell + 1
     params = []
     for r in range(j):
@@ -360,10 +358,10 @@ def _bisection_table(family: IntervalFamily,
     Every row holds k >= 1 distinct ranks, and every plane has dimension
     family.d.
     """
-    d, ell, j = family.d, family.anchor_count, family.j
-    if j != check_shape(d, k, ell):
+    d, k, ell, j = check_shape(family.d, k, family.anchor_count)
+    if j != family.j:
         raise ValueError(f"(d, k, ell) = ({d}, {k}, {ell}) needs "
-                         f"j == (d-ell)*k + ell, got j={j}")
+                         f"j == (d-ell)*k + ell, got j={family.j}")
     ms = range(d + 1)
     factors = [[mid.denominator * m - mid.numerator for m in ms]
                for mid in family.midpoints()]

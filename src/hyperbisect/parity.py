@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from . import _integer
+
 
 class Parity(Enum):
     EVEN = "even"
@@ -35,7 +37,7 @@ class Parity(Enum):
 
     @classmethod
     def of(cls, n: int) -> "Parity":
-        return cls.ODD if n % 2 else cls.EVEN
+        return cls.ODD if _integer("n", n) % 2 else cls.EVEN
 
     def __str__(self) -> str:
         return self.value
@@ -70,10 +72,10 @@ def legendre_valuation(n: int) -> int:
 
 def multinomial_valuation(n: int, parts: list[int]) -> int:
     """Exponent of 2 in the multinomial coefficient C(n; parts)."""
+    n = _integer("n", n, 0)
+    parts = [_integer("part", k, 0) for k in parts]
     if sum(parts) != n:
         raise ValueError(f"parts {parts} do not sum to {n}")
-    if any(k < 0 for k in parts):
-        raise ValueError(f"negative part in {parts}")
     return legendre_valuation(n) - sum(legendre_valuation(k) for k in parts)
 
 
@@ -97,9 +99,8 @@ def equal_blocks_parity(d: int, k: int) -> Parity:
     k >= 2 the count is odd exactly when d is a power of two, and it is
     always odd at k = 1, where it is 1.
     """
-    if d < 1 or k < 1:
-        raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
-    v = (legendre_valuation(d * k) - legendre_valuation(k)
+    d, k, _, j = check_shape(d, k)
+    v = (legendre_valuation(j) - legendre_valuation(k)
          - k * legendre_valuation(d))
     _check_valuation(v)
     return Parity.EVEN if v > 0 else Parity.ODD
@@ -117,9 +118,9 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
     C(2d - ell, d) is odd exactly when d and d - ell share no binary
     digit (d & (d - ell) == 0).
     """
+    d, k, ell, j = check_shape(d, k, ell)
     if ell == 0:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
-    j = check_shape(d, k, ell)
     # the rest, (d-ell)(k-1) items, is exactly j - d, so (j-d)! cancels
     v = (legendre_valuation(j) - legendre_valuation(d)
          - legendre_valuation(k - 1)
@@ -128,20 +129,15 @@ def anchored_blocks_parity(d: int, k: int, ell: int) -> Parity:
     return Parity.EVEN if v > 0 else Parity.ODD
 
 
-def check_shape(d: int, k: int, ell: int = 0) -> int:
-    """j = (d - ell)*k + ell; ValueError unless (d, k, ell) names a family
-    of the count law: d >= 1 and k >= 1 unanchored, k >= 2 and
-    1 <= ell <= d-1 anchored."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if ell == 0:
-        if k < 1:
-            raise ValueError(f"need k >= 1, got {k}")
-    elif k < 2:
-        raise ValueError(f"anchored case needs k >= 2, got k={k}")
-    elif not 1 <= ell <= d - 1:
+def check_shape(d: int, k: int, ell: int = 0) -> tuple[int, int, int, int]:
+    """(d, k, ell, j) as plain ints, j = (d - ell)*k + ell; ValueError
+    unless (d, k, ell) names a family of the count law: d >= 1 and k >= 1
+    unanchored, k >= 2 and 1 <= ell <= d-1 anchored."""
+    d, ell = _integer("d", d, 1), _integer("ell", ell)
+    k = _integer("k", k, 2 if ell else 1)
+    if ell and not 1 <= ell <= d - 1:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
-    return (d - ell) * k + ell
+    return d, k, ell, (d - ell) * k + ell
 
 
 def _equal_splits(m: int, blocks: int) -> int:
@@ -157,7 +153,7 @@ def _equal_splits(m: int, blocks: int) -> int:
 def count_bisections(d: int, k: int, ell: int = 0) -> int:
     """Closed-form count of the arrangements that
     momentcurve.enumerate_bisections yields."""
-    j = check_shape(d, k, ell)
+    d, k, ell, j = check_shape(d, k, ell)
     if ell == 0:
         return _equal_splits(d, k)
     return math.comb(j, d) * _equal_splits(d - ell, k - 1)

@@ -155,6 +155,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, k: int) -> "GroupElement":
+        k = _integer("k", k, 0)
         return cls((0,) * k, tuple(range(k)))
 
     def inverse_permutation(self) -> tuple[int, ...]:
@@ -400,8 +401,7 @@ def interval_quadrature_measures(family: IntervalFamily, n: int) -> list[Discret
     Each interval becomes n equally weighted points on the moment curve,
     total mass 1, uniform in the curve parameter.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _integer("n", n, 1)
     out = []
     for a, b in family.intervals():
         ts = float(a) + (np.arange(n) + 0.5) * (float(b) - float(a)) / n
@@ -448,12 +448,9 @@ class SolverConfig:
         if not 0 < self.tolerance < 1:
             raise ValueError(f"tolerance must lie strictly between 0 and 1, "
                              f"got {self.tolerance}")
-        for name in ("seed", "max_restarts"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.max_restarts < 1:
-            raise ValueError("need at least one restart")
+        for name, least in (("seed", 0), ("max_restarts", 1)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
 
 
 @dataclass
@@ -667,9 +664,7 @@ def solve_bisection(measures, k: int,
     products, not an exact re-check.
     """
     config = config or SolverConfig()
-    k = _integer("k", k)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    k = _integer("k", k, 1)
     d = _common_dim(measures)
 
     center, radius, pool32, pool64, diameter = _search_frame(measures, k)
@@ -704,14 +699,10 @@ def measures_from_jsonable(data) -> tuple[int, list[DiscreteMeasure]]:
     if not isinstance(data, dict):
         raise ValueError("top level must be an object")
     try:
-        d = data["d"]
+        d = _integer("d", data["d"], 1)
         raw_measures = data["measures"]
     except KeyError as exc:
         raise ValueError(f"missing field: {exc}") from exc
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
     if not isinstance(raw_measures, list) or not raw_measures:
         raise ValueError("measures must be a nonempty list")
     measures = []

@@ -64,8 +64,9 @@ class Certificate:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        if self.d0 is not None and self.d0 < 1:
-            raise ValueError(f"need d0 >= 1, got {self.d0}")
+        d0 = self.d0
+        if d0 is not None and not (type(d0) is int and d0 >= 1):
+            self.d0 = _integer("d0", d0, 1)
 
     def _params(self) -> dict:
         """d0 and, for THM25, the a (and ell) of d0 = 2^a + ell."""
@@ -154,10 +155,9 @@ def _least_thm25ii(j: int, k: int) -> int | None:
 def verdict(d: int, j: int, k: int) -> LambdaVerdict:
     """Decide (d, j, k) membership with a machine-checkable certificate;
     d, j and k are stored as ints, and a bool or non-integer is refused."""
-    if not type(d) is type(j) is type(k) is int:  # plain ints skip this
-        d, j, k = map(_integer, "djk", (d, j, k))
-    if d < 1 or j < 1 or k < 1:
-        raise ValueError(f"need d, j, k >= 1, got ({d}, {j}, {k})")
+    if not (type(d) is type(j) is type(k) is int  # plain ints skip the gate
+            and d >= 1 and j >= 1 and k >= 1):
+        d, j, k = _integer("d", d, 1), _integer("j", j, 1), _integer("k", k, 1)
 
     if d * k < j:
         return LambdaVerdict(d, j, k, Status.NOT_IN,
@@ -178,8 +178,12 @@ def verdict(d: int, j: int, k: int) -> LambdaVerdict:
 
 
 def certificate_checks(v: LambdaVerdict) -> bool:
-    """Re-derive the certificate's claim from scratch."""
+    """Re-derive the certificate's claim from scratch; a d, j, k or d0
+    that is not a plain int never checks."""
     c = v.certificate
+    if not (type(v.d) is type(v.j) is type(v.k) is int
+            and (c.d0 is None or type(c.d0) is int)):
+        return False
     if c.kind == MOMENT_CURVE_NECESSITY:
         return v.status is Status.NOT_IN and v.d * v.k < v.j
     if c.kind == NONE:
@@ -231,8 +235,7 @@ def frontier_table(k: int, j_max: int) -> FrontierTable:
     every least d0 is at most j.  d_conjecture = ceil(j/k) is the
     necessity floor, conjecturally tight.
     """
-    if k < 1 or j_max < 1:
-        raise ValueError(f"need k >= 1 and j_max >= 1, got k={k}, j_max={j_max}")
+    k, j_max = _integer("k", k, 1), _integer("j_max", j_max, 1)
 
     rows = tuple(FrontierRow(j=j, d_conjecture=-(-j // k),
                              d_thm1=least_surviving_d(j, k),

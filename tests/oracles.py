@@ -276,7 +276,7 @@ def enumerate_by_root_sets(family, k: int) -> list[Arrangement]:
     one root_set_hyperplane per distinct block, ranked by Fraction sort
     keys."""
     d, ell, j = family.d, family.anchor_count, family.j
-    if j != check_shape(d, k, ell):
+    if j != check_shape(d, k, ell)[3]:
         raise ValueError(f"(d, k, ell) = ({d}, {k}, {ell}) needs "
                          f"j == (d-ell)*k + ell, got j={j}")
     mids, anchors = family.midpoints(), family.anchors()

@@ -362,7 +362,7 @@ def _enumerate_cases():
     rng = random.Random(29)
     for d, k, ell in COUNT_LAW + ((3, 3, 0), (4, 2, 1)):
         yield d, k, ell, well_separated_family(d, k, ell).parameters
-        j = check_shape(d, k, ell)
+        *_, j = check_shape(d, k, ell)
         # rational endpoints p/q after the anchors, as --params spells them
         yield d, k, ell, [Fraction(round((ell + i + rng.uniform(0.1, 0.9))
                                          * q), q)
@@ -739,13 +739,13 @@ def test_solve_restarts_zero_is_usage_error(capsys, tmp_path):
 
 def test_solve_negative_seed_is_refused_by_name(capsys, tmp_path):
     # --seed -1 used to exit 2 with numpy's "expected non-negative
-    # integer"
+    # integer"; the message is the integer gate's
     instance = tmp_path / "disks.json"
     _write_instance(instance)
     argv = ["solve", "--input", str(instance), "--k", "2"]
     code, out, err = _run(capsys, [*argv, "--seed", "-1"])
     assert code == 2 and out == ""
-    assert err == "error: seed must be nonnegative, got -1\n"
+    assert err == "error: need seed >= 0, got -1\n"
 
 
 def test_lambda_table_bad_k_is_usage_error(capsys):

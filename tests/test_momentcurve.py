@@ -179,6 +179,14 @@ def test_interval_family_validation():
     assert fam.anchors() == [0]
 
 
+def test_interval_family_stores_plain_ints():
+    fam = IntervalFamily(d=np.int64(2), parameters=(1, 2, 3, 4),
+                         anchor_count=np.int64(1))
+    assert type(fam.d) is int and type(fam.anchor_count) is int
+    assert fam == IntervalFamily(2, (1, 2, 3, 4), anchor_count=1)
+    assert fam.anchors() == [0]
+
+
 def test_verify_bisection_positive_one_dimensional():
     fam = IntervalFamily(1, (1, 2))
     cut = Arrangement((hyperplane_through([(Fraction(3, 2),)]),))
@@ -246,7 +254,7 @@ def test_check_shape_is_the_family_size():
         for k in range(1, 13):
             for ell in range(d) if k >= 2 else (0,):
                 assert (check_shape(d, k, ell)
-                        == well_separated_family(d, k, ell).j)
+                        == (d, k, ell, well_separated_family(d, k, ell).j))
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 5), (3, 1, 1), (2, 0, 0)])
@@ -535,7 +543,7 @@ def test_enumerate_matches_reference_on_count_law_families():
 def _distinct_denominator_family(rng, d, k, ell):
     """Seeded midpoints p/q with a different prime q each, two units
     apart after the anchors, as centres of intervals of width 2/3."""
-    j = check_shape(d, k, ell)
+    *_, j = check_shape(d, k, ell)
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
     params = []
     for r, q in enumerate(rng.sample(primes, j)):

@@ -272,12 +272,31 @@ def test_certificate_checks_rejects_an_unknown_kind():
     assert bad.status is Status.IN and not certificate_checks(bad)
 
 
+@pytest.mark.parametrize("d, j, k", [
+    (4.5, 8, 2), (4, 8.0, 2), (4, 8, 2.0), (np.int64(4), 8, 2), (4, True, 1),
+])
+def test_certificate_checks_rejects_a_triple_that_is_not_plain_ints(d, j, k):
+    # LambdaVerdict(4.5, 8, 2, IN, THM25_I(d0=4)) used to check out
+    v = LambdaVerdict(d, j, k, Status.IN, Certificate(THM25_I, 4))
+    assert not certificate_checks(v)
+    assert certificate_checks(LambdaVerdict(4, 8, 2, Status.IN,
+                                            Certificate(THM25_I, 4)))
+
+
+@pytest.mark.parametrize("d0", [4.0, 2.5, np.int64(4), True])
+def test_certificate_checks_rejects_a_d0_that_is_not_a_plain_int(d0):
+    v = verdict(4, 8, 2)
+    assert v.certificate == Certificate(THM25_I, 4) and certificate_checks(v)
+    v.certificate.d0 = d0
+    assert not certificate_checks(v)
+
+
 @pytest.mark.parametrize("args, message", [
-    ((0, 5), "need k >= 1 and j_max >= 1, got k=0, j_max=5"),
-    ((2, 0), "need k >= 1 and j_max >= 1, got k=2, j_max=0"),
+    ((0, 5), "need k >= 1, got 0"),
+    ((2, 0), "need j_max >= 1, got 0"),
 ])
 def test_frontier_table_rejects_bad_arguments(args, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         frontier_table(*args)
 
 
@@ -372,6 +391,13 @@ def test_json_round_trip():
 def test_json_keys_are_k_j_max_and_rows():
     data = json.loads(frontier_json(frontier_table(2, 4)))
     assert list(data) == ["k", "j_max", "rows"]
+
+
+def test_frontier_json_of_numpy_arguments_is_that_of_ints():
+    # a numpy j_max used to reach json.dumps, which refused it
+    table = frontier_table(np.int64(2), np.int64(3))
+    assert type(table.k) is type(table.j_max) is int
+    assert frontier_json(table) == frontier_json(frontier_table(2, 3))
 
 
 def test_verdict_matches_the_scan():
