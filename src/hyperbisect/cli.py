@@ -28,8 +28,8 @@ from . import _lazy_names
 # also wraps surviving_monomials and enumerate_bisections here, names no
 # command calls any more) replaces them.
 __getattr__, __dir__ = _lazy_names(globals(), {
-    "parity": ("anchored_blocks_parity", "check_shape", "count_bisections",
-               "equal_blocks_parity"),
+    "parity": ("_count_digits", "anchored_blocks_parity", "check_shape",
+               "count_bisections", "equal_blocks_parity"),
     "gf2poly": ("count_surviving_monomials", "ideal_member",
                 "surviving_monomials"),
     "verdicts": ("Status", "frontier_csv", "frontier_json", "frontier_table",
@@ -131,29 +131,14 @@ def _cmd_parity_lemma2(args) -> int:
     return 0
 
 
-def _count_digits(d: int, k: int, ell: int) -> int:
-    """Decimal digits of count_bisections(d, k, ell), from the log of its
-    closed form (math.lgamma), without computing it."""
-    def log_factorial(n: int) -> float:
-        return math.lgamma(n + 1)
-
-    *_, j = this.check_shape(d, k, ell)
-    if ell == 0:
-        ln = log_factorial(j) - k * log_factorial(d) - log_factorial(k)
-    else:
-        # the (d-ell)(k-1) items left after the free hyperplane are j - d
-        ln = (log_factorial(j) - log_factorial(d) - log_factorial(k - 1)
-              - (k - 1) * log_factorial(d - ell))
-    return int(ln / math.log(10)) + 1
-
-
 def _cmd_count(args) -> int:
     # _count_digits checks the shape; a count Python will not print is
     # refused before it is computed (limit 0, none, before Python 3.10.7/3.11)
-    digits = _count_digits(args.d, args.k, args.ell)
+    digits = this._count_digits(args.d, args.k, args.ell)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and digits > limit:
-        raise ValueError(f"the count has about {digits} decimal digits, more "
+        size = f"about {digits}" if digits < math.inf else "too many"
+        raise ValueError(f"the count has {size} decimal digits, more "
                          f"than the {limit} Python converts to a string "
                          f"(sys.get_int_max_str_digits())")
     n = this.count_bisections(args.d, args.k, args.ell)

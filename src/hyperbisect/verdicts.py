@@ -33,6 +33,7 @@ from enum import Enum
 
 from . import _integer
 from .gf2poly import ideal_member, least_surviving_d
+from .parity import is_power_of_two
 
 
 class Status(Enum):
@@ -109,10 +110,6 @@ class LambdaVerdict:
         if self.status is Status.IN:  # HAM_SANDWICH applies from d = j
             out["witness_d0"] = self.certificate.d0 or self.j
         return out
-
-
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
 
 
 def _thm25i_fires(d0: int, j: int, k: int) -> bool:

@@ -8,7 +8,9 @@ that THM25_II's least dimension was found by, the trimming long
 division that polynomials.divide replaced, polynomials built
 from their roots, the lcm-denominator and Fraction kernels for root-set
 hyperplanes, the tuple-partition enumeration that the small-integer
-enumeration in hyperbisect.momentcurve replaced, an exact
+enumeration in hyperbisect.momentcurve replaced, the Legendre floor
+sums that the block-count parities and the multinomial valuation were
+computed by before Lucas' and Kummer's closed forms, an exact
 root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
 per-measure solver kernels that the pooled ones in hyperbisect.testmap
@@ -318,6 +320,33 @@ def count_bisections_by_factorials(d: int, k: int, ell: int = 0) -> int:
     return math.comb(j, d) * (math.factorial(m * (k - 1))
                               // (math.factorial(m) ** (k - 1)
                                   * math.factorial(k - 1)))
+
+
+def legendre_valuation(n: int) -> int:
+    """Exponent of 2 in n!, by Legendre's floor sum."""
+    if n < 0:
+        raise ValueError(f"negative n: {n}")
+    v, q = 0, 2
+    while q <= n:
+        v += n // q
+        q *= 2
+    return v
+
+
+def multinomial_valuation_by_legendre(n: int, parts: list[int]) -> int:
+    """Exponent of 2 in C(n; parts) as E(n) - sum E(part), E = Legendre."""
+    return legendre_valuation(n) - sum(map(legendre_valuation, parts))
+
+
+def block_count_valuation(d: int, k: int, ell: int = 0) -> int:
+    """Exponent of 2 in count_bisections(d, k, ell), from its factorials:
+    E(dk) - E(k) - k E(d) unanchored, and anchored, with (j - d)!
+    cancelled, E(j) - E(d) - E(k-1) - (k-1) E(d - ell)."""
+    E = legendre_valuation
+    if ell == 0:
+        return E(d * k) - E(k) - k * E(d)
+    j = (d - ell) * k + ell
+    return E(j) - E(d) - E(k - 1) - (k - 1) * E(d - ell)
 
 
 def curve_roots_check(h: OrientedHyperplane, params) -> bool:

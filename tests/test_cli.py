@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -256,10 +257,19 @@ def test_count_command(capsys):
 @pytest.mark.parametrize("argv", [["300", "300"], ["1000", "1000"],
                                   ["300", "300", "--format", "json"],
                                   ["100000", "2"],
-                                  ["3000", "4", "--ell", "1"]])
+                                  ["3000", "4", "--ell", "1"],
+                                  # each value a full decimal string
+                                  [str(10**306), "2"], ["2", str(10**306)],
+                                  [str(10**300), "1000000",
+                                   "--ell", str(10**299)],
+                                  *([str(10**300), str(k),
+                                     "--ell", str(10**300 - 2)]
+                                    for k in (30, 300, 3000))])
 def test_count_too_long_to_print_is_refused_at_once(capsys, argv):
     # more digits than Python converts to a string: refused before the
-    # count is computed, with its size (1000 1000 ran factorial(10**6))
+    # count is computed, with its size (1000 1000 ran factorial(10**6)).
+    # A huge anchored count is sized from C(j, d)'s small side, and a
+    # float overflow while sizing is a count of too many digits
     from hyperbisect.cli import _count_digits
     start = time.perf_counter()
     code, out, err = _run(capsys, ["count", *argv])
@@ -269,11 +279,15 @@ def test_count_too_long_to_print_is_refused_at_once(capsys, argv):
     ell = int(argv[3]) if "--ell" in argv else 0
     digits = _count_digits(d, k, ell)
     assert digits > sys.get_int_max_str_digits()
-    assert err.startswith("error:") and f"about {digits} decimal digits" in err
+    size = f"about {digits}" if digits < math.inf else "too many"
+    assert err.startswith(f"error: the count has {size} decimal digits")
 
 
 @pytest.mark.parametrize("argv", [["40", "40"], ["3000", "3", "--ell", "1"],
-                                  ["1000000", "1"], ["1", "1000000000"]])
+                                  ["1000000", "1"], ["1", "1000000000"],
+                                  [str(10**400), "1"], ["1", str(10**400)],
+                                  [str(10**300), "3",
+                                   "--ell", str(10**300 - 2)]])
 def test_count_large_but_printable_prints_at_once(capsys, argv):
     from hyperbisect.momentcurve import count_bisections
     start = time.perf_counter()
@@ -293,6 +307,13 @@ def test_count_digits_estimate_is_exact():
                 assert _count_digits(d, k, ell) == len(str(count_bisections(d, k, ell)))
     # next to the default limit of 4300 digits
     assert _count_digits(3000, 3, 1) == len(str(count_bisections(3000, 3, 1))) == 4289
+    # huge anchored counts, sized from the small side of C(j, d); their
+    # bit lengths bound their decimal digits without printing them
+    for k in (3, 30, 300):
+        bits = count_bisections(10**300, k, 10**300 - 2).bit_length()
+        digits = _count_digits(10**300, k, 10**300 - 2)
+        assert (int((bits - 1) * math.log10(2)) + 1 <= digits
+                <= int(bits * math.log10(2)) + 1)
 
 
 def test_enumerate_round_trip(capsys):
@@ -460,10 +481,6 @@ def _cli_child(argv, **kwargs):
 # a cross-check made to disagree, then the command that runs it, in a child
 # started with python -O: the check is raised, not asserted, so it survives
 CROSS_CHECKS = {
-    "digit sum": ("import hyperbisect.parity as parity\n"
-                  "real = parity.digit_sum\n"
-                  "parity.digit_sum = lambda n: real(n) + 1\n",
-                  ["parity", "lemma1", "3", "2"]),
     "surviving count": ("cli.count_surviving_monomials = lambda j, k, d: 1\n",
                         ["ideal", "member", "2", "4", "2"]),
 }

@@ -1,16 +1,19 @@
-"""Valuation and parity arithmetic against big-integer ground truth."""
+"""Valuation and parity arithmetic against big-integer ground truth and
+the Legendre floor sums of tests/oracles.py."""
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import pytest
 
-from hyperbisect.parity import (Parity, anchored_blocks_parity, digit_sum,
-                                equal_blocks_parity, legendre_valuation,
+from hyperbisect.parity import (Parity, anchored_blocks_parity,
+                                equal_blocks_parity, is_power_of_two,
                                 multinomial_parity, multinomial_valuation)
-from oracles import is_carry_free
+from oracles import (block_count_valuation, is_carry_free, legendre_valuation,
+                     multinomial_valuation_by_legendre)
 
 
 def _factorial_valuation(n):
@@ -43,8 +46,8 @@ class PadicProfile:
 
 
 def padic_profile(n: int) -> PadicProfile:
-    return PadicProfile(n=n, valuation=legendre_valuation(n),
-                        digit_sum=digit_sum(n))
+    return PadicProfile(n=n, valuation=_factorial_valuation(n),
+                        digit_sum=n.bit_count())
 
 
 def test_legendre_examples():
@@ -60,7 +63,9 @@ def test_legendre_matches_factorials():
 
 def test_legendre_digit_sum_identity():
     for n in range(0, 200):
-        assert legendre_valuation(n) == n - digit_sum(n)
+        assert legendre_valuation(n) == n - n.bit_count()
+        # Kummer's form of the valuation, on C(n; 1, ..., 1) = n!
+        assert multinomial_valuation(n, [1] * n) == legendre_valuation(n)
 
 
 def test_legendre_rejects_bad_input():
@@ -73,6 +78,8 @@ def test_padic_profile_fields():
     assert prof.valuation == 8
     assert prof.digit_sum == 2  # 1010 in binary
     assert prof.n == 10
+    for n in range(0, 60):
+        padic_profile(n)  # the identity holds on the big-integer valuations
 
 
 def test_multinomial_parity_examples():
@@ -195,14 +202,61 @@ def test_block_parities_reject_bad_ranges():
         anchored_blocks_parity(3, 2, 0)
 
 
-def test_negative_block_valuation_is_raised(monkeypatch):
-    # a factorial valuation that drops at n >= 4 makes the block counts'
-    # valuations negative; the check is raised, so python -O keeps it
-    import hyperbisect.parity as parity
-    real = parity.legendre_valuation
-    monkeypatch.setattr(parity, "legendre_valuation",
-                        lambda n: real(n) if n < 4 else 0)
-    with pytest.raises(RuntimeError):
-        equal_blocks_parity(2, 2)
-    with pytest.raises(RuntimeError):
-        anchored_blocks_parity(3, 2, 1)
+def test_multinomial_valuation_matches_legendre():
+    for n in range(0, 80):
+        for a in range(0, n + 1):
+            for b in range(0, n - a + 1):
+                parts = [a, b, n - a - b]
+                assert (multinomial_valuation(n, parts)
+                        == multinomial_valuation_by_legendre(n, parts))
+
+
+def _parity_of_valuation(v):
+    return Parity.EVEN if v > 0 else Parity.ODD
+
+
+def test_block_parities_match_legendre_on_a_full_sweep():
+    # every d <= 128, k <= 64 and ell: Lucas' closed forms against the
+    # floor sums they replaced
+    for d in range(1, 129):
+        for k in range(1, 65):
+            want = _parity_of_valuation(block_count_valuation(d, k))
+            assert equal_blocks_parity(d, k) is want, (d, k)
+            for ell in range(1, d) if k >= 2 else ():
+                want = _parity_of_valuation(block_count_valuation(d, k, ell))
+                assert anchored_blocks_parity(d, k, ell) is want, (d, k, ell)
+
+
+def test_block_parities_match_legendre_on_seeded_triples():
+    rng = random.Random(27)
+    for _ in range(10_000):
+        d, k = rng.randint(2, 10**40), rng.randint(2, 10**6)
+        ell = rng.randint(1, d - 1)
+        want = _parity_of_valuation(block_count_valuation(d, k))
+        assert equal_blocks_parity(d, k) is want, (d, k)
+        want = _parity_of_valuation(block_count_valuation(d, k, ell))
+        assert anchored_blocks_parity(d, k, ell) is want, (d, k, ell)
+        parts = [rng.randint(0, 10**40) for _ in range(3)]
+        assert (multinomial_valuation(sum(parts), parts)
+                == multinomial_valuation_by_legendre(sum(parts), parts))
+
+
+def test_is_power_of_two_is_the_verdicts_predicate():
+    from hyperbisect import verdicts
+    assert verdicts.is_power_of_two is is_power_of_two
+    assert [n for n in range(-4, 70) if is_power_of_two(n)] == [
+        1, 2, 4, 8, 16, 32, 64]
+
+
+def test_ln_comb_matches_big_integers():
+    # both branches of the size estimate: the exact sum of logs up to
+    # r = 64, Stirling above, on either side of a binomial
+    from hyperbisect.parity import _ln_comb
+    for n in (1, 2, 10, 129, 1000, 10**6, 10**20, 10**300, 10**1000):
+        for r in sorted({0, 1, 2, 3, 10, 63, 64, 65, 66, 100, n // 2}):
+            if r <= n and (r <= 100 or n <= 1000):
+                exact = math.log(math.comb(n, r))
+                assert math.isclose(_ln_comb(n, r), exact, rel_tol=1e-13,
+                                    abs_tol=1e-13), (n, r)
+                assert math.isclose(_ln_comb(n, n - r), exact, rel_tol=1e-13,
+                                    abs_tol=1e-13), (n, r)
