@@ -2,17 +2,21 @@
 Finding bisections numerically, with receipts
 =============================================
 
-The solver works on finite weighted point clouds.  It minimizes a softened
-sign-imbalance in stages, scored in float32, polishes against the sign
-imbalance in float64, and only
-reports SUCCESS after the candidate hyperplanes pass a check: for every
-measure, the signed mass difference across the arrangement, taken from
-float signs of float products, must sit within the requested tolerance.
-Each step of a restart scores eight proposals, each moving one hyperplane,
-in one stacked call and keeps the best if it is no worse; restart 1
-runs alone, later ones in batches of 2, 4 and then 8, each widened on a
-small input to as many as 64.  Everything is seeded, so reruns are
-bit-identical, whatever the batching.
+The solver works on finite weighted point clouds.  Every other restart,
+the first among them, starts from the paper's test configuration read off
+the data: hyperplanes through the medoids of blocks of d measures, as a
+hyperplane through the midpoints of d intervals on the moment curve
+bisects them; the others start from random hyperplanes.  A
+Levenberg-Marquardt corrector then drives a softened sign-imbalance
+towards zero, and a polish against the sign imbalance itself follows.  The
+solver only reports SUCCESS after the candidate hyperplanes pass a check:
+for every measure, the signed mass difference across the arrangement,
+taken from float signs of float products, must sit within the requested
+tolerance.  Each polish step of a restart scores eight proposals, each
+moving one hyperplane, in one stacked call and keeps the best if it is no
+worse; restart 1 runs alone, later ones in batches of 2, 4 and then 8,
+each widened on a small input to as many as 64.  Everything is seeded, so
+reruns are bit-identical, whatever the batching.
 """
 
 import json

@@ -3,7 +3,7 @@
 Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
 membership check queried with --expect-in is not IN; 2 on usage errors,
 on an enumeration whose arrangement count exceeds ENUMERATE_CAP, on
-a count with more digits than Python converts to a string and when a
+a count with more than COUNT_DIGITS_CAP decimal digits and when a
 figure's --out file cannot be written; 3 on malformed input files,
 parameter strings or measures, including measures too large for float64
 arithmetic; EXIT_BROKEN_PIPE when stdout is closed before all
@@ -42,8 +42,9 @@ __getattr__, __dir__ = _lazy_names(globals(), {
 })
 this = sys.modules[__name__]
 
-# enumerate refuses families with more arrangements than this
-ENUMERATE_CAP = 100_000
+# enumerate refuses families with more arrangements than this, and count
+# counts with more decimal digits (Python's default int-to-str limit)
+ENUMERATE_CAP, COUNT_DIGITS_CAP = 100_000, 4300
 
 # 128 + SIGPIPE: what a shell reports for a command killed by a closed pipe
 EXIT_BROKEN_PIPE = 141
@@ -132,15 +133,13 @@ def _cmd_parity_lemma2(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    # _count_digits checks the shape; a count Python will not print is
-    # refused before it is computed (limit 0, none, before Python 3.10.7/3.11)
+    # _count_digits checks the shape; a count past the cap is refused
+    # before it is computed, whatever Python's own digit limit is
     digits = this._count_digits(args.d, args.k, args.ell)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
+    if digits > COUNT_DIGITS_CAP:
         size = f"about {digits}" if digits < math.inf else "too many"
-        raise ValueError(f"the count has {size} decimal digits, more "
-                         f"than the {limit} Python converts to a string "
-                         f"(sys.get_int_max_str_digits())")
+        raise ValueError(f"the count has {size} decimal digits, more than "
+                         f"the {COUNT_DIGITS_CAP} count prints")
     n = this.count_bisections(args.d, args.k, args.ell)
     _emit_format(args, {"d": args.d, "k": args.k, "ell": args.ell,
                         "count": n}, str(n))

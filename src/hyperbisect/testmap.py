@@ -16,49 +16,34 @@ permutation group acts on everything; equivariance of phi and psi under
 that action is what the tests pin down, and a zero of psi with all
 lambda_i = 1/k is exactly a bisecting arrangement.
 
-The solver looks for such zeros directly: a (1+λ) evolution strategy
-(Beyer & Schwefel 2002) minimizes a softened version of phi (tanh
-instead of sign) with the temperature annealed downward over stages,
-then polishes on phi's signs, multi-starting from seeded random
-directions, and accepts only candidates whose phi -- float signs of
-float products, a numerical check and not an exact one -- passes the
-tolerance.  Each iteration of a restart moves one uniformly drawn row
-of its arrangement by a Gaussian step and renormalises it, λ = 8 times
-over, and keeps the best of those proposals if it is no worse.
+The solver looks for such zeros directly, multi-starting from seeded
+draws, and accepts only candidates whose phi -- float signs of float
+products, a numerical check and not an exact one -- passes the
+tolerance.  Each restart takes a start (_start: odd-numbered restarts
+take the paper's test configuration read off the data, even-numbered
+ones random rows), corrects it by Levenberg-Marquardt on a tanh-softened
+phi (_correct), then polishes it on phi's signs by a (1+λ) evolution
+strategy (Beyer & Schwefel 2002; _walk).
 
-Kernel layout: the lifted points of all j measures sit in one array
-(_Pool), built once per solve from the centred cloud, with, per
-measure, its span of the pooled columns, its weights and its total.
-Scoring a stack of B arrangements is one matrix product (at k = 1, one
-per measure) into a (k, B, N) work array, the k rows multiplied in
-place into row 0's contiguous (B, N) block, one elementwise pass over
-that block (tanh in place, or sign into a spare block) and one weighted
-dot product per arrangement and measure's slice of the result.  When
-all measures have the same number of points (more than one), those dot
-products are one stacked matrix product, and the squared imbalances are
-added across measures left to right.  The annealing scorer, which only
-picks the proposal kept, runs on a float32 pool of the centred points,
-weighted by shares of each measure's total, and the polish on a float64
-pool of them (_search_frame builds both); phi and the success test run
-in float64.  Every step does the same floating-point operations, in the
-same order, as scoring each measure on its own, so solver output is
-bit-identical to the per-measure kernels kept in tests/oracles.py.
+Kernel layout: the lifted points of all j measures sit in one float64
+array (_Pool), built once per solve from the centred cloud.  Scoring a
+stack of B arrangements is one matrix product into a work array, the
+products taken in place, one elementwise pass and one weighted dot
+product per measure; the polish's scores equal the per-measure kernel's
+in tests/oracles.py.
 
-Every restart is scored by the same two stacked functions, one per
-objective (_soft_imbalances, _hard_worsts); phi, the polish's sign
-objective and the success check read one signed-sum kernel
-(_signed_sums).  Restarts run in lockstep batches, restart 1 alone and
-then up to 8 at a time, or up to 64 on a small input (_restart_batches),
-so the per-call overhead that dominates a small stack is paid once per
-batch and iteration; each generator draws a whole stage's randomness in
-one call.  Each stacked call runs the same BLAS routine or elementwise
-operation per member as a batch of one, so every member ends bit for bit
-where it would alone and the output never depends on the batching;
-tests/oracles.py keeps the sequential restart loop as the reference.
+Restarts run in lockstep batches, restart 1 alone and then up to 8 at a
+time, or up to 64 on a small input (_restart_batches), so the per-call
+overhead that dominates a small stack is paid once per batch and
+iteration.  Each stacked call runs the same BLAS or LAPACK routine or
+elementwise operation per member as a batch of one, so every member
+ends bit for bit where it would alone; tests/oracles.py keeps the
+sequential restart loop as the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -90,8 +75,8 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.points.ndim != 2:
-            raise ValueError(f"points must be (n, d), got shape {self.points.shape}")
+        if self.points.ndim != 2 or not self.points.shape[1]:
+            raise ValueError(f"points must be (n, d >= 1), got {self.points.shape}")
         if self.weights.shape != (self.points.shape[0],):
             raise ValueError("one weight per point required")
         if self.points.shape[0] == 0:
@@ -120,6 +105,8 @@ class JoinPoint:
     def __post_init__(self) -> None:
         if len(self.lambdas) != len(self.directions):
             raise ValueError("one weight per direction required")
+        if len({len(w) for w in self.directions}) > 1:
+            raise ValueError("directions must have equal length")
         if any(lam < 0 for lam in self.lambdas):
             raise ValueError("barycentric weights must be nonnegative")
         # written so that NaN, which compares False, fails the checks
@@ -223,68 +210,46 @@ def _common_dim(measures) -> int:
 
 
 class _Pool:
-    """The lifted points (x, 1) of all measures in one array, for k
-    hyperplanes, so that p(x) = <(x, 1), w>, in the dtype of points (by
-    default the raw ones in float64: they could overflow float32).
-
-    stacked_products(W) gives, for each arrangement of a stack (a single
-    one is a stack of one), a row of the pooled length N; spans holds,
-    per measure, the start and stop of its columns and its weights, and
-    totals the measures' totals.  The lifted points are kept (N, d+1)
-    row-major for k = 1, multiplied one measure's rows at a time, and as
-    the contiguous (d+1, N) transpose for k >= 2.  These are the fastest
-    layouts whose BLAS products equal lifted @ W.T taken per measure, bit
-    for bit: at k = 1 numpy takes a matrix-vector product, which in
-    float32 rounds a row by its place among blocks of rows.  At k >= 2
-    a one-point measure is the exception, which numpy multiplies as a
-    vector on yet another path; its column is recomputed that way.
-
-    The functional values of a stack of B arrangements sit in k blocks
-    of (B, N) of a work array (see _size_work_array), so the products
-    are taken in place in block 0, contiguous, and every elementwise
-    pass runs on contiguous memory.  When all measures have the same
-    number n >= 2 of points, w_stack, built with the pool, holds their
-    weights as (j, n, 1) and stacked_sums is one matrix product;
-    otherwise it is None and the sums are taken per measure.
+    """The lifted points (x, 1) of all measures in one float64 array, for
+    k hyperplanes, so that p(x) = <(x, 1), w>; spans holds, per measure,
+    the start and stop of its columns and its weights, and totals the
+    measures' totals.  lifted_rows holds them (N, d+1) row-major, and
+    lifted as those rows for k = 1, multiplied one measure's at a time,
+    and as their contiguous transpose for k >= 2: the fastest layouts
+    whose BLAS products equal lifted @ W.T per measure, bit for bit.  At
+    k >= 2 a one-point measure, which numpy multiplies as a vector on yet
+    another path, has its column recomputed that way.  When all measures
+    have the same number n >= 2 of points, w_stack holds their weights as
+    (j, n, 1) and stacked_sums is one matrix product; otherwise it is
+    None and the sums are taken per measure.
     """
 
     def __init__(self, measures, k: int, points: np.ndarray | None = None):
         if points is None:
             points = np.vstack([m.points for m in measures])
-        X = np.hstack([points, np.ones((len(points), 1), points.dtype)])
+        self.lifted_rows = X = np.hstack([points, np.ones((len(points), 1))])
         self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
-        self.values = np.empty((k, 0, len(X)), X.dtype)  # see _size_work_array
+        self.values = np.empty((k, 0, len(X)))  # see _size_work_array
         self.spans = []  # (start, stop, weights) per measure
         self.totals = np.array([m.total for m in measures])
         self.lone_points = []  # (column, (1, d+1) lifted row)
-        # in float32, shares of each measure's float64 total: raw weights
-        # of 1e300 or 1e-300 would overflow or vanish
-        weights = [m.weights if X.dtype == np.float64 else
-                   (m.weights / m.total).astype(X.dtype) for m in measures]
         start = 0
-        for w in weights:
-            stop = start + len(w)
-            self.spans.append((start, stop, w))
+        for m in measures:
+            stop = start + len(m.weights)
+            self.spans.append((start, stop, m.weights))
             if stop - start == 1 and k > 1:
                 self.lone_points.append((start, X[start:stop].copy()))
             start = stop
-        sizes = {len(w) for w in weights}
-        self.w_stack = (np.concatenate(weights).reshape(len(weights), -1, 1)
+        sizes = {len(m.weights) for m in measures}
+        self.w_stack = (np.concatenate([m.weights for m in measures])
+                        .reshape(len(measures), -1, 1)
                         if len(sizes) == 1 and sizes != {1} else None)
 
-    def stacked_products(self, W: np.ndarray) -> np.ndarray:
-        """Per arrangement of a (B, k, d+1) stack and per point, the
-        product of its k functional values, as a contiguous (B, N) array.
-
-        The rows are multiplied left to right, as np.prod(axis=1) does on
-        the per-measure (n, k) values, and the stacked matmul runs the
-        same BLAS call per arrangement, so row b is the per-measure
-        kernel's product for W[b], bit for bit, whatever B is.  The
-        result is block 0 of the work array, which is reused, with its
-        views, while B stays the same.
-        """
+    def stacked_values(self, W: np.ndarray) -> np.ndarray:
+        """The functional values of a (B, k, d+1) stack as the (k, B, N)
+        rows of the work array, reused while B stays the same: one BLAS
+        call per arrangement, as for W[b] alone, whatever B is."""
         B, k = W.shape[:2]
-        W = W.astype(self.values.dtype, copy=False)
         if self.values.shape[1] != B:
             self._size_work_array(B, k)
         if k == 1:
@@ -295,19 +260,23 @@ class _Pool:
             np.matmul(W, self.lifted, out=self.out)
         for col, x in self.lone_points:
             self.rows[:, :, col] = (x @ W.transpose(0, 2, 1))[:, 0].T
+        return self.rows
+
+    def stacked_products(self, W: np.ndarray) -> np.ndarray:
+        """The products of the k values per arrangement and point, as
+        block 0 of the work array, (B, N), multiplied left to right as
+        np.prod(axis=1) does on the per-measure (n, k) values."""
+        self.stacked_values(W)
         buf = self.first
         for row in self.rest:
             np.multiply(buf, row, out=buf)
         return buf
 
     def _size_work_array(self, B: int, k: int) -> None:
-        """max(k, 2) blocks of (B, N): the k rows of values, whose
-        products stacked_products takes in place in block 0, and block
-        1, free once they are taken, as spare: numpy's sign runs several
-        times slower in place on contiguous memory than into another
-        array."""
-        self.values = np.empty((max(k, 2), B, self.values.shape[2]),
-                               self.values.dtype)
+        """max(k, 2) blocks of (B, N): the k rows of values, and block 1,
+        free once their products are taken, as spare: numpy's sign runs
+        several times slower in place than into another array."""
+        self.values = np.empty((max(k, 2), B, self.values.shape[2]))
         self.rows = self.values[:k]
         self.first, *self.rest = self.rows
         self.spare = self.values[1]
@@ -416,19 +385,18 @@ def interval_quadrature_measures(family: IntervalFamily, n: int) -> list[Discret
 
 NOT_FOUND = "NOT_FOUND"
 
-# the search schedule: the annealing temperatures, as multiples of the
-# data diameter, the iterations per temperature, the first step size, the
-# iterations of the hard-sign polish, the floor under every step size,
-# the proposals (λ) each restart scores per iteration, and the largest
-# batch of restarts searched together, or on a small input the most, up
-# to _WIDEST_BATCH, that fit a stack of _DISPATCH_POINTS point products
-# (N·k each).  Timing _search at 1 to 64 restarts on the benchmark's shapes
-# (one x86-64 CPU, one BLAS thread) gave 23 µs per iteration plus 1.4-1.7
-# ns per point product, so such a stack costs about twice the fixed part
-_STAGE_FACTORS = (1.0, 0.1, 0.01)
-_ITERATIONS_PER_STAGE = 125
-_INITIAL_STEP = 0.6
+# the corrector's temperatures (per stage, as multiples of each measure's
+# upper median |product|), iterations per stage, first and least damping; the
+# polish's iterations, its first, growth, largest, shrink and least step
+# and its proposals (λ) per iteration; the largest batch of restarts, or on
+# a small input the most, up to _WIDEST_BATCH, that fit a stack of
+# _DISPATCH_POINTS point products (N·k each): a polish iteration costs
+# about 23 µs plus 1.4-1.7 ns per point product (one x86-64 CPU)
+_CORRECTOR_SCALES = (0.3, 0.1, 0.03, 0.01, 0.003)
+_CORRECTOR_ITERATIONS = 12
+_DAMPING, _MIN_DAMPING = 1e-2, 1e-6
 _POLISH_ITERATIONS = 400
+_POLISH_STEP, _POLISH_GROW, _POLISH_CEILING, _POLISH_SHRINK = 0.1, 1.2, 0.5, 0.9
 _MIN_STEP = 1e-4
 _PROPOSALS = 8
 _MAX_BATCH = 8
@@ -493,17 +461,11 @@ def _normalize_rows(W: np.ndarray) -> np.ndarray:
 
 def _search_frame(measures, k: int):
     """The frame a solve searches in: the centroid and radius of the
-    pooled point cloud, the pools of its centred points in float32, which
-    the annealing scores, and in float64, which the polish scores, and the
-    temperature scale, the diagonal of the centred cloud's bounding box.
-
-    Searching in centered unit-radius coordinates keeps the offset
-    component of the sphere parameterization O(1) regardless of where the
-    data sits; a cloud far from the origin would otherwise need directions
-    crowded against the poles, and raw coordinates could overflow float32.
-
-    MeasureOverflowError when these norms, or the squares of the offsets
-    (up to radius + |center|) of directions mapped back, overflow float64.
+    pooled cloud, the pool of its centred points (which keep offsets O(1)
+    wherever the data sits), and per measure its lifted medoid (x, 1),
+    the point nearest its weighted centroid.  MeasureOverflowError when
+    these norms, or the squares of the offsets (up to radius + |center|)
+    of directions mapped back, overflow float64.
     """
     pts = np.vstack([m.points for m in measures])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -515,10 +477,12 @@ def _search_frame(measures, k: int):
             "point coordinates overflow float64 when centred: the "
             "centroid or the radius is not finite")
     radius = radius if radius > 0 else 1.0
-    pts = (pts - center) / radius
-    spread = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    return (center, radius, _Pool(measures, k, pts.astype(np.float32)),
-            _Pool(measures, k, pts), spread if spread > 0 else 1.0)
+    pool = _Pool(measures, k, (pts - center) / radius)
+    medoids = []
+    for (start, stop, w), total in zip(pool.spans, pool.totals):
+        x = pool.lifted_rows[start:stop]
+        medoids.append(x[np.argmin(np.linalg.norm(x - (w / total) @ x, axis=1))])
+    return center, radius, pool, np.array(medoids)
 
 
 def _uncenter_directions(W: np.ndarray, center: np.ndarray,
@@ -526,27 +490,8 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
     """Map directions found in centered coordinates back to the original
     frame.  With y = (x - c)/s, the functional <y,u> + v equals
     (<x,u> + (v*s - <c,u>))/s, so signs are preserved exactly."""
-    u = W[:, :-1]
-    v = W[:, -1:]
+    u, v = W[:, :-1], W[:, -1:]
     return _normalize_rows(np.hstack([u, v * radius - u @ center[:, None]]))
-
-
-def _soft_imbalances(pool: _Pool, W: np.ndarray, temp) -> np.ndarray:
-    """Per arrangement of a (B, k, d+1) stack, the sum over measures of
-    the squared relative tanh imbalance, on a float32 pool.
-
-    One product pass, then tanh(product / temp) in place and the weighted
-    sums of the measures' spans, which are relative already: a float32
-    pool's weights are shares.  The squares are added across measures
-    left to right, as a sum taken one measure at a time adds them; np.sum
-    would add eight or more in another order.
-    """
-    buf = pool.stacked_products(W)
-    np.divide(buf, temp, out=buf)
-    np.tanh(buf, out=buf)
-    s = pool.stacked_sums(buf)
-    np.multiply(s, s, out=s)
-    return np.add.accumulate(s, axis=1)[:, -1]
 
 
 def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
@@ -556,25 +501,89 @@ def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
     return np.abs(s, out=s).max(axis=1)
 
 
-def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
-          grow: float, ceiling: float, shrink: float,
-          polish: bool = False) -> np.ndarray:
-    """One stage of the (1+λ) search for every restart of the (B, k, d+1)
-    stack W, member b drawing from rngs[b]; W and the (B,) steps are
-    updated in place.
+def _start(restart: int, rng, k: int, medoids: np.ndarray) -> np.ndarray:
+    """The (k, d+1) start of restart index `restart` (0 for restart 1).
 
-    Each generator draws the whole stage at once: every proposal's row,
+    Odd-numbered restarts start from the paper's test configuration read
+    off the data (on the moment curve, a hyperplane through the midpoints
+    of d intervals bisects them): rng draws a permutation of the j
+    measures, and hyperplane i is the unit null vector of the lifted
+    medoids of measures perm[i·d ... i·d+d-1], positions mod j.
+    Even-numbered restarts start from random unit rows.
+    """
+    j, n = medoids.shape
+    if restart % 2:
+        return _normalize_rows(rng.normal(size=(k, n)))
+    blocks = rng.permutation(j)[np.arange(k * (n - 1)).reshape(k, -1) % j]
+    return np.linalg.svd(medoids[blocks])[2][:, -1]
+
+
+def _correct(pool: _Pool, W: np.ndarray) -> np.ndarray:
+    """Levenberg-Marquardt (Marquardt 1963) on the j residuals
+    r_i = Σ w·tanh(P/T_i) / total_i of each arrangement of the (B, k, d+1)
+    stack W, in place; P is the product functional.
+
+    Per c of _CORRECTOR_SCALES, T_i is c times the upper median |P| over
+    measure i (1 where that is 0) at the stage's start.  An iteration
+    solves (JᵀJ + μ·diag(JᵀJ)) δ = -Jᵀr per member, row a's part of J
+    being Σ w·sech²(P/T_i)/T_i · ∏_{b≠a}<x, W_b> · x / total_i, and takes
+    the renormalised rows of W + δ if Σr² falls and no row is a pole;
+    μ then falls tenfold, to at least _MIN_DAMPING, or else rises tenfold.
+    Each member's calls are its own: it ends where it would alone.
+    """
+    B, k, n = W.shape
+    shares = [pool.lifted_rows[start:stop] * (w / total)[:, None]
+              for (start, stop, w), total in zip(pool.spans, pool.totals)]
+    sizes = [stop - start for start, stop, _ in pool.spans]
+    damping, diag = np.full(B, _DAMPING), np.arange(k * n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for scale, i in itertools.product(_CORRECTOR_SCALES,
+                                          range(_CORRECTOR_ITERATIONS)):
+            V = pool.stacked_values(W)
+            others = np.ones_like(V)  # per row, the product of the others
+            for a, b in itertools.permutations(range(k), 2):
+                others[a] *= V[b]
+            P = V[0] * others[0]
+            if not i:
+                med = np.stack([
+                    np.partition(abs(P[:, start:stop]), size // 2, 1)[:, size // 2]
+                    for (start, stop, _), size in zip(pool.spans, sizes)], 1)
+                temp = np.repeat(scale * np.where(med > 0, med, 1.0), sizes, 1)
+            t = np.tanh(P / temp)
+            r = pool.stacked_sums(t) / pool.totals
+            slope = others.transpose(1, 0, 2) * ((1 - t * t) / temp)[:, None]
+            J = np.stack([slope[..., start:stop] @ x for (start, stop, _), x
+                          in zip(pool.spans, shares)], 1).reshape(B, -1, k * n)
+            JtJ = J.transpose(0, 2, 1) @ J
+            JtJ[:, diag, diag] *= 1 + damping[:, None]
+            JtJ[:, diag, diag] += 1e-300  # a zero column stays solvable
+            step = np.linalg.solve(JtJ, -(J.transpose(0, 2, 1) @ r[..., None]))
+            cand = W + step.reshape(B, k, n)
+            cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+            r_new = pool.stacked_sums(np.tanh(pool.stacked_products(cand) / temp))
+            r_new /= pool.totals
+            taken = ((np.square(r_new).sum(1) < np.square(r).sum(1))
+                     & cand[..., :-1].any(axis=-1).all(axis=-1))
+            np.copyto(W, cand, where=taken[:, None, None])
+            damping *= np.where(taken, 0.1, 10.0)
+            damping.clip(_MIN_DAMPING, None, out=damping)
+    return W
+
+
+def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
+          score) -> np.ndarray:
+    """The hard-sign polish, a (1+λ) search, of each member of the
+    (B, k, d+1) stack W, member b drawing from rngs[b]; W and the (B,)
+    steps are updated in place.
+
+    Each generator draws the whole walk at once: every proposal's row,
     then every Gaussian step.  Per iteration, each member moves a drawn
     row of W by its step times the Gaussian step and renormalises it, λ
-    times; a proposal whose row lands on zero or on a pole is rejected.
-    All B·λ proposals are scored as one stack, and each member moves to
-    its best one (the first of equals) if that scores no more than its
-    current arrangement.  Its step then grows to at most the ceiling,
-    or shrinks to at least _MIN_STEP when no scored proposal was taken,
-    by one clip: exact, as the steps start, and stay, in that range.  In
-    the polish the step grows only on a strict improvement, and a member
-    at 0 takes nothing more.  Every operation acts on each member alone,
-    so member b ends bit for bit where it would in a stack of one.
+    times, rejecting a row on zero or on a pole.  All B·λ proposals are
+    scored as one stack; each member above 0 moves to its best one (the
+    first of equals) if that scores no more.  Its step grows on a strict
+    improvement, to at most _POLISH_CEILING, or shrinks, to at least
+    _MIN_STEP, when no scored proposal was taken, by one exact clip.
     """
     B, k, n = W.shape
     rows = np.stack([rng.integers(k, size=(iterations, _PROPOSALS))
@@ -586,11 +595,11 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
     copies, first = slots.ravel() // _PROPOSALS, slots[:, 0]
     taken, placed = rows + k * copies.reshape(B, -1), rows + k * slots
     cand = np.empty((B * _PROPOSALS, k, n))
-    factors, scale = np.array([1.0, shrink, grow]), step[:, None, None]
+    factors, scale = np.array([1.0, _POLISH_SHRINK, _POLISH_GROW]), step[:, None, None]
     # the start is scored as λ copies of each member: one stack size
     cur = score(W.take(copies, axis=0, out=cand)).take(first)
     for taken_i, placed_i, z in zip(taken, placed, moves):
-        if polish and not np.count_nonzero(cur):
+        if not np.count_nonzero(cur):
             break
         z *= scale
         z += W.reshape(-1, n).take(taken_i, axis=0)
@@ -607,30 +616,23 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int, score,
             val = np.where(ok, val, np.inf)
         pick = first + val.argmin(axis=1)
         new = val.take(pick)
-        accept = (new <= cur) & (cur > 0.0) if polish else new <= cur
-        grown = accept & (new < cur) if polish else accept
+        accept = (new <= cur) & (cur > 0.0)
+        grown = accept & (new < cur)
         shrunk = ~accept if clean else ok.any(axis=1) > accept
         step *= factors.take(2 * grown + shrunk)
-        step.clip(_MIN_STEP, ceiling, out=step)
+        step.clip(_MIN_STEP, _POLISH_CEILING, out=step)
         np.copyto(W, cand.take(pick, axis=0), where=accept[:, None, None])
         np.copyto(cur, new, where=accept)
     return W
 
 
-def _search(rngs, k, d, pool32, pool64, diameter) -> np.ndarray:
-    """The search of every generator of rngs, as a (B, k, d+1) stack:
-    seeded random unit directions, the annealing stages on the tanh
-    objective at falling temperatures, scored on pool32, then the
-    hard-sign polish, scored on pool64."""
-    W = np.stack([_normalize_rows(rng.normal(size=(k, d + 1)))
-                  for rng in rngs])
-    step = np.full(len(rngs), _INITIAL_STEP)
-    for factor in _STAGE_FACTORS:
-        temp = factor * diameter
-        _walk(rngs, W, step, _ITERATIONS_PER_STAGE,
-              lambda V: _soft_imbalances(pool32, V, temp), 1.25, 2.0, 0.85)
-    return _walk(rngs, W, np.full(len(rngs), 0.1), _POLISH_ITERATIONS,
-                 lambda V: _hard_worsts(pool64, V), 1.2, 0.5, 0.9, polish=True)
+def _search(batch, rngs, k: int, pool: _Pool, medoids: np.ndarray) -> np.ndarray:
+    """The search of restart indices `batch`, drawing from the matching
+    generators of rngs, as a (B, k, d+1) stack: each restart's start,
+    the corrector, then the polish."""
+    W = np.stack([_start(i, rng, k, medoids) for i, rng in zip(batch, rngs)])
+    return _walk(rngs, _correct(pool, W), np.full(len(rngs), _POLISH_STEP),
+                 _POLISH_ITERATIONS, lambda V: _hard_worsts(pool, V))
 
 
 def _restart_batches(seed: int, max_restarts: int, work: int):
@@ -665,16 +667,15 @@ def solve_bisection(measures, k: int,
     """
     config = config or SolverConfig()
     k = _integer("k", k, 1)
-    d = _common_dim(measures)
-
-    center, radius, pool32, pool64, diameter = _search_frame(measures, k)
+    _common_dim(measures)
+    center, radius, pool, medoids = _search_frame(measures, k)
     work = k * sum(len(m.weights) for m in measures)  # N·k
     for batch, rngs in _restart_batches(config.seed, config.max_restarts, work):
-        found = _search(rngs, k, d, pool32, pool64, diameter)
+        found = _search(batch, rngs, k, pool, medoids)
         for idx, W in zip(batch, found):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)
-            rel = np.abs(imb) / pool64.totals
+            rel = np.abs(imb) / pool.totals
             if float(rel.max()) <= config.tolerance:
                 return SolveResult(status="SUCCESS", directions=W,
                                    imbalances=imb, relative_imbalances=rel,

@@ -13,9 +13,8 @@ sums that the block-count parities and the multinomial valuation were
 computed by before Lucas' and Kummer's closed forms, an exact
 root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
-per-measure solver kernels that the pooled ones in hyperbisect.testmap
-must match bit for bit (the annealing objective in float32, the sign
-objective in float64), the sequential restart loop, in the solver's own
+per-measure sign objective that the pooled one in hyperbisect.testmap
+must match bit for bit, the sequential restart loop, in the solver's own
 search frame, that its batches of restarts must match, the inverse of
 sphere_to_hyperplane, and the writer of the measure JSON that
 measures_from_jsonable reads.
@@ -385,19 +384,6 @@ def signed_products(measure, W) -> np.ndarray:
     return np.prod(lifted @ W.T, axis=1)
 
 
-def soft_imbalance(lifted, weights, totals, W, temp) -> np.float32:
-    """The solver's smoothed objective, one measure at a time, in float32:
-    the points and W cast, each weight divided by its measure's total
-    and cast, and the squares added left to right."""
-    f32 = np.float32
-    obj = f32(0.0)
-    for X, w, tot in zip(lifted, weights, totals):
-        prods = np.prod(X.astype(f32) @ W.astype(f32).T, axis=1)
-        s = np.tanh(prods / f32(temp)) @ (w / tot).astype(f32)
-        obj += s * s
-    return obj
-
-
 def hard_worst(lifted, weights, totals, W) -> float:
     """The solver's worst relative sign imbalance, one measure at a time."""
     worst = 0.0
@@ -412,13 +398,12 @@ def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
     its directions in the input frame, their phi, and their relative
     imbalances.  Restart r searches as a batch of one, with the r-th
     child of SeedSequence(seed).spawn(max_restarts)."""
-    d = testmap._common_dim(measures)
     center, radius, *frame = testmap._search_frame(measures, k)
     totals = np.array([m.total for m in measures])
     children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
-    for child in children:
+    for idx, child in enumerate(children):
         rng = np.random.default_rng(child)
-        W = testmap._search([rng], k, d, *frame)[0]
+        W = testmap._search([idx], [rng], k, *frame)[0]
         W = testmap._uncenter_directions(W, center, radius)
         imb = testmap.phi(measures, W)
         yield W, imb, np.abs(imb) / totals

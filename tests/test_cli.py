@@ -252,8 +252,6 @@ def test_count_command(capsys):
     assert code == 0 and out.strip() == "105"
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this Python has no int-to-str digit limit")
 @pytest.mark.parametrize("argv", [["300", "300"], ["1000", "1000"],
                                   ["300", "300", "--format", "json"],
                                   ["100000", "2"],
@@ -266,8 +264,9 @@ def test_count_command(capsys):
                                      "--ell", str(10**300 - 2)]
                                     for k in (30, 300, 3000))])
 def test_count_too_long_to_print_is_refused_at_once(capsys, argv):
-    # more digits than Python converts to a string: refused before the
-    # count is computed, with its size (1000 1000 ran factorial(10**6)).
+    # more digits than the cap, Python's default int-to-str limit: refused
+    # before the count is computed, with its size (1000 1000 ran
+    # factorial(10**6)).
     # A huge anchored count is sized from C(j, d)'s small side, and a
     # float overflow while sizing is a count of too many digits
     from hyperbisect.cli import _count_digits
@@ -278,9 +277,26 @@ def test_count_too_long_to_print_is_refused_at_once(capsys, argv):
     d, k = int(argv[0]), int(argv[1])
     ell = int(argv[3]) if "--ell" in argv else 0
     digits = _count_digits(d, k, ell)
-    assert digits > sys.get_int_max_str_digits()
+    assert digits > cli.COUNT_DIGITS_CAP == 4300
     size = f"about {digits}" if digits < math.inf else "too many"
     assert err.startswith(f"error: the count has {size} decimal digits")
+
+
+@pytest.mark.parametrize("argv", [["2", "100000000000000000000"],
+                                  ["300", "300"]])
+def test_count_past_the_cap_is_refused_without_a_python_digit_limit(
+        capsys, monkeypatch, argv):
+    # with Python's limit off (PYTHONINTMAXSTRDIGITS=0) the refusal used
+    # to be skipped, and count 2 10**20 multiplied 10**20 binomials
+    def computed(*args):
+        raise AssertionError("the count was computed")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0,
+                        raising=False)
+    monkeypatch.setattr(cli, "count_bisections", computed, raising=False)
+    code, out, err = _run(capsys, ["count", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the count has about ")
+    assert "more than the 4300 count prints" in err
 
 
 @pytest.mark.parametrize("argv", [["40", "40"], ["3000", "3", "--ell", "1"],
