@@ -14,9 +14,11 @@ for every measure, the signed mass difference across the arrangement,
 taken from float signs of float products, must sit within the requested
 tolerance.  Each polish step of a restart scores eight proposals, each
 moving one hyperplane, in one stacked call and keeps the best if it is no
-worse; restart 1 runs alone, later ones in batches of 2, 4 and then 8,
-each widened on a small input to as many as 64.  Everything is seeded, so
-reruns are bit-identical, whatever the batching.
+worse, and the polish stops as soon as the restart is within the
+tolerance.  Restarts run in batches of 2, 4 and then 8, each widened on a
+small input to as many as 64; once one restart of a batch is within the
+tolerance, the later ones stop with it, since the first success wins.
+Everything is seeded, so reruns are bit-identical, whatever the batching.
 """
 
 import json

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 on success; 1 when a solve reports NOT_FOUND or a
-membership check queried with --expect-in is not IN; 2 on usage errors,
-on an enumeration whose arrangement count exceeds ENUMERATE_CAP, on
-a count with more than COUNT_DIGITS_CAP decimal digits and when a
-figure's --out file cannot be written; 3 on malformed input files,
-parameter strings or measures, including measures too large for float64
-arithmetic; EXIT_BROKEN_PIPE when stdout is closed before all
-output is written (``| head``).  Output for a fixed argv is
-byte-identical across runs, whatever the environment: solve's seed
-comes from --seed alone (default 0).
+membership check queried with --expect-in is not IN; 2 on usage errors
+(a solve too large to allocate among them), on an enumeration
+whose arrangement count exceeds ENUMERATE_CAP, on a count with more
+than COUNT_DIGITS_CAP decimal digits and when a figure's --out file
+cannot be written; 3 on malformed input files, parameter strings or
+measures, including measures too large for float64 arithmetic;
+EXIT_BROKEN_PIPE when stdout closes before all output is written
+(``| head``).  Output for a fixed argv is byte-identical across runs,
+whatever the environment: solve's seed comes from --seed alone (default 0).
 """
 
 from __future__ import annotations
@@ -214,6 +214,8 @@ def _cmd_solve(args) -> int:
         result = this.solve_bisection(measures, args.k, config)
     except this.MeasureOverflowError as exc:
         raise _InputFormatError(str(exc)) from exc
+    except MemoryError as exc:  # such as a k whose arrays cannot exist
+        raise ValueError(f"out of memory at --k {args.k}: {exc}") from exc
     _emit_json(result.to_jsonable())
     return 0 if result.success else 1
 
@@ -298,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--input", required=True,
                          help="measure collection JSON file")
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--tol", type=float, default=1e-2)
+    p_solve.add_argument("--tol", type=float, default=1e-2,
+                         help="largest relative imbalance per measure; "
+                              "each restart's polish stops within it")
     p_solve.add_argument("--seed", type=int, default=0,
                          help="nonnegative integer seeding every restart")
     p_solve.add_argument("--restarts", type=int, default=20)

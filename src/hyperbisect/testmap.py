@@ -32,13 +32,13 @@ products taken in place, one elementwise pass and one weighted dot
 product per measure; the polish's scores equal the per-measure kernel's
 in tests/oracles.py.
 
-Restarts run in lockstep batches, restart 1 alone and then up to 8 at a
-time, or up to 64 on a small input (_restart_batches), so the per-call
-overhead that dominates a small stack is paid once per batch and
-iteration.  Each stacked call runs the same BLAS or LAPACK routine or
-elementwise operation per member as a batch of one, so every member
-ends bit for bit where it would alone; tests/oracles.py keeps the
-sequential restart loop as the reference.
+Restarts run in lockstep batches of 2, 4 and then 8, or up to 64 on a
+small input (_restart_batches), so a small stack's per-call overhead is
+paid once per batch and iteration.  A polish ends within the solve's
+tolerance, and the later members of its batch with it.  Each stacked
+BLAS, LAPACK or elementwise call runs per member as in a batch of one,
+so every member up to the first success ends bit for bit where it would
+alone; tests/oracles.py keeps the sequential restart loop as reference.
 """
 
 from __future__ import annotations
@@ -571,7 +571,7 @@ def _correct(pool: _Pool, W: np.ndarray) -> np.ndarray:
 
 
 def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
-          score) -> np.ndarray:
+          score, goal: float) -> None:
     """The hard-sign polish, a (1+λ) search, of each member of the
     (B, k, d+1) stack W, member b drawing from rngs[b]; W and the (B,)
     steps are updated in place.
@@ -579,11 +579,12 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
     Each generator draws the whole walk at once: every proposal's row,
     then every Gaussian step.  Per iteration, each member moves a drawn
     row of W by its step times the Gaussian step and renormalises it, λ
-    times, rejecting a row on zero or on a pole.  All B·λ proposals are
-    scored as one stack; each member above 0 moves to its best one (the
+    times, rejecting a row on zero or on a pole.  The walkers' proposals
+    are scored as one stack; each walker moves to its best one (the
     first of equals) if that scores no more.  Its step grows on a strict
     improvement, to at most _POLISH_CEILING, or shrinks, to at least
     _MIN_STEP, when no scored proposal was taken, by one exact clip.
+    At a score of at most goal a walker stops, and every later one too.
     """
     B, k, n = W.shape
     rows = np.stack([rng.integers(k, size=(iterations, _PROPOSALS))
@@ -595,14 +596,19 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
     copies, first = slots.ravel() // _PROPOSALS, slots[:, 0]
     taken, placed = rows + k * copies.reshape(B, -1), rows + k * slots
     cand = np.empty((B * _PROPOSALS, k, n))
-    factors, scale = np.array([1.0, _POLISH_SHRINK, _POLISH_GROW]), step[:, None, None]
+    factors = np.array([1.0, _POLISH_SHRINK, _POLISH_GROW])
     # the start is scored as λ copies of each member: one stack size
     cur = score(W.take(copies, axis=0, out=cand)).take(first)
-    for taken_i, placed_i, z in zip(taken, placed, moves):
-        if not np.count_nonzero(cur):
-            break
-        z *= scale
-        z += W.reshape(-1, n).take(taken_i, axis=0)
+    for i in range(iterations):
+        at = np.flatnonzero(cur <= goal)
+        if at.size:
+            if not (B := at[0]):
+                break
+            W, step, cur, first = W[:B], step[:B], cur[:B], first[:B]
+            copies, cand = copies[:B * _PROPOSALS], cand[:B * _PROPOSALS]
+        z = moves[i, :B]
+        z *= step[:, None, None]
+        z += W.reshape(-1, n).take(taken[i, :B], axis=0)
         norms = np.sqrt(np.add.reduce(z * z, axis=-1))
         # clean, as usual: no norm and no coordinate of a normal part is 0
         clean = np.count_nonzero(z[..., :-1]) + np.count_nonzero(norms) == z.size
@@ -610,44 +616,44 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
             ok = (norms != 0) & z[..., :-1].any(axis=-1)
         z /= (norms if clean else np.where(ok, norms, 1.0))[..., None]
         W.take(copies, axis=0, out=cand)
-        cand.reshape(-1, n)[placed_i] = z
+        cand.reshape(-1, n)[placed[i, :B]] = z
         val = score(cand).reshape(B, -1)
         if not clean:
             val = np.where(ok, val, np.inf)
         pick = first + val.argmin(axis=1)
         new = val.take(pick)
-        accept = (new <= cur) & (cur > 0.0)
+        accept = new <= cur
         grown = accept & (new < cur)
         shrunk = ~accept if clean else ok.any(axis=1) > accept
         step *= factors.take(2 * grown + shrunk)
         step.clip(_MIN_STEP, _POLISH_CEILING, out=step)
         np.copyto(W, cand.take(pick, axis=0), where=accept[:, None, None])
         np.copyto(cur, new, where=accept)
+
+
+def _search(batch, rngs, k: int, pool: _Pool, medoids: np.ndarray,
+            goal: float) -> np.ndarray:
+    """The search of restart indices `batch`, drawing from the matching
+    generators of rngs, as a (B, k, d+1) stack: each restart's start,
+    the corrector, then the polish down to goal (_walk)."""
+    W = np.stack([_start(i, rng, k, medoids) for i, rng in zip(batch, rngs)])
+    _walk(rngs, _correct(pool, W), np.full(len(rngs), _POLISH_STEP),
+          _POLISH_ITERATIONS, lambda V: _hard_worsts(pool, V), goal)
     return W
 
 
-def _search(batch, rngs, k: int, pool: _Pool, medoids: np.ndarray) -> np.ndarray:
-    """The search of restart indices `batch`, drawing from the matching
-    generators of rngs, as a (B, k, d+1) stack: each restart's start,
-    the corrector, then the polish."""
-    W = np.stack([_start(i, rng, k, medoids) for i, rng in zip(batch, rngs)])
-    return _walk(rngs, _correct(pool, W), np.full(len(rngs), _POLISH_STEP),
-                 _POLISH_ITERATIONS, lambda V: _hard_worsts(pool, V))
-
-
 def _restart_batches(seed: int, max_restarts: int, work: int):
-    """Restart indices and their generators: restart 1 alone, then
-    batches of 2, 4 and _MAX_BATCH, each widened to as many restarts, up
-    to _WIDEST_BATCH, as a stack of _DISPATCH_POINTS point products holds
-    at `work` (N·k) per arrangement.  Restart i is seeded with the child
-    SeedSequence(seed).spawn(max_restarts)[i]: successive spawns continue
-    where the last one stopped, so each batch spawns its own children."""
+    """Restart indices and their generators: batches of 2, 4 and then
+    _MAX_BATCH, each widened to as many restarts, up to _WIDEST_BATCH, as
+    a stack of _DISPATCH_POINTS point products holds at `work` (N·k) per
+    arrangement.  Restart i is seeded with SeedSequence(seed).spawn(
+    max_restarts)[i]: each batch spawns its own children, and successive
+    spawns continue where the last one stopped."""
     root = np.random.SeedSequence(seed)
     fits = min(_DISPATCH_POINTS // (_PROPOSALS * work), _WIDEST_BATCH)
-    start, doubling = 0, 1
+    start, doubling = 0, 2
     while start < max_restarts:
-        size = max(doubling, fits) if start else 1
-        batch = range(start, min(start + size, max_restarts))
+        batch = range(start, min(start + max(doubling, fits), max_restarts))
         yield batch, [np.random.default_rng(s) for s in root.spawn(len(batch))]
         start, doubling = batch.stop, min(2 * doubling, _MAX_BATCH)
 
@@ -658,12 +664,12 @@ def solve_bisection(measures, k: int,
 
     Deterministic in (measures, k, config): restart r uses the r-th
     spawn of the seed sequence.  Restarts run in batches sized by the
-    work they score (_restart_batches, given N·k); each batch is checked
-    in index order and the first success wins, so the result is the one
-    running every restart alone, in order, gives.  Success means that
-    phi of the directions, mapped back to the input frame, is within the
-    tolerance relative to each measure's total: float signs of float
-    products, not an exact re-check.
+    work they score (_restart_batches, given N·k), each polish ending at
+    its first point within the tolerance; each batch is checked in index
+    order and the first success wins, so the result is the one running
+    every restart alone, in order, gives.  Success means that phi of the
+    directions, in the input frame, is within the tolerance relative to
+    each measure's total: float signs of float products, not exact.
     """
     config = config or SolverConfig()
     k = _integer("k", k, 1)
@@ -671,7 +677,7 @@ def solve_bisection(measures, k: int,
     center, radius, pool, medoids = _search_frame(measures, k)
     work = k * sum(len(m.weights) for m in measures)  # N·k
     for batch, rngs in _restart_batches(config.seed, config.max_restarts, work):
-        found = _search(batch, rngs, k, pool, medoids)
+        found = _search(batch, rngs, k, pool, medoids, config.tolerance)
         for idx, W in zip(batch, found):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)

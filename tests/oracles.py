@@ -15,9 +15,10 @@ root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
 per-measure sign objective that the pooled one in hyperbisect.testmap
 must match bit for bit, the sequential restart loop, in the solver's own
-search frame, that its batches of restarts must match, the inverse of
-sphere_to_hyperplane, and the writer of the measure JSON that
-measures_from_jsonable reads.
+search frame, that its batches of restarts must match (and, with each
+polish run on towards 0, whose status and restart count a solve must
+keep), the inverse of sphere_to_hyperplane, and the writer of the
+measure JSON that measures_from_jsonable reads.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -393,29 +394,36 @@ def hard_worst(lifted, weights, totals, W) -> float:
     return worst
 
 
-def sequential_restarts(measures, k: int, config: testmap.SolverConfig):
+def sequential_restarts(measures, k: int, config: testmap.SolverConfig,
+                        goal: float = 0.0):
     """Each restart of solve_bisection run alone, in index order: yields
     its directions in the input frame, their phi, and their relative
     imbalances.  Restart r searches as a batch of one, with the r-th
-    child of SeedSequence(seed).spawn(max_restarts)."""
+    child of SeedSequence(seed).spawn(max_restarts), and its polish ends
+    at a hard score of at most goal: by default only at 0, the search
+    whose status and restart count a solve keeps."""
     center, radius, *frame = testmap._search_frame(measures, k)
     totals = np.array([m.total for m in measures])
     children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
     for idx, child in enumerate(children):
         rng = np.random.default_rng(child)
-        W = testmap._search([idx], [rng], k, *frame)[0]
+        W = testmap._search([idx], [rng], k, *frame, goal)[0]
         W = testmap._uncenter_directions(W, center, radius)
         imb = testmap.phi(measures, W)
         yield W, imb, np.abs(imb) / totals
 
 
 def solve_bisection_sequentially(measures, k: int,
-                                 config: testmap.SolverConfig
+                                 config: testmap.SolverConfig,
+                                 goal: float | None = None
                                  ) -> testmap.SolveResult:
     """solve_bisection with one restart at a time: the first restart
-    whose worst relative imbalance passes the tolerance wins."""
+    whose worst relative imbalance passes the tolerance wins.  Each
+    polish ends at goal, by default the tolerance, as the solve's do."""
+    if goal is None:
+        goal = config.tolerance
     for idx, (W, imb, rel) in enumerate(sequential_restarts(measures, k,
-                                                            config)):
+                                                            config, goal)):
         if float(rel.max()) <= config.tolerance:
             return testmap.SolveResult(
                 status="SUCCESS", directions=W, imbalances=imb,

@@ -600,6 +600,18 @@ def test_solve_refuses_coordinates_whose_centring_overflows(capsys,
     assert code == 2 and "need k >= 1" in err
 
 
+def test_solve_with_a_k_too_large_to_allocate_is_a_usage_error(capsys,
+                                                               tmp_path):
+    # numpy's _ArrayMemoryError used to escape with a traceback and exit 1,
+    # the NOT_FOUND code.  The first array this k asks for holds petabytes,
+    # so its allocation fails at once
+    code, out, err = _solve_points(capsys, tmp_path, [[0.0], [1.0]],
+                                   k="1000000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory at --k 1000000000000000: ")
+    assert err.count("\n") == 1
+
+
 def _write_instance(path, seed=0):
     rng = np.random.default_rng(seed)
     measures = []

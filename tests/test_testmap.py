@@ -311,7 +311,10 @@ def test_solver_successes_match_the_moment_curve_answer_key(d, k):
     # for an unanchored family the enumeration is every bisection, so a
     # success must land on one of them, up to quadrature error.  Every
     # seed succeeds; the annealing search that the medoid-block start and
-    # the corrector replaced found none of (3,2), (4,2) and (3,3)
+    # the corrector replaced found none of (3,2), (4,2) and (3,3).  The
+    # polish stops at the tolerance, before its sideways moves on the
+    # plateau drift off the corrector's point (worst 9.0e-4, at (1,3),
+    # while it polished to 0)
     fam = well_separated_family(d, k)
     ms = interval_quadrature_measures(fam, 200)
     keys = [np.array([hyperplane_to_sphere_point(h) for h in arr.hyperplanes])
@@ -320,7 +323,7 @@ def test_solver_successes_match_the_moment_curve_answer_key(d, k):
         result = solve_bisection(ms, k, SolverConfig(seed=seed))
         assert result.success
         assert min(_sphere_distance(result.directions, key)
-                   for key in keys) <= 1e-3
+                   for key in keys) <= 1e-5
 
 
 def test_solver_bisects_the_anchored_moment_curve_family():
@@ -687,6 +690,30 @@ def test_solver_keeps_its_floor_on_a_small_discrete_sweep():
     assert found >= 26
 
 
+@pytest.mark.parametrize("name", [*_PINNED_SEARCHES,
+                                  *(f"sweep k={k}" for k in range(1, 5))])
+def test_solver_keeps_the_status_and_restarts_of_the_polish_to_zero(name):
+    # a polish ends at the tolerance, and a batch at its first success,
+    # yet status and restarts_used are those of the restarts run alone
+    # and polished to 0 (tests/oracles.py): each member walks on its own
+    # draws and its score never rises, so whether it gets within the
+    # tolerance does not depend on the goal.  Every pinned shape at seeds
+    # 0 to 4, and the small sweep's 48 inputs at seed 0
+    if name in _PINNED_SEARCHES:
+        make, k, _ = _PINNED_SEARCHES[name]
+        cases = [(make(), seed) for seed in range(5)]
+    else:
+        k = int(name[-1])
+        cases = [(_sweep_instance(1000 * k + 100 * d + i, min(d * k, 4), d), 0)
+                 for d in range(1, 4) for i in range(4)]
+    for ms, seed in cases:
+        config = SolverConfig(seed=seed)
+        got = solve_bisection(ms, k, config)
+        want = solve_bisection_sequentially(ms, k, config, goal=0.0)
+        assert ((got.status, got.restarts_used)
+                == (want.status, want.restarts_used))
+
+
 def _kernel_instance(rng, d):
     """Measures of unequal sizes, one of them a single point, with
     non-uniform weights, plus their per-measure oracle input."""
@@ -847,16 +874,18 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
     config = dataclasses.replace(config, tolerance=wins[0])
     result, stacks = _assert_solver_matches_the_per_measure_kernel(
         monkeypatch, ms, 2, config)
-    # at N·k = 104, restarts 2 to 4 form the second batch after restart 1.
-    # The polish scores its start and then each iteration's proposals as
-    # one stack of λ arrangements per restart (the start as λ copies),
-    # until every member of the batch is at 0 or the iterations run out
+    # at N·k = 104, restarts 1 to 4 form one batch.  The polish scores
+    # its start and then each iteration's proposals as one stack of λ
+    # arrangements per walking restart (the start as λ copies).  Restart
+    # 1 never reaches the tolerance, so it walks every iteration; the
+    # winner leaves at it, and every later restart with it
     assert result.restarts_used >= 2
     lam = testmap._PROPOSALS
-    alone, batched = stacks.count(lam), stacks.count(3 * lam)
-    assert stacks == [lam] * alone + [3 * lam] * batched
-    assert 1 <= alone <= testmap._POLISH_ITERATIONS + 1
-    assert 1 <= batched <= testmap._POLISH_ITERATIONS + 1
+    assert len(stacks) == testmap._POLISH_ITERATIONS + 1
+    assert stacks == sorted(stacks, reverse=True)
+    assert stacks[0] == 4 * lam
+    assert stacks[-1] == lam * (result.restarts_used - 1)
+    assert all(size % lam == 0 for size in stacks)
 
 
 def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
@@ -872,7 +901,7 @@ def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
         size(self, B, k)
     monkeypatch.setattr(testmap._Pool, "_size_work_array", spy)
     testmap._search(range(3), [np.random.default_rng(s) for s in range(3)],
-                    *args)
+                    *args, 0.0)
     assert sized == [3, 3 * testmap._PROPOSALS]
 
 
@@ -917,14 +946,28 @@ def _assert_lockstep_equals_single(make_rngs, ms, k):
     # make_rngs() gives a fresh batch of generators on each call; the
     # batch searched in one stack, as restarts 1, 2, ..., which start
     # from medoid blocks and random rows in turn, ends where each member
-    # does alone
-    rngs = make_rngs()
-    stacked = testmap._search(range(len(rngs)), rngs, *_search_args(ms, k))
-    assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
-    for i, (W, rng) in enumerate(zip(stacked, make_rngs(), strict=True)):
-        alone = testmap._search([i], [rng], *_search_args(ms, k))
-        assert alone.shape == (1, k, ms[0].dim + 1)
-        assert W.tobytes() == alone[0].tobytes()
+    # does alone, up to and including the first member at the goal (later
+    # members leave the polish with it).  Searched at goal 0, and at a
+    # goal at the hard score a middle member ends at alone, so that a
+    # member before the last can leave.  Returns the index of the first
+    # member at the goal at goal 0, or None
+    args = _search_args(ms, k)
+    pool = _pool(ms, k)
+    zero = [testmap._search([i], [rng], *args, 0.0)
+            for i, rng in enumerate(make_rngs())]
+    scores = [testmap._hard_worsts(pool, W)[0] for W in zero]
+    for goal in sorted({0.0, scores[len(scores) // 2]}):
+        rngs = make_rngs()
+        stacked = testmap._search(range(len(rngs)), rngs, *args, goal)
+        assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
+        for i, (W, rng) in enumerate(zip(stacked, make_rngs())):
+            alone = (zero[i] if goal == 0.0
+                     else testmap._search([i], [rng], *args, goal))
+            assert alone.shape == (1, k, ms[0].dim + 1)
+            assert W.tobytes() == alone[0].tobytes()
+            if scores[i] <= goal:
+                break
+    return next((i for i, score in enumerate(scores) if score == 0.0), None)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -951,14 +994,13 @@ def test_lockstep_search_equals_single_searches_on_equal_sizes(j, k, d,
 
 
 @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
-def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
+def test_lockstep_batch_of_two_matches_sequential_restarts(equal,
                                                           short_schedule,
                                                           monkeypatch):
-    # max_restarts=2 cuts the second batch to restart 2 alone, searched as
-    # a batch of one, like restart 1; a tolerance between the two
-    # restarts' imbalances makes it the winner.  The search of restart
-    # 2's generator in a batch beside restart 1's ends where it does
-    # alone.
+    # max_restarts=2 cuts the first batch to restarts 1 and 2; a
+    # tolerance between the two restarts' imbalances makes restart 2 the
+    # winner, found beside restart 1 as it is alone.  Each generator's
+    # search, in a batch in either order, ends where it does alone.
     rng = np.random.default_rng(80)
     sizes = (20, 20, 20) if equal else (14, 20, 27)
     ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
@@ -979,7 +1021,7 @@ def test_lockstep_batch_of_one_matches_sequential_restarts(equal,
                 return _search(batch, rngs, *args)
             patch.setattr(testmap, "_search", spy)
             batched = solve_bisection(ms, 2, config)
-        assert ran == [1, 1]
+        assert ran == [2]
         reference = solve_bisection_sequentially(ms, 2, config)
         assert batched.restarts_used == reference.restarts_used == 2
         assert batched.to_jsonable() == reference.to_jsonable()
@@ -1071,7 +1113,8 @@ def _assert_walk_lockstep_equals_single(make_rngs, k, score):
     def walk(rngs):
         W = np.stack([testmap._normalize_rows(rng.normal(size=(k, 3)))
                       for rng in rngs])
-        return testmap._walk(rngs, W, np.full(len(rngs), 0.5), 1, score)
+        testmap._walk(rngs, W, np.full(len(rngs), 0.5), 1, score, 0.0)
+        return W
     stacked = walk(make_rngs())
     for W, rng in zip(stacked, make_rngs(), strict=True):
         assert W.tobytes() == walk([rng])[0].tobytes()
@@ -1109,7 +1152,7 @@ def test_lockstep_keeps_rejected_proposals_apart():
                 fake = _FirstProposalsRejected(5, 0.5, pole, rejected)
                 W = testmap._normalize_rows(fake.normal((k, 3)))[None]
                 start, step = W.copy(), np.array([0.5])
-                testmap._walk([fake], W, step, 1, score)
+                testmap._walk([fake], W, step, 1, score, 0.0)
                 assert W[..., :-1].any(axis=-1).all()
                 if rejected is every:
                     assert W.tobytes() == start.tobytes()
@@ -1139,27 +1182,52 @@ def test_walk_steps_stop_at_the_ceiling_and_the_floor():
         np.random.default_rng(4).normal(size=(4, 3))).reshape(2, 2, 3)
     start, step = W.copy(), np.array([0.1, 0.1])
     testmap._walk([np.random.default_rng(s) for s in (5, 6)], W, step, 120,
-                  score)
+                  score, 0.0)
     assert step.tolist() == [testmap._POLISH_CEILING, testmap._MIN_STEP]
     assert W[0].tobytes() != start[0].tobytes()
     assert W[1].tobytes() == start[1].tobytes()
 
 
-def test_lockstep_polish_drops_members_that_reach_zero(monkeypatch):
+def test_lockstep_polish_drops_members_at_the_goal_and_all_after_them(
+        monkeypatch):
     # 40 equal atoms on a line: a cut between the middle two balances
-    # them exactly, which a short polish reaches on some restarts only
-    # (7 of these 10); those stop moving while the others walk on
+    # them exactly, which a short polish reaches on some restarts only.
+    # Alone, restart i is at 0 before iteration reached[i] (None: never
+    # within the walk); in the batch, iteration t scores λ proposals for
+    # each member before the first with reached <= t, and the walk ends
+    # when that is member 0
     m = DiscreteMeasure(np.random.default_rng(62).normal(size=(40, 1)),
                         np.ones(40))
     _schedule(monkeypatch, 3, 5)
-    seeds = range(10)
-    _assert_lockstep_equals_single(
+    seeds = range(15, 25)
+    first = _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
-    pool = _pool([m], 1)
-    worst = [testmap._hard_worsts(pool, testmap._search(
-        [i], [np.random.default_rng(s)], *_search_args([m], 1)))[0]
-        for i, s in enumerate(seeds)]
-    assert 0.0 in worst and max(worst) > 0.0
+    args, pool = _search_args([m], 1), _pool([m], 1)
+    lam, hard, stacks = testmap._PROPOSALS, testmap._hard_worsts, []
+
+    def spy(pool, V):
+        stacks.append(len(V) // lam)
+        return hard(pool, V)
+    monkeypatch.setattr(testmap, "_hard_worsts", spy)
+    reached = []
+    for i, s in enumerate(seeds):
+        stacks.clear()
+        W = testmap._search([i], [np.random.default_rng(s)], *args, 0.0)
+        at_zero = hard(pool, W)[0] == 0.0
+        reached.append(len(stacks) - 1 if at_zero else None)
+    assert reached == [None, None, 4, None, None, 3, None, 2, None, 0]
+    want = [len(seeds)]
+    for t in range(testmap._POLISH_ITERATIONS):
+        live = next((i for i, r in enumerate(reached)
+                     if r is not None and r <= t), len(seeds))
+        if not live:
+            break
+        want.append(live)
+    stacks.clear()
+    testmap._search(range(len(seeds)),
+                    [np.random.default_rng(s) for s in seeds], *args, 0.0)
+    assert stacks == want == [10, 9, 9, 7, 5, 2]
+    assert first == 2
 
 
 def test_first_success_wins_inside_a_batch(short_schedule):
@@ -1188,19 +1256,19 @@ def test_first_success_wins_inside_a_batch(short_schedule):
     assert res.directions.tobytes() == reference.directions.tobytes()
 
 
-# restarts -> the batch sizes on a large input: 1, 2, 4, then 8 at a
-# time, the last cut
-_BATCH_SIZES = {1: [1], 2: [1, 1], 3: [1, 2], 7: [1, 2, 4],
-                20: [1, 2, 4, 8, 5], 33: [1, 2, 4, 8, 8, 8, 2],
-                70: [1, 2, 4] + [8] * 7 + [7]}
+# restarts -> the batch sizes on a large input: 2, 4, then 8 at a time,
+# the last cut
+_BATCH_SIZES = {1: [1], 2: [2], 3: [2, 1], 7: [2, 4, 1],
+                20: [2, 4, 8, 6], 33: [2, 4, 8, 8, 8, 3],
+                70: [2, 4] + [8] * 8}
 _LARGE_WORK = 5400  # N·k of (2,6,3) on 6 clouds of 300 points
 
 # (N·k, restarts) -> the batch sizes on smaller inputs, where each batch
-# after restart 1 widens to fill a stack of _DISPATCH_POINTS point
-# products, at most 64 restarts
-_SMALL_BATCH_SIZES = {(12, 1): [1], (12, 2): [1, 1], (12, 20): [1, 19],
-                      (12, 70): [1, 64, 5], (12, 130): [1, 64, 64, 1],
-                      (200, 20): [1, 10, 9], (400, 20): [1, 5, 5, 8, 1]}
+# widens to fill a stack of _DISPATCH_POINTS point products, at most 64
+# restarts
+_SMALL_BATCH_SIZES = {(12, 1): [1], (12, 2): [2], (12, 20): [20],
+                      (12, 70): [64, 6], (12, 130): [64, 64, 2],
+                      (200, 20): [10, 10], (400, 20): [5, 5, 8, 2]}
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**70 + 3])
@@ -1229,7 +1297,7 @@ def test_restart_batches_seed_restarts_with_the_spawned_children(seed):
 
 def test_restart_batches_stay_bounded_on_a_tiny_input():
     # a million restarts of a tiny input spawn 64 children per batch, not
-    # all of them in the second batch
+    # all of them in the first batch
     tracemalloc.start()
     try:
         batches = list(itertools.islice(
@@ -1237,15 +1305,16 @@ def test_restart_batches_stay_bounded_on_a_tiny_input():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [len(b) for b, _ in batches] == [1, 64, 64]
-    assert [b.start for b, _ in batches] == [0, 1, 65]
+    assert [len(b) for b, _ in batches] == [64, 64, 64]
+    assert [b.start for b, _ in batches] == [0, 64, 128]
     assert peak < 2**20
 
 
-def test_infeasible_atom_pairs_search_in_two_batches(monkeypatch):
+def test_infeasible_atom_pairs_search_in_one_batch(monkeypatch):
     # criterion 10's input, three unit-atom pairs on a line (N·k = 12):
-    # restart 1 alone, then restarts 2 to 20 in one batch, every restart
-    # ending bit for bit where it does alone
+    # all 20 restarts in one batch, every restart ending bit for bit where
+    # it does alone; none gets within the tolerance, so each polishes as
+    # long as it would to 0
     ms = [DiscreteMeasure(np.array([[s], [s + 1.0]]), np.full(2, 1.0))
           for s in (0.0, 10.0, 20.0)]
     config = SolverConfig(seed=0)
@@ -1256,7 +1325,7 @@ def test_infeasible_atom_pairs_search_in_two_batches(monkeypatch):
             return searched[-1]
         patch.setattr(testmap, "_search", spy)
         batched = solve_bisection(ms, 2, config)
-    assert [len(W) for W in searched] == [1, 19]
+    assert [len(W) for W in searched] == [20]
     reference = solve_bisection_sequentially(ms, 2, config)
     assert batched.to_jsonable() == reference.to_jsonable()
     assert batched.to_jsonable()["status"] == "NOT_FOUND"
