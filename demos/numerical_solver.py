@@ -15,10 +15,11 @@ taken from float signs of float products, must sit within the requested
 tolerance.  Each polish step of a restart scores eight proposals, each
 moving one hyperplane, in one stacked call and keeps the best if it is no
 worse, and the polish stops as soon as the restart is within the
-tolerance.  Restarts run in batches of 2, 4 and then 8, each widened on a
-small input to as many as 64; once one restart of a batch is within the
-tolerance, the later ones stop with it, since the first success wins.
-Everything is seeded, so reruns are bit-identical, whatever the batching.
+tolerance.  Restarts run in batches of 4 and then 8, each widened on a
+small input to as many as 64, that race: a batch stops as soon as one of
+its restarts is within the tolerance, and the first of those wins.  A
+NOT_FOUND names its best attempt.  Everything is seeded, so reruns are
+bit-identical, whatever the batching.
 """
 
 import json
@@ -69,5 +70,7 @@ line = [DiscreteMeasure(np.array([[x], [x + 1.0]]), np.ones(2))
         for x in (0.0, 10.0, 20.0)]
 res = solve_bisection(line, k=2, config=SolverConfig(seed=0))
 print(f"infeasible 1-D instance: {res.status} "
-      f"after {res.restarts_used} restarts")
+      f"after {res.restarts_used} restarts; best attempt: restart "
+      f"{res.best_restart}, worst relative imbalance "
+      f"{max(res.relative_imbalances):.4f}")
 assert not res.success

@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "each restart's polish stops within it")
     p_solve.add_argument("--seed", type=int, default=0,
                          help="nonnegative integer seeding every restart")
-    p_solve.add_argument("--restarts", type=int, default=20)
+    p_solve.add_argument("--restarts", type=int, default=20,
+                         help="restarts to try; batches race, the first "
+                              "within --tol wins")
     p_solve.set_defaults(func=_cmd_solve)
 
     return parser

@@ -32,13 +32,13 @@ products taken in place, one elementwise pass and one weighted dot
 product per measure; the polish's scores equal the per-measure kernel's
 in tests/oracles.py.
 
-Restarts run in lockstep batches of 2, 4 and then 8, or up to 64 on a
+Restarts run in lockstep batches of 4 and then 8, or up to 64 on a
 small input (_restart_batches), so a small stack's per-call overhead is
-paid once per batch and iteration.  A polish ends within the solve's
-tolerance, and the later members of its batch with it.  Each stacked
-BLAS, LAPACK or elementwise call runs per member as in a batch of one,
-so every member up to the first success ends bit for bit where it would
-alone; tests/oracles.py keeps the sequential restart loop as reference.
+paid once per batch and iteration.  A batch races: its polish ends at
+the first iteration where a member is within the solve's tolerance.
+Each stacked BLAS, LAPACK or elementwise call runs per member as in a
+batch of one, so every member ends bit for bit where it would alone at
+that iteration; tests/oracles.py keeps the race's reference.
 """
 
 from __future__ import annotations
@@ -426,9 +426,10 @@ class SolveResult:
     status: str                      # "SUCCESS" or NOT_FOUND
     directions: np.ndarray | None    # (k, d+1) rows, unit length
     imbalances: np.ndarray | None    # phi: float signed mass per measure
-    relative_imbalances: np.ndarray | None
+    relative_imbalances: np.ndarray | None  # NOT_FOUND: best_restart's
     restarts_used: int
     seed: int
+    best_restart: int | None = None  # NOT_FOUND: its best attempt
 
     @property
     def success(self) -> bool:
@@ -452,6 +453,10 @@ class SolveResult:
             out["imbalances"] = [float(v) for v in self.imbalances]
             out["relative_imbalances"] = [float(v) for v in
                                           self.relative_imbalances]
+        elif self.best_restart is not None:
+            out["best_restart"] = self.best_restart
+            out["best_relative_imbalances"] = [float(v) for v in
+                                               self.relative_imbalances]
         return out
 
 
@@ -584,7 +589,7 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
     first of equals) if that scores no more.  Its step grows on a strict
     improvement, to at most _POLISH_CEILING, or shrinks, to at least
     _MIN_STEP, when no scored proposal was taken, by one exact clip.
-    At a score of at most goal a walker stops, and every later one too.
+    The members race: the walk ends at the first score at most goal.
     """
     B, k, n = W.shape
     rows = np.stack([rng.integers(k, size=(iterations, _PROPOSALS))
@@ -600,15 +605,11 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
     # the start is scored as λ copies of each member: one stack size
     cur = score(W.take(copies, axis=0, out=cand)).take(first)
     for i in range(iterations):
-        at = np.flatnonzero(cur <= goal)
-        if at.size:
-            if not (B := at[0]):
-                break
-            W, step, cur, first = W[:B], step[:B], cur[:B], first[:B]
-            copies, cand = copies[:B * _PROPOSALS], cand[:B * _PROPOSALS]
-        z = moves[i, :B]
+        if (cur <= goal).any():
+            break
+        z = moves[i]
         z *= step[:, None, None]
-        z += W.reshape(-1, n).take(taken[i, :B], axis=0)
+        z += W.reshape(-1, n).take(taken[i], axis=0)
         norms = np.sqrt(np.add.reduce(z * z, axis=-1))
         # clean, as usual: no norm and no coordinate of a normal part is 0
         clean = np.count_nonzero(z[..., :-1]) + np.count_nonzero(norms) == z.size
@@ -616,7 +617,7 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
             ok = (norms != 0) & z[..., :-1].any(axis=-1)
         z /= (norms if clean else np.where(ok, norms, 1.0))[..., None]
         W.take(copies, axis=0, out=cand)
-        cand.reshape(-1, n)[placed[i, :B]] = z
+        cand.reshape(-1, n)[placed[i]] = z
         val = score(cand).reshape(B, -1)
         if not clean:
             val = np.where(ok, val, np.inf)
@@ -635,7 +636,7 @@ def _search(batch, rngs, k: int, pool: _Pool, medoids: np.ndarray,
             goal: float) -> np.ndarray:
     """The search of restart indices `batch`, drawing from the matching
     generators of rngs, as a (B, k, d+1) stack: each restart's start,
-    the corrector, then the polish down to goal (_walk)."""
+    the corrector, then the polish raced to goal (_walk)."""
     W = np.stack([_start(i, rng, k, medoids) for i, rng in zip(batch, rngs)])
     _walk(rngs, _correct(pool, W), np.full(len(rngs), _POLISH_STEP),
           _POLISH_ITERATIONS, lambda V: _hard_worsts(pool, V), goal)
@@ -643,19 +644,19 @@ def _search(batch, rngs, k: int, pool: _Pool, medoids: np.ndarray,
 
 
 def _restart_batches(seed: int, max_restarts: int, work: int):
-    """Restart indices and their generators: batches of 2, 4 and then
-    _MAX_BATCH, each widened to as many restarts, up to _WIDEST_BATCH, as
+    """Restart indices and their generators: a batch of 4, then batches
+    of _MAX_BATCH, each widened to as many restarts, up to _WIDEST_BATCH, as
     a stack of _DISPATCH_POINTS point products holds at `work` (N·k) per
     arrangement.  Restart i is seeded with SeedSequence(seed).spawn(
     max_restarts)[i]: each batch spawns its own children, and successive
     spawns continue where the last one stopped."""
     root = np.random.SeedSequence(seed)
     fits = min(_DISPATCH_POINTS // (_PROPOSALS * work), _WIDEST_BATCH)
-    start, doubling = 0, 2
+    start, size = 0, 4
     while start < max_restarts:
-        batch = range(start, min(start + max(doubling, fits), max_restarts))
+        batch = range(start, min(start + max(size, fits), max_restarts))
         yield batch, [np.random.default_rng(s) for s in root.spawn(len(batch))]
-        start, doubling = batch.stop, min(2 * doubling, _MAX_BATCH)
+        start, size = batch.stop, _MAX_BATCH
 
 
 def solve_bisection(measures, k: int,
@@ -664,31 +665,38 @@ def solve_bisection(measures, k: int,
 
     Deterministic in (measures, k, config): restart r uses the r-th
     spawn of the seed sequence.  Restarts run in batches sized by the
-    work they score (_restart_batches, given N·k), each polish ending at
-    its first point within the tolerance; each batch is checked in index
-    order and the first success wins, so the result is the one running
-    every restart alone, in order, gives.  Success means that phi of the
-    directions, in the input frame, is within the tolerance relative to
-    each measure's total: float signs of float products, not exact.
+    work they score (_restart_batches, given N·k) that race: a batch
+    ends at its first iteration with a member within the tolerance, the
+    first such member winning, so a solve succeeds exactly when a
+    restart run alone would.  Success means that phi of the directions,
+    in the input frame, is within the tolerance relative to each
+    measure's total: float signs of float products, not exact.  On
+    NOT_FOUND, best_restart is the restart of least worst relative
+    imbalance (the first on ties), and relative_imbalances are its.
     """
     config = config or SolverConfig()
     k = _integer("k", k, 1)
     _common_dim(measures)
     center, radius, pool, medoids = _search_frame(measures, k)
     work = k * sum(len(m.weights) for m in measures)  # N·k
+    best = (math.inf, 0, None)  # worst relative imbalance, index, rel
     for batch, rngs in _restart_batches(config.seed, config.max_restarts, work):
         found = _search(batch, rngs, k, pool, medoids, config.tolerance)
         for idx, W in zip(batch, found):
             W = _uncenter_directions(W, center, radius)
             imb = phi(measures, W)
             rel = np.abs(imb) / pool.totals
-            if float(rel.max()) <= config.tolerance:
+            worst = float(rel.max())
+            if worst <= config.tolerance:
                 return SolveResult(status="SUCCESS", directions=W,
                                    imbalances=imb, relative_imbalances=rel,
                                    restarts_used=idx + 1, seed=config.seed)
+            if worst < best[0]:
+                best = (worst, idx, rel)
     return SolveResult(status=NOT_FOUND, directions=None, imbalances=None,
-                       relative_imbalances=None,
-                       restarts_used=config.max_restarts, seed=config.seed)
+                       relative_imbalances=best[2],
+                       restarts_used=config.max_restarts, seed=config.seed,
+                       best_restart=best[1] + 1)
 
 
 def _is_json_number(v) -> bool:

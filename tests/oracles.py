@@ -14,11 +14,12 @@ computed by before Lucas' and Kummer's closed forms, an exact
 root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
 per-measure sign objective that the pooled one in hyperbisect.testmap
-must match bit for bit, the sequential restart loop, in the solver's own
-search frame, that its batches of restarts must match (and, with each
-polish run on towards 0, whose status and restart count a solve must
-keep), the inverse of sphere_to_hyperplane, and the writer of the
-measure JSON that measures_from_jsonable reads.
+must match bit for bit, each restart of a solve run alone, in the
+solver's own search frame, with the race over them that its batches of
+restarts must match (and, with each polish run on towards 0, the
+sequential restart loop whose status a solve must keep), the inverse of
+sphere_to_hyperplane, and the writer of the measure JSON that
+measures_from_jsonable reads.
 
 Imported by the test modules (pytest puts this directory on sys.path).
 """
@@ -415,13 +416,10 @@ def sequential_restarts(measures, k: int, config: testmap.SolverConfig,
 
 def solve_bisection_sequentially(measures, k: int,
                                  config: testmap.SolverConfig,
-                                 goal: float | None = None
-                                 ) -> testmap.SolveResult:
-    """solve_bisection with one restart at a time: the first restart
-    whose worst relative imbalance passes the tolerance wins.  Each
-    polish ends at goal, by default the tolerance, as the solve's do."""
-    if goal is None:
-        goal = config.tolerance
+                                 goal: float = 0.0) -> testmap.SolveResult:
+    """The restarts run alone, in index order: the first whose worst
+    relative imbalance passes the tolerance wins.  Each polish ends at
+    goal, by default only at 0: the search whose status a solve keeps."""
     for idx, (W, imb, rel) in enumerate(sequential_restarts(measures, k,
                                                             config, goal)):
         if float(rel.max()) <= config.tolerance:
@@ -433,6 +431,77 @@ def solve_bisection_sequentially(measures, k: int,
         status=testmap.NOT_FOUND, directions=None, imbalances=None,
         relative_imbalances=None, restarts_used=config.max_restarts,
         seed=config.seed)
+
+
+class _Cut(Exception):
+    """Ends a walk before its next iteration moves anything."""
+
+
+def restart_alone(idx: int, rng, k: int, pool, medoids, goal: float,
+                  cut: int | None = None):
+    """Restart idx's search run alone, as testmap._search([idx], [rng], k,
+    pool, medoids, goal) runs it, cut after `cut` polish iterations if
+    it gets that far.  Returns its (k, d+1) directions in the search
+    frame and the iterations its polish walked: up to its first hard
+    score at most goal (its arrival), or up to the cut, or all of them."""
+    W = np.stack([testmap._start(idx, rng, k, medoids)])
+    testmap._correct(pool, W)
+    last = testmap._POLISH_ITERATIONS if cut is None else cut
+    scored = []  # the walk scores its start, then once per iteration
+
+    def score(V):
+        if len(scored) > last:
+            raise _Cut
+        scored.append(len(V))
+        return testmap._hard_worsts(pool, V)
+    try:
+        testmap._walk([rng], W, np.full(1, testmap._POLISH_STEP),
+                      testmap._POLISH_ITERATIONS, score, goal)
+    except _Cut:
+        pass
+    return W[0], len(scored) - 1
+
+
+def solve_bisection_by_race(measures, k: int,
+                            config: testmap.SolverConfig
+                            ) -> testmap.SolveResult:
+    """solve_bisection from its restarts run alone (restart_alone),
+    each polished to the tolerance and grouped as _restart_batches
+    groups them: in the first batch in which some restart arrives, the
+    least (iterations walked, index) among the arrivals wins, and its
+    phi decides success.  On NOT_FOUND, the best restart is the one of
+    least worst relative imbalance, the first on ties."""
+    tol = config.tolerance
+    center, radius, pool, medoids = testmap._search_frame(measures, k)
+    totals = np.array([m.total for m in measures])
+    children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
+    work = k * sum(len(m.weights) for m in measures)
+    runs = []  # (worst relative imbalance, index, relative imbalances)
+    for batch, _ in testmap._restart_batches(config.seed,
+                                             config.max_restarts, work):
+        arrivals = []
+        for idx in batch:
+            rng = np.random.default_rng(children[idx])
+            W, walked = restart_alone(idx, rng, k, pool, medoids, tol)
+            arrived = testmap._hard_worsts(pool, W[None])[0] <= tol
+            W = testmap._uncenter_directions(W, center, radius)
+            imb = testmap.phi(measures, W)
+            rel = np.abs(imb) / totals
+            runs.append((float(rel.max()), idx, rel))
+            if arrived:
+                arrivals.append((walked, idx, W, imb, rel))
+        if arrivals:
+            _, idx, W, imb, rel = min(arrivals, key=lambda a: a[:2])
+            if float(rel.max()) <= tol:
+                return testmap.SolveResult(
+                    status="SUCCESS", directions=W, imbalances=imb,
+                    relative_imbalances=rel, restarts_used=idx + 1,
+                    seed=config.seed)
+    _, idx, rel = min(runs, key=lambda r: r[:2])
+    return testmap.SolveResult(
+        status=testmap.NOT_FOUND, directions=None, imbalances=None,
+        relative_imbalances=rel, restarts_used=config.max_restarts,
+        seed=config.seed, best_restart=idx + 1)
 
 
 def hyperplane_to_sphere_point(h: OrientedHyperplane) -> np.ndarray:

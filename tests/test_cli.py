@@ -665,7 +665,13 @@ def test_solve_not_found_exit_code(capsys, tmp_path):
     code, out, _ = _run(capsys, ["solve", "--input", str(instance),
                                  "--k", "2", "--restarts", "3"])
     assert code == 1
-    assert json.loads(out)["status"] == "NOT_FOUND"
+    data = json.loads(out)
+    assert data["status"] == "NOT_FOUND"
+    # the output names its best attempt under keys of its own
+    assert list(data) == ["status", "restarts_used", "seed", "best_restart",
+                          "best_relative_imbalances"]
+    assert 1 <= data["best_restart"] <= 3
+    assert len(data["best_relative_imbalances"]) == 3
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "1", "2"])

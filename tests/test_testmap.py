@@ -23,8 +23,9 @@ from hyperbisect.momentcurve import (enumerate_bisections,
                                      well_separated_family)
 from hyperbisect import testmap
 from oracles import (centred_lifted, hard_worst, hyperplane_to_sphere_point,
-                     measures_to_jsonable, sequential_restarts,
-                     signed_products, solve_bisection_sequentially)
+                     measures_to_jsonable, restart_alone, sequential_restarts,
+                     signed_products, solve_bisection_by_race,
+                     solve_bisection_sequentially)
 
 
 def _unit(v):
@@ -365,6 +366,9 @@ def test_solver_json_carries_the_arrangements_floats():
           for i in range(2)]
     res = solve_bisection(ms, 2, SolverConfig(seed=1, max_restarts=3))
     assert res.success
+    assert list(res.to_jsonable()) == ["status", "restarts_used", "seed",
+                                       "arrangement", "imbalances",
+                                       "relative_imbalances"]
     rendered = res.to_jsonable()["arrangement"]
     assert rendered == [{"normal": [float(u) for u in h.normal],
                          "offset": float(h.offset)}
@@ -406,6 +410,39 @@ def test_solver_reports_not_found_when_impossible(monkeypatch):
     assert res.restarts_used == 4
     with pytest.raises(ValueError):
         res.arrangement()
+    # every restart leaves some measure wholly on one side: on the tie,
+    # the first restart is the best attempt
+    assert res.best_restart == 1
+    assert max(res.relative_imbalances) == 1.0
+
+
+def test_not_found_reports_its_best_restart(monkeypatch):
+    # 15 atoms of weights 1, 2, 4, ..., 2^14 per measure: the total is
+    # odd, so is every signed sum of an arrangement that misses every
+    # atom, and each restart fails a tolerance of 1e-6, each at its own
+    # imbalance.  The best attempt is the restart of least worst relative
+    # imbalance, the first on ties, under keys a SUCCESS never carries:
+    # here restarts 3 and 5 tie at the least, after a worse restart 1
+    rng = np.random.default_rng(10)
+    ms = [DiscreteMeasure(rng.normal(size=(15, 2)) + 3 * i,
+                          2.0 ** np.arange(15)) for i in range(3)]
+    _schedule(monkeypatch, 6, 50)
+    cfg = SolverConfig(seed=0, max_restarts=6, tolerance=1e-6)
+    res = solve_bisection(ms, 2, cfg)
+    assert res.status == "NOT_FOUND"
+    rels = [rel for _, _, rel in
+            sequential_restarts(ms, 2, cfg, goal=cfg.tolerance)]
+    worsts = [float(rel.max()) for rel in rels]
+    best = worsts.index(min(worsts))
+    assert best == 2 and worsts[4] == worsts[2] < worsts[0]
+    assert res.best_restart == best + 1
+    assert res.relative_imbalances.tobytes() == rels[best].tobytes()
+    assert res.to_jsonable() == {
+        "status": "NOT_FOUND", "restarts_used": 6, "seed": 0,
+        "best_restart": best + 1,
+        "best_relative_imbalances": rels[best].tolist()}
+    assert res.to_jsonable() == solve_bisection_by_race(
+        ms, 2, cfg).to_jsonable()
 
 
 def test_measure_json_round_trip():
@@ -647,11 +684,12 @@ def _disks(seed, n=200):
 
 
 # the benchmark's certified clouds -> restarts_used at seeds 0 to 4 (None:
-# NOT_FOUND after 20), as the medoid-block start and the corrector left
-# them
+# NOT_FOUND after 20), as the medoid-block start, the corrector and the
+# race of each batch left them: at seed 2 of cloud 101, restart 4 gets
+# within the tolerance before restart 2 does
 _PINNED_SEARCHES = {
     "d2j4k2n200-100": (lambda: _blobs(100, 2, 4, 200), 2, [2, 1, 3, 2, 1]),
-    "d2j4k2n200-101": (lambda: _blobs(101, 2, 4, 200), 2, [3, 4, 2, 3, 2]),
+    "d2j4k2n200-101": (lambda: _blobs(101, 2, 4, 200), 2, [3, 4, 4, 3, 2]),
     "d2j6k3n300": (lambda: _blobs(100, 2, 6, 300), 3, [1, 1, 1, 1, 1]),
     "d4j8k2n300": (lambda: _blobs(100, 4, 8, 300), 2, [3, 1, 1, 1, 1]),
     "disk4": (lambda: _disks(1000), 2, [1, 1, 1, 1, 1]),
@@ -691,27 +729,38 @@ def test_solver_keeps_its_floor_on_a_small_discrete_sweep():
 
 
 @pytest.mark.parametrize("name", [*_PINNED_SEARCHES,
-                                  *(f"sweep k={k}" for k in range(1, 5))])
+                                  *(f"sweep k={k} seed={seed}"
+                                    for k in range(1, 5) for seed in (0, 1))])
 def test_solver_keeps_the_status_and_restarts_of_the_polish_to_zero(name):
-    # a polish ends at the tolerance, and a batch at its first success,
-    # yet status and restarts_used are those of the restarts run alone
-    # and polished to 0 (tests/oracles.py): each member walks on its own
-    # draws and its score never rises, so whether it gets within the
-    # tolerance does not depend on the goal.  Every pinned shape at seeds
-    # 0 to 4, and the small sweep's 48 inputs at seed 0
+    # a batch races to the tolerance, yet status is that of the restarts
+    # run alone and polished to 0 (tests/oracles.py): each member walks
+    # on its own draws and its score never rises, so whether it gets
+    # within the tolerance does not depend on the goal or on the race.
+    # restarts_used is the race's (the whole result on a success), at
+    # least the polish to 0's and in its batch: a later member of the
+    # batch can arrive first.  Every pinned shape at seeds 0 to 4, and
+    # the small sweep's 48 inputs at solver seeds 0 and 1
     if name in _PINNED_SEARCHES:
         make, k, _ = _PINNED_SEARCHES[name]
         cases = [(make(), seed) for seed in range(5)]
     else:
-        k = int(name[-1])
-        cases = [(_sweep_instance(1000 * k + 100 * d + i, min(d * k, 4), d), 0)
-                 for d in range(1, 4) for i in range(4)]
+        k, seed = (int(part.split("=")[1]) for part in name.split()[1:])
+        cases = [(_sweep_instance(1000 * k + 100 * d + i, min(d * k, 4), d),
+                  seed) for d in range(1, 4) for i in range(4)]
     for ms, seed in cases:
         config = SolverConfig(seed=seed)
         got = solve_bisection(ms, k, config)
         want = solve_bisection_sequentially(ms, k, config, goal=0.0)
-        assert ((got.status, got.restarts_used)
-                == (want.status, want.restarts_used))
+        assert got.status == want.status
+        assert got.restarts_used >= want.restarts_used
+        batch = next(b for b, _ in testmap._restart_batches(
+            seed, config.max_restarts, k * sum(len(m.weights) for m in ms))
+            if want.restarts_used - 1 in b)
+        assert got.restarts_used - 1 in batch
+        if got.success:  # else restarts_used is max_restarts, as above
+            race = solve_bisection_by_race(ms, k, config)
+            assert got.to_jsonable() == race.to_jsonable()
+            assert got.directions.tobytes() == race.directions.tobytes()
 
 
 def _kernel_instance(rng, d):
@@ -862,7 +911,7 @@ def test_solver_matches_the_per_measure_kernel(monkeypatch, k, d):
 def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
         monkeypatch, short_schedule):
     # a tolerance at a later restart's own imbalance, below the earlier
-    # ones', so that the winner comes out of a batch of restarts
+    # ones', so that the winner comes out of a race of restarts
     rng = np.random.default_rng(33)
     ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
                           rng.uniform(0.5, 2.0, n)) for n in (30, 22)]
@@ -876,16 +925,18 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
         monkeypatch, ms, 2, config)
     # at N·k = 104, restarts 1 to 4 form one batch.  The polish scores
     # its start and then each iteration's proposals as one stack of λ
-    # arrangements per walking restart (the start as λ copies).  Restart
-    # 1 never reaches the tolerance, so it walks every iteration; the
-    # winner leaves at it, and every later restart with it
+    # arrangements per restart (the start as λ copies), until the
+    # iteration at which the winner, alone, reaches the tolerance
+    assert result.to_jsonable() == solve_bisection_by_race(
+        ms, 2, config).to_jsonable()
     assert result.restarts_used >= 2
-    lam = testmap._PROPOSALS
-    assert len(stacks) == testmap._POLISH_ITERATIONS + 1
-    assert stacks == sorted(stacks, reverse=True)
-    assert stacks[0] == 4 * lam
-    assert stacks[-1] == lam * (result.restarts_used - 1)
-    assert all(size % lam == 0 for size in stacks)
+    idx = result.restarts_used - 1
+    child = np.random.SeedSequence(config.seed).spawn(idx + 1)[idx]
+    _, arrival = restart_alone(idx, np.random.default_rng(child), 2,
+                               *testmap._search_frame(ms, 2)[2:],
+                               config.tolerance)
+    assert arrival < testmap._POLISH_ITERATIONS
+    assert stacks == [4 * testmap._PROPOSALS] * (arrival + 1)
 
 
 def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
@@ -945,29 +996,38 @@ def _search_args(ms, k):
 def _assert_lockstep_equals_single(make_rngs, ms, k):
     # make_rngs() gives a fresh batch of generators on each call; the
     # batch searched in one stack, as restarts 1, 2, ..., which start
-    # from medoid blocks and random rows in turn, ends where each member
-    # does alone, up to and including the first member at the goal (later
-    # members leave the polish with it).  Searched at goal 0, and at a
-    # goal at the hard score a middle member ends at alone, so that a
-    # member before the last can leave.  Returns the index of the first
-    # member at the goal at goal 0, or None
+    # from medoid blocks and random rows in turn, races: its polish ends
+    # at the first iteration at which some member's hard score is at the
+    # goal, and every member ends where its search alone stands after
+    # that many iterations.  Each search alone (restart_alone) equals
+    # the batch of one _search runs.  Searched at goal 0, and at a goal
+    # at the hard score a middle member ends at alone, so that a member
+    # before the last can win.  Returns, at goal 0, the iterations each
+    # member walks alone to 0 (None: it never gets there)
     args = _search_args(ms, k)
     pool = _pool(ms, k)
-    zero = [testmap._search([i], [rng], *args, 0.0)
+    zero = [restart_alone(i, rng, *args, 0.0)
             for i, rng in enumerate(make_rngs())]
-    scores = [testmap._hard_worsts(pool, W)[0] for W in zero]
+    scores = [testmap._hard_worsts(pool, W[None])[0] for W, _ in zero]
     for goal in sorted({0.0, scores[len(scores) // 2]}):
+        alone = (zero if goal == 0.0 else
+                 [restart_alone(i, rng, *args, goal)
+                  for i, rng in enumerate(make_rngs())])
+        for i, ((W, _), rng) in enumerate(zip(alone, make_rngs())):
+            single = testmap._search([i], [rng], *args, goal)
+            assert single.shape == (1, k, ms[0].dim + 1)
+            assert W.tobytes() == single[0].tobytes()
+        cut = min((walked for W, walked in alone
+                   if testmap._hard_worsts(pool, W[None])[0] <= goal),
+                  default=None)
         rngs = make_rngs()
         stacked = testmap._search(range(len(rngs)), rngs, *args, goal)
         assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
-        for i, (W, rng) in enumerate(zip(stacked, make_rngs())):
-            alone = (zero[i] if goal == 0.0
-                     else testmap._search([i], [rng], *args, goal))
-            assert alone.shape == (1, k, ms[0].dim + 1)
-            assert W.tobytes() == alone[0].tobytes()
-            if scores[i] <= goal:
-                break
-    return next((i for i, score in enumerate(scores) if score == 0.0), None)
+        for i, (W, rng) in enumerate(zip(stacked, make_rngs(), strict=True)):
+            assert W.tobytes() == restart_alone(i, rng, *args, goal,
+                                                cut)[0].tobytes()
+    return [walked if score == 0.0 else None
+            for (_, walked), score in zip(zero, scores)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -999,8 +1059,9 @@ def test_lockstep_batch_of_two_matches_sequential_restarts(equal,
                                                           monkeypatch):
     # max_restarts=2 cuts the first batch to restarts 1 and 2; a
     # tolerance between the two restarts' imbalances makes restart 2 the
-    # winner, found beside restart 1 as it is alone.  Each generator's
-    # search, in a batch in either order, ends where it does alone.
+    # winner, the race's, found beside restart 1.  Each generator's
+    # search, in a batch in either order, ends where it does alone at the
+    # race's last iteration.
     rng = np.random.default_rng(80)
     sizes = (20, 20, 20) if equal else (14, 20, 27)
     ms = [DiscreteMeasure(rng.normal(size=(n, 2)) * 3 + 5,
@@ -1022,7 +1083,7 @@ def test_lockstep_batch_of_two_matches_sequential_restarts(equal,
             patch.setattr(testmap, "_search", spy)
             batched = solve_bisection(ms, 2, config)
         assert ran == [2]
-        reference = solve_bisection_sequentially(ms, 2, config)
+        reference = solve_bisection_by_race(ms, 2, config)
         assert batched.restarts_used == reference.restarts_used == 2
         assert batched.to_jsonable() == reference.to_jsonable()
         assert batched.directions.tobytes() == reference.directions.tobytes()
@@ -1046,7 +1107,7 @@ def test_solver_matches_sequential_restarts_on_eight_gaussian_clouds(
     for tol in sorted({r for r in rels if r < 1})[:2] + [1e-3]:
         config = dataclasses.replace(config, tolerance=tol)
         batched = solve_bisection(ms, 2, config)
-        reference = solve_bisection_sequentially(ms, 2, config)
+        reference = solve_bisection_by_race(ms, 2, config)
         assert batched.to_jsonable() == reference.to_jsonable()
         if reference.success:
             assert (batched.directions.tobytes()
@@ -1057,8 +1118,8 @@ def test_solver_matches_sequential_restarts_on_eight_gaussian_clouds(
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_solver_matches_sequential_restarts(k, d, short_schedule):
     # tolerances at the restarts' own relative imbalances, so that the
-    # first success falls on various restarts (a one-point measure could
-    # never pass; _kernel_instance's are checked above)
+    # race is won by various restarts (a one-point measure could never
+    # pass; _kernel_instance's are checked above)
     rng = np.random.default_rng(300 + 10 * k + d)
     ms = [DiscreteMeasure(rng.normal(size=(n, d)) * 4 + 7,
                           rng.uniform(0.2, 3.0, n)) for n in (23, 31)]
@@ -1066,7 +1127,7 @@ def test_solver_matches_sequential_restarts(k, d, short_schedule):
     for tol in sorted({r for r in rels if r < 1})[:3] + [1e-3]:
         config = dataclasses.replace(_SHORT, tolerance=tol)
         batched = solve_bisection(ms, k, config)
-        reference = solve_bisection_sequentially(ms, k, config)
+        reference = solve_bisection_by_race(ms, k, config)
         assert batched.to_jsonable() == reference.to_jsonable()
         if reference.success:
             assert batched.directions.tobytes() == reference.directions.tobytes()
@@ -1188,20 +1249,20 @@ def test_walk_steps_stop_at_the_ceiling_and_the_floor():
     assert W[1].tobytes() == start[1].tobytes()
 
 
-def test_lockstep_polish_drops_members_at_the_goal_and_all_after_them(
-        monkeypatch):
+def test_lockstep_polish_ends_at_the_first_arrival(monkeypatch):
     # 40 equal atoms on a line: a cut between the middle two balances
     # them exactly, which a short polish reaches on some restarts only.
-    # Alone, restart i is at 0 before iteration reached[i] (None: never
-    # within the walk); in the batch, iteration t scores λ proposals for
-    # each member before the first with reached <= t, and the walk ends
-    # when that is member 0
+    # Alone, restart i is at 0 after reached[i] iterations (None: never
+    # within the walk).  In the batch, every iteration scores λ proposals
+    # for every member, until the first at which some member is at 0:
+    # the restarts at indices 3 and 8 get there together, index 2 later
     m = DiscreteMeasure(np.random.default_rng(62).normal(size=(40, 1)),
                         np.ones(40))
     _schedule(monkeypatch, 3, 5)
-    seeds = range(15, 25)
-    first = _assert_lockstep_equals_single(
+    seeds = range(68, 78)
+    reached = _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
+    assert reached == [None, None, 3, 2, None, None, None, None, 2, None]
     args, pool = _search_args([m], 1), _pool([m], 1)
     lam, hard, stacks = testmap._PROPOSALS, testmap._hard_worsts, []
 
@@ -1209,58 +1270,50 @@ def test_lockstep_polish_drops_members_at_the_goal_and_all_after_them(
         stacks.append(len(V) // lam)
         return hard(pool, V)
     monkeypatch.setattr(testmap, "_hard_worsts", spy)
-    reached = []
-    for i, s in enumerate(seeds):
-        stacks.clear()
-        W = testmap._search([i], [np.random.default_rng(s)], *args, 0.0)
-        at_zero = hard(pool, W)[0] == 0.0
-        reached.append(len(stacks) - 1 if at_zero else None)
-    assert reached == [None, None, 4, None, None, 3, None, 2, None, 0]
-    want = [len(seeds)]
-    for t in range(testmap._POLISH_ITERATIONS):
-        live = next((i for i, r in enumerate(reached)
-                     if r is not None and r <= t), len(seeds))
-        if not live:
-            break
-        want.append(live)
-    stacks.clear()
-    testmap._search(range(len(seeds)),
-                    [np.random.default_rng(s) for s in seeds], *args, 0.0)
-    assert stacks == want == [10, 9, 9, 7, 5, 2]
-    assert first == 2
+    arrival = min(r for r in reached if r is not None)
+    stacked = testmap._search(range(len(seeds)),
+                              [np.random.default_rng(s) for s in seeds],
+                              *args, 0.0)
+    # the start, then one stack per iteration walked
+    assert stacks == [len(seeds)] * (arrival + 1) == [10, 10, 10]
+    at_zero = [i for i, W in enumerate(stacked)
+               if hard(pool, W[None])[0] == 0.0]
+    assert at_zero == [i for i, r in enumerate(reached) if r == arrival]
 
 
-def test_first_success_wins_inside_a_batch(short_schedule):
-    # choose the tolerance so that every restart before some member of a
-    # batch fails, the batch's first member among them, and the first
-    # success sits inside that batch with a later success behind it;
-    # non-uniform weights keep the imbalances of the restarts apart
+def test_first_arrival_wins_inside_a_batch(short_schedule):
+    # a tolerance at a restart's own imbalance that an earlier restart of
+    # the same batch also gets within, but later in its polish: the race
+    # is won by the first to arrive, not by the first in index order.  At
+    # N·k = 150 all 8 restarts form one batch; non-uniform weights keep
+    # the imbalances of the restarts apart
     rng = np.random.default_rng(73)
     ms = [DiscreteMeasure(rng.normal(size=(25, 2)) + 3 * i,
                           rng.uniform(0.5, 2.0, 25)) for i in range(3)]
     config = dataclasses.replace(_SHORT, max_restarts=8)
+    assert [len(b) for b, _ in testmap._restart_batches(0, 8, 75 * 2)] == [8]
     rels = [float(rel.max()) for _, _, rel in
             sequential_restarts(ms, 2, config)]
-    picks = [(first, max(rels[first], rels[later]))
-             for batch, _ in testmap._restart_batches(0, 8, 75 * 2)
-             for first in batch for later in batch
-             if batch[0] < first < later
-             and min(rels[:first]) > max(rels[first], rels[later])]
+    picks = []
+    for tol in sorted({r for r in rels if r < 1}):
+        picked = dataclasses.replace(config, tolerance=tol)
+        race = solve_bisection_by_race(ms, 2, picked)
+        first = solve_bisection_sequentially(ms, 2, picked)
+        if race.success and race.restarts_used > first.restarts_used:
+            picks.append((picked, race, first))
     assert picks
-    first, tol = picks[0]
-    config = dataclasses.replace(config, tolerance=tol)
-    res = solve_bisection(ms, 2, config)
-    assert res.success and res.restarts_used == first + 1
-    reference = solve_bisection_sequentially(ms, 2, config)
-    assert res.to_jsonable() == reference.to_jsonable()
-    assert res.directions.tobytes() == reference.directions.tobytes()
+    picked, race, first = picks[0]
+    assert (race.restarts_used, first.restarts_used) == (4, 2)
+    res = solve_bisection(ms, 2, picked)
+    assert res.to_jsonable() == race.to_jsonable()
+    assert res.directions.tobytes() == race.directions.tobytes()
 
 
-# restarts -> the batch sizes on a large input: 2, 4, then 8 at a time,
+# restarts -> the batch sizes on a large input: 4, then 8 at a time,
 # the last cut
-_BATCH_SIZES = {1: [1], 2: [2], 3: [2, 1], 7: [2, 4, 1],
-                20: [2, 4, 8, 6], 33: [2, 4, 8, 8, 8, 3],
-                70: [2, 4] + [8] * 8}
+_BATCH_SIZES = {1: [1], 2: [2], 3: [3], 7: [4, 3], 12: [4, 8],
+                20: [4, 8, 8], 33: [4, 8, 8, 8, 5],
+                70: [4] + [8] * 8 + [2]}
 _LARGE_WORK = 5400  # N·k of (2,6,3) on 6 clouds of 300 points
 
 # (N·k, restarts) -> the batch sizes on smaller inputs, where each batch
@@ -1268,7 +1321,8 @@ _LARGE_WORK = 5400  # N·k of (2,6,3) on 6 clouds of 300 points
 # restarts
 _SMALL_BATCH_SIZES = {(12, 1): [1], (12, 2): [2], (12, 20): [20],
                       (12, 70): [64, 6], (12, 130): [64, 64, 2],
-                      (200, 20): [10, 10], (400, 20): [5, 5, 8, 2]}
+                      (200, 20): [10, 10], (400, 20): [5, 8, 7],
+                      (500, 20): [4, 8, 8]}
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**70 + 3])
@@ -1326,7 +1380,7 @@ def test_infeasible_atom_pairs_search_in_one_batch(monkeypatch):
         patch.setattr(testmap, "_search", spy)
         batched = solve_bisection(ms, 2, config)
     assert [len(W) for W in searched] == [20]
-    reference = solve_bisection_sequentially(ms, 2, config)
+    reference = solve_bisection_by_race(ms, 2, config)
     assert batched.to_jsonable() == reference.to_jsonable()
     assert batched.to_jsonable()["status"] == "NOT_FOUND"
     center, radius = testmap._search_frame(ms, 2)[:2]
