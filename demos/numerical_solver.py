@@ -2,24 +2,13 @@
 Finding bisections numerically, with receipts
 =============================================
 
-The solver works on finite weighted point clouds.  Every other restart,
-the first among them, starts from the paper's test configuration read off
-the data: hyperplanes through the medoids of blocks of d measures, as a
-hyperplane through the midpoints of d intervals on the moment curve
-bisects them; the others start from random hyperplanes.  A
-Levenberg-Marquardt corrector then drives a softened sign-imbalance
-towards zero, and a polish against the sign imbalance itself follows.  The
-solver only reports SUCCESS after the candidate hyperplanes pass a check:
-for every measure, the signed mass difference across the arrangement,
-taken from float signs of float products, must sit within the requested
-tolerance.  Each polish step of a restart scores eight proposals, each
-moving one hyperplane, in one stacked call and keeps the best if it is no
-worse, and the polish stops as soon as the restart is within the
-tolerance.  Restarts run in batches of 4 and then 8, each widened on a
-small input to as many as 64, that race: a batch stops as soon as one of
-its restarts is within the tolerance, and the first of those wins.  A
-NOT_FOUND names its best attempt.  Everything is seeded, so reruns are
-bit-identical, whatever the batching.
+The solver works on finite weighted point clouds.  It only reports SUCCESS
+after the candidate hyperplanes pass a check: for every measure, the signed
+mass difference across the arrangement, taken from float signs of float
+products, must sit within the requested tolerance.  NOT_FOUND means that
+none of the restarts it tried passed, not that no bisection exists, and it
+names its best attempt.  Everything is seeded, so reruns are bit-identical.
+How the search works is in the hyperbisect.testmap module docstring.
 """
 
 import json

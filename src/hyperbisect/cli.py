@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--tol", type=float, default=1e-2,
                          help="largest relative imbalance per measure; "
-                              "each restart's polish stops within it")
+                              "a batch of restarts stops within it")
     p_solve.add_argument("--seed", type=int, default=0,
                          help="nonnegative integer seeding every restart")
     p_solve.add_argument("--restarts", type=int, default=20,

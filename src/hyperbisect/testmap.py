@@ -29,16 +29,24 @@ Kernel layout: the lifted points of all j measures sit in one float64
 array (_Pool), built once per solve from the centred cloud.  Scoring a
 stack of B arrangements is one matrix product into a work array, the
 products taken in place, one elementwise pass and one weighted dot
-product per measure; the polish's scores equal the per-measure kernel's
-in tests/oracles.py.
+product per measure; the race's and the polish's scores equal the
+per-measure kernel's in tests/oracles.py.
 
 Restarts run in lockstep batches of 4 and then 8, or up to 64 on a
 small input (_restart_batches), so a small stack's per-call overhead is
-paid once per batch and iteration.  A batch races: its polish ends at
-the first iteration where a member is within the solve's tolerance.
-Each stacked BLAS, LAPACK or elementwise call runs per member as in a
-batch of one, so every member ends bit for bit where it would alone at
-that iteration; tests/oracles.py keeps the race's reference.
+paid once per batch and iteration.  A batch races through the corrector
+and the polish: it stops after the first iteration at which a member's
+hard worst relative imbalance (_hard_worsts) is within the solve's
+tolerance, skipping the polish if that is in the corrector, and
+solve_bisection checks the members by phi in index order.  The corrector
+judges a member once it has taken a step: a medoid-block start passes
+exactly through data points, where the search frame can score it within
+the tolerance and the input frame not.  Each stacked BLAS, LAPACK or
+elementwise call runs per member as in a batch of one, so every member
+stands bit for bit where it would alone at that iteration, and alone its
+path does not depend on the goal.  So a batch fails only where each of
+its restarts, run alone to its end, fails too (up to rounding between
+the frames); tests/oracles.py keeps the reference.
 """
 
 from __future__ import annotations
@@ -303,13 +311,14 @@ def phi(measures, directions) -> np.ndarray:
     for measure i means the arrangement bisects it.
     """
     W = _direction_matrix(directions, _common_dim(measures))
-    return _signed_sums(_Pool(measures, len(W)), W[None])[0]
+    pool = _Pool(measures, len(W))
+    return _signed_sums(pool, pool.stacked_products(W[None]))[0]
 
 
-def _signed_sums(pool: _Pool, W: np.ndarray) -> np.ndarray:
-    """Per arrangement of a (B, k, d+1) stack and measure, phi: the
-    weighted sum of the signs of the products, as (B, j)."""
-    return pool.stacked_sums(np.sign(pool.stacked_products(W), out=pool.spare))
+def _signed_sums(pool: _Pool, products: np.ndarray) -> np.ndarray:
+    """Per row of the (B, N) products of a stack (pool.stacked_products)
+    and measure, phi: the weighted sum of their signs, as (B, j)."""
+    return pool.stacked_sums(np.sign(products, out=pool.spare))
 
 
 def boundary_mass(measures, directions) -> np.ndarray:
@@ -499,10 +508,13 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
     return _normalize_rows(np.hstack([u, v * radius - u @ center[:, None]]))
 
 
-def _hard_worsts(pool: _Pool, W: np.ndarray) -> np.ndarray:
+def _hard_worsts(pool: _Pool, W: np.ndarray, products=None) -> np.ndarray:
     """Per arrangement of a (B, k, d+1) stack, the largest relative sign
-    imbalance over the measures."""
-    s = _signed_sums(pool, W) / pool.totals
+    imbalance over the measures; products, if given, are the stack's, as
+    pool.stacked_products(W) leaves them."""
+    if products is None:
+        products = pool.stacked_products(W)
+    s = _signed_sums(pool, products) / pool.totals
     return np.abs(s, out=s).max(axis=1)
 
 
@@ -523,10 +535,12 @@ def _start(restart: int, rng, k: int, medoids: np.ndarray) -> np.ndarray:
     return np.linalg.svd(medoids[blocks])[2][:, -1]
 
 
-def _correct(pool: _Pool, W: np.ndarray) -> np.ndarray:
+def _correct(pool: _Pool, W: np.ndarray, goal: float) -> bool:
     """Levenberg-Marquardt (Marquardt 1963) on the j residuals
     r_i = Σ w·tanh(P/T_i) / total_i of each arrangement of the (B, k, d+1)
-    stack W, in place; P is the product functional.
+    stack W, in place; P is the product functional.  True if the members'
+    race ended it: after an iteration, some member that has taken a step
+    scores a hard worst (_hard_worsts) of at most goal.
 
     Per c of _CORRECTOR_SCALES, T_i is c times the upper median |P| over
     measure i (1 where that is 0) at the stage's start.  An iteration
@@ -541,6 +555,7 @@ def _correct(pool: _Pool, W: np.ndarray) -> np.ndarray:
               for (start, stop, w), total in zip(pool.spans, pool.totals)]
     sizes = [stop - start for start, stop, _ in pool.spans]
     damping, diag = np.full(B, _DAMPING), np.arange(k * n)
+    hard = np.full(B, np.inf)  # the start is not judged
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for scale, i in itertools.product(_CORRECTOR_SCALES,
                                           range(_CORRECTOR_ITERATIONS)):
@@ -570,9 +585,13 @@ def _correct(pool: _Pool, W: np.ndarray) -> np.ndarray:
             taken = ((np.square(r_new).sum(1) < np.square(r).sum(1))
                      & cand[..., :-1].any(axis=-1).all(axis=-1))
             np.copyto(W, cand, where=taken[:, None, None])
+            # pool.first still holds the candidates' products
+            np.copyto(hard, _hard_worsts(pool, cand, pool.first), where=taken)
+            if (hard <= goal).any():
+                return True
             damping *= np.where(taken, 0.1, 10.0)
             damping.clip(_MIN_DAMPING, None, out=damping)
-    return W
+    return False
 
 
 def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
@@ -636,10 +655,11 @@ def _search(batch, rngs, k: int, pool: _Pool, medoids: np.ndarray,
             goal: float) -> np.ndarray:
     """The search of restart indices `batch`, drawing from the matching
     generators of rngs, as a (B, k, d+1) stack: each restart's start,
-    the corrector, then the polish raced to goal (_walk)."""
+    then the corrector and the polish, raced to goal."""
     W = np.stack([_start(i, rng, k, medoids) for i, rng in zip(batch, rngs)])
-    _walk(rngs, _correct(pool, W), np.full(len(rngs), _POLISH_STEP),
-          _POLISH_ITERATIONS, lambda V: _hard_worsts(pool, V), goal)
+    if not _correct(pool, W, goal):
+        _walk(rngs, W, np.full(len(rngs), _POLISH_STEP), _POLISH_ITERATIONS,
+              lambda V: _hard_worsts(pool, V), goal)
     return W
 
 
@@ -664,11 +684,8 @@ def solve_bisection(measures, k: int,
     """Search for k hyperplanes bisecting all measures at once.
 
     Deterministic in (measures, k, config): restart r uses the r-th
-    spawn of the seed sequence.  Restarts run in batches sized by the
-    work they score (_restart_batches, given N·k) that race: a batch
-    ends at its first iteration with a member within the tolerance, the
-    first such member winning, so a solve succeeds exactly when a
-    restart run alone would.  Success means that phi of the directions,
+    spawn of the seed sequence, and restarts run in racing batches (see
+    the module docstring).  Success means that phi of the directions,
     in the input frame, is within the tolerance relative to each
     measure's total: float signs of float products, not exact.  On
     NOT_FOUND, best_restart is the restart of least worst relative

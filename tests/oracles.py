@@ -14,10 +14,10 @@ computed by before Lucas' and Kummer's closed forms, an exact
 root check for moment-curve hyperplanes, the orientation flip,
 essentiality test and canonical form of hyperplane records, the
 per-measure sign objective that the pooled one in hyperbisect.testmap
-must match bit for bit, each restart of a solve run alone, in the
-solver's own search frame, with the race over them that its batches of
-restarts must match (and, with each polish run on towards 0, the
-sequential restart loop whose status a solve must keep), the inverse of
+must match bit for bit, each restart of a solve run alone to its end,
+in the solver's own search frame, with the race over them that its
+batches of restarts must match (and the sequential restart loop over
+them, which fails wherever a solve fails), the inverse of
 sphere_to_hyperplane, and the writer of the measure JSON that
 measures_from_jsonable reads.
 
@@ -26,6 +26,7 @@ Imported by the test modules (pytest puts this directory on sys.path).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -395,33 +396,136 @@ def hard_worst(lifted, weights, totals, W) -> float:
     return worst
 
 
+class LoneRun:
+    """Restart idx run alone to its end, raced by nothing: its start, the
+    whole corrector, then the polish to a hard score of 0, run when a
+    caller first iterates past the corrector.  Iterating gives its
+    trajectory, one (point, W, hard) per point: (0, c) after corrector
+    iteration c = 1, 2, ..., then (1, p) after polish iteration p = 0, 1,
+    ... (p = 0 is the corrector's end).  W is the (k, d+1) directions in
+    the search frame and hard their hard worst (testmap._hard_worsts),
+    inf in the corrector until W first moves off the start: the race does
+    not judge a member that has taken no step (a step taken onto W's own
+    bits would count as none).  A member of a batch follows the same
+    trajectory until the batch's race cuts it, whatever the goal."""
+
+    def __init__(self, idx: int, rng, k: int, pool, medoids):
+        self.rng, self.pool = rng, pool
+        self.W = W = np.stack([testmap._start(idx, rng, k, medoids)])
+        spy, seen = copy.copy(pool), []
+
+        def values(V, stacked_values=spy.stacked_values):
+            if V is W:  # each corrector iteration starts by scoring W
+                seen.append(W[0].copy())
+            return stacked_values(V)
+        spy.stacked_values = values
+        testmap._correct(spy, W, -math.inf)
+        corrector = seen[1:] + [W[0].copy()]
+        assert len(corrector) == (len(testmap._CORRECTOR_SCALES)
+                                  * testmap._CORRECTOR_ITERATIONS)
+        hard = testmap._hard_worsts(pool, np.stack(corrector))
+        moved = np.logical_or.accumulate([V.tobytes() != seen[0].tobytes()
+                                          for V in corrector])
+        hard[~moved] = math.inf
+        self.corrector = [((0, c), V, h) for c, (V, h)
+                          in enumerate(zip(corrector, hard), 1)]
+        self.polish = None
+
+    def __iter__(self):
+        yield from self.corrector
+        if self.polish is None:
+            self.polish = self._polish()
+        yield from self.polish
+
+    def _polish(self) -> list:
+        W, pool, walked = self.W, self.pool, []
+
+        def score(V):  # the walk scores its start, then once per iteration
+            walked.append(W[0].copy())
+            return testmap._hard_worsts(pool, V)
+        testmap._walk([self.rng], W, np.full(1, testmap._POLISH_STEP),
+                      testmap._POLISH_ITERATIONS, score, 0.0)
+        walked = walked[1:] + [W[0].copy()]
+        hard = testmap._hard_worsts(pool, np.stack(walked))
+        return [((1, p), V, h) for p, (V, h) in enumerate(zip(walked, hard))]
+
+    @property
+    def end(self) -> np.ndarray:
+        """The directions at the end of the run, in the search frame."""
+        *_, (_, W, _) = self
+        return W
+
+
+def stop(run, goal: float, cut=None):
+    """Where a LoneRun stands in a race to goal that is cut at the point
+    `cut`: at its first point of hard score at most goal, or at cut if
+    that comes first, or at its end.  Returns W and the point of its
+    arrival (None: it has not arrived there)."""
+    for point, W, hard in run:
+        if hard <= goal:
+            return W, point
+        if point == cut:
+            break
+    return W, None
+
+
+def restart_alone(idx: int, rng, k: int, pool, medoids, goal: float,
+                  cut=None):
+    """Restart idx's search run alone, as testmap._search([idx], [rng], k,
+    pool, medoids, goal) runs it, cut at the point `cut` (see LoneRun)
+    if it gets that far: its (k, d+1) directions in the search frame and
+    its arrival, the point of its first hard score at most goal."""
+    return stop(LoneRun(idx, rng, k, pool, medoids), goal, cut)
+
+
+class LoneRuns:
+    """The restarts of solve_bisection(measures, k, config), each run
+    alone to its end (LoneRun) once, when first asked for, and checked
+    as the solve checks them: in the input frame, by phi."""
+
+    def __init__(self, measures, k: int, config: testmap.SolverConfig):
+        self.measures, self.k = measures, k
+        self.center, self.radius, *self.frame = testmap._search_frame(
+            measures, k)
+        self.totals = np.array([m.total for m in measures])
+        self.children = np.random.SeedSequence(config.seed).spawn(
+            config.max_restarts)
+        self.runs = {}
+
+    def __getitem__(self, idx: int) -> LoneRun:
+        if idx not in self.runs:
+            rng = np.random.default_rng(self.children[idx])
+            self.runs[idx] = LoneRun(idx, rng, self.k, *self.frame)
+        return self.runs[idx]
+
+    def checked(self, W):
+        """W in the input frame, its phi and its relative imbalances."""
+        W = testmap._uncenter_directions(W, self.center, self.radius)
+        imb = testmap.phi(self.measures, W)
+        return W, imb, np.abs(imb) / self.totals
+
+
 def sequential_restarts(measures, k: int, config: testmap.SolverConfig,
-                        goal: float = 0.0):
+                        goal: float | None = None, runs=None):
     """Each restart of solve_bisection run alone, in index order: yields
     its directions in the input frame, their phi, and their relative
     imbalances.  Restart r searches as a batch of one, with the r-th
-    child of SeedSequence(seed).spawn(max_restarts), and its polish ends
-    at a hard score of at most goal: by default only at 0, the search
-    whose status and restart count a solve keeps."""
-    center, radius, *frame = testmap._search_frame(measures, k)
-    totals = np.array([m.total for m in measures])
-    children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        W = testmap._search([idx], [rng], k, *frame, goal)[0]
-        W = testmap._uncenter_directions(W, center, radius)
-        imb = testmap.phi(measures, W)
-        yield W, imb, np.abs(imb) / totals
+    child of SeedSequence(seed).spawn(max_restarts), raced to goal; by
+    default to its end (the whole corrector, then the polish to 0), the
+    search a solve's status is compared with."""
+    runs = runs or LoneRuns(measures, k, config)
+    for idx in range(config.max_restarts):
+        W = runs[idx].end if goal is None else stop(runs[idx], goal)[0]
+        yield runs.checked(W)
 
 
 def solve_bisection_sequentially(measures, k: int,
                                  config: testmap.SolverConfig,
-                                 goal: float = 0.0) -> testmap.SolveResult:
-    """The restarts run alone, in index order: the first whose worst
-    relative imbalance passes the tolerance wins.  Each polish ends at
-    goal, by default only at 0: the search whose status a solve keeps."""
-    for idx, (W, imb, rel) in enumerate(sequential_restarts(measures, k,
-                                                            config, goal)):
+                                 runs=None) -> testmap.SolveResult:
+    """The restarts run alone to their end, in index order: the first
+    whose worst relative imbalance passes the tolerance wins."""
+    for idx, (W, imb, rel) in enumerate(sequential_restarts(
+            measures, k, config, runs=runs)):
         if float(rel.max()) <= config.tolerance:
             return testmap.SolveResult(
                 status="SUCCESS", directions=W, imbalances=imb,
@@ -433,71 +537,35 @@ def solve_bisection_sequentially(measures, k: int,
         seed=config.seed)
 
 
-class _Cut(Exception):
-    """Ends a walk before its next iteration moves anything."""
-
-
-def restart_alone(idx: int, rng, k: int, pool, medoids, goal: float,
-                  cut: int | None = None):
-    """Restart idx's search run alone, as testmap._search([idx], [rng], k,
-    pool, medoids, goal) runs it, cut after `cut` polish iterations if
-    it gets that far.  Returns its (k, d+1) directions in the search
-    frame and the iterations its polish walked: up to its first hard
-    score at most goal (its arrival), or up to the cut, or all of them."""
-    W = np.stack([testmap._start(idx, rng, k, medoids)])
-    testmap._correct(pool, W)
-    last = testmap._POLISH_ITERATIONS if cut is None else cut
-    scored = []  # the walk scores its start, then once per iteration
-
-    def score(V):
-        if len(scored) > last:
-            raise _Cut
-        scored.append(len(V))
-        return testmap._hard_worsts(pool, V)
-    try:
-        testmap._walk([rng], W, np.full(1, testmap._POLISH_STEP),
-                      testmap._POLISH_ITERATIONS, score, goal)
-    except _Cut:
-        pass
-    return W[0], len(scored) - 1
-
-
-def solve_bisection_by_race(measures, k: int,
-                            config: testmap.SolverConfig
-                            ) -> testmap.SolveResult:
-    """solve_bisection from its restarts run alone (restart_alone),
-    each polished to the tolerance and grouped as _restart_batches
-    groups them: in the first batch in which some restart arrives, the
-    least (iterations walked, index) among the arrivals wins, and its
-    phi decides success.  On NOT_FOUND, the best restart is the one of
-    least worst relative imbalance, the first on ties."""
+def solve_bisection_by_race(measures, k: int, config: testmap.SolverConfig,
+                            runs=None) -> testmap.SolveResult:
+    """solve_bisection from its restarts run alone (LoneRuns), grouped as
+    _restart_batches groups them.  Each batch races to the tolerance: it
+    ends at the least point (stage, then iteration) at which a member
+    arrives (stop), every member cut there, or else at every member's
+    end.  Its members are checked in index order by phi, and the first
+    that passes wins: the arrival of least index at that point, unless
+    phi and the hard score disagree by rounding.  On NOT_FOUND, the best
+    restart is the one of least worst relative imbalance, the first on
+    ties."""
+    runs = runs or LoneRuns(measures, k, config)
     tol = config.tolerance
-    center, radius, pool, medoids = testmap._search_frame(measures, k)
-    totals = np.array([m.total for m in measures])
-    children = np.random.SeedSequence(config.seed).spawn(config.max_restarts)
     work = k * sum(len(m.weights) for m in measures)
-    runs = []  # (worst relative imbalance, index, relative imbalances)
+    tried = []  # (worst relative imbalance, index, relative imbalances)
     for batch, _ in testmap._restart_batches(config.seed,
                                              config.max_restarts, work):
-        arrivals = []
+        cut = None  # the least arrival so far: none is followed past it
         for idx in batch:
-            rng = np.random.default_rng(children[idx])
-            W, walked = restart_alone(idx, rng, k, pool, medoids, tol)
-            arrived = testmap._hard_worsts(pool, W[None])[0] <= tol
-            W = testmap._uncenter_directions(W, center, radius)
-            imb = testmap.phi(measures, W)
-            rel = np.abs(imb) / totals
-            runs.append((float(rel.max()), idx, rel))
-            if arrived:
-                arrivals.append((walked, idx, W, imb, rel))
-        if arrivals:
-            _, idx, W, imb, rel = min(arrivals, key=lambda a: a[:2])
+            cut = stop(runs[idx], tol, cut)[1] or cut
+        for idx in batch:
+            W, imb, rel = runs.checked(stop(runs[idx], tol, cut)[0])
             if float(rel.max()) <= tol:
                 return testmap.SolveResult(
                     status="SUCCESS", directions=W, imbalances=imb,
                     relative_imbalances=rel, restarts_used=idx + 1,
                     seed=config.seed)
-    _, idx, rel = min(runs, key=lambda r: r[:2])
+            tried.append((float(rel.max()), idx, rel))
+    _, idx, rel = min(tried, key=lambda r: r[:2])
     return testmap.SolveResult(
         status=testmap.NOT_FOUND, directions=None, imbalances=None,
         relative_imbalances=rel, restarts_used=config.max_restarts,

@@ -22,10 +22,11 @@ from hyperbisect.testmap import (AtInfinityError, DiscreteMeasure,
 from hyperbisect.momentcurve import (enumerate_bisections,
                                      well_separated_family)
 from hyperbisect import testmap
-from oracles import (centred_lifted, hard_worst, hyperplane_to_sphere_point,
-                     measures_to_jsonable, restart_alone, sequential_restarts,
-                     signed_products, solve_bisection_by_race,
-                     solve_bisection_sequentially)
+from oracles import (LoneRun, LoneRuns, centred_lifted, hard_worst,
+                     hyperplane_to_sphere_point, measures_to_jsonable,
+                     restart_alone, sequential_restarts, signed_products,
+                     solve_bisection_by_race, solve_bisection_sequentially,
+                     stop)
 
 
 def _unit(v):
@@ -310,21 +311,48 @@ def _sphere_distance(W, key) -> float:
                                  (4, 2), (3, 3)])
 def test_solver_successes_match_the_moment_curve_answer_key(d, k):
     # for an unanchored family the enumeration is every bisection, so a
-    # success must land on one of them, up to quadrature error.  Every
-    # seed succeeds; the annealing search that the medoid-block start and
-    # the corrector replaced found none of (3,2), (4,2) and (3,3).  The
-    # polish stops at the tolerance, before its sideways moves on the
-    # plateau drift off the corrector's point (worst 9.0e-4, at (1,3),
-    # while it polished to 0)
+    # success must land near one of them.  Every seed succeeds; the
+    # annealing search that the medoid-block start and the corrector
+    # replaced found none of (3,2), (4,2) and (3,3).  The winner's
+    # corrector, run to its end, converges on a bisection up to
+    # quadrature error; the race stops it once it is within the
+    # tolerance, 1.3e-4 to 1.5e-3 away (1.2e-6 to 2.6e-6 at its end)
     fam = well_separated_family(d, k)
     ms = interval_quadrature_measures(fam, 200)
     keys = [np.array([hyperplane_to_sphere_point(h) for h in arr.hyperplanes])
             for arr in enumerate_bisections(fam, k)]
+
+    def distance(W):
+        return min(_sphere_distance(W, key) for key in keys)
     for seed in range(5):
-        result = solve_bisection(ms, k, SolverConfig(seed=seed))
+        config = SolverConfig(seed=seed)
+        runs = LoneRuns(ms, k, config)
+        result = solve_bisection(ms, k, config)
         assert result.success
-        assert min(_sphere_distance(result.directions, key)
-                   for key in keys) <= 1e-5
+        race = solve_bisection_by_race(ms, k, config, runs)
+        assert result.to_jsonable() == race.to_jsonable()
+        assert result.directions.tobytes() == race.directions.tobytes()
+        assert distance(result.directions) <= 2e-3
+        _, corrected, _ = runs[result.restarts_used - 1].corrector[-1]
+        assert distance(runs.checked(corrected)[0]) <= 1e-5
+
+
+def test_the_race_does_not_judge_a_start():
+    # a medoid-block start passes exactly through data points, where the
+    # search frame scores a product of 0 but the input frame does not:
+    # the start scores 5.7e-17 there, yet phi's worst relative imbalance
+    # is 0.010000000000000063 > 1e-2.  A race that judged starts would
+    # end every batch at its medoid-block starts, and fail
+    ms = interval_quadrature_measures(well_separated_family(1, 2), 200)
+    center, radius, pool, medoids = testmap._search_frame(ms, 2)
+    tol = SolverConfig().tolerance
+    for seed in range(5):
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        W = testmap._start(0, np.random.default_rng(child), 2, medoids)
+        assert testmap._hard_worsts(pool, W[None])[0] <= tol
+        imb = phi(ms, testmap._uncenter_directions(W, center, radius))
+        assert max(abs(imb) / pool.totals) > tol
+        assert solve_bisection(ms, 2, SolverConfig(seed=seed)).success
 
 
 def test_solver_bisects_the_anchored_moment_curve_family():
@@ -685,14 +713,15 @@ def _disks(seed, n=200):
 
 # the benchmark's certified clouds -> restarts_used at seeds 0 to 4 (None:
 # NOT_FOUND after 20), as the medoid-block start, the corrector and the
-# race of each batch left them: at seed 2 of cloud 101, restart 4 gets
-# within the tolerance before restart 2 does
+# race of each batch through both left them: a later restart of a batch
+# often gets within the tolerance in fewer corrector iterations than
+# restart 1, which the polish would bring there
 _PINNED_SEARCHES = {
-    "d2j4k2n200-100": (lambda: _blobs(100, 2, 4, 200), 2, [2, 1, 3, 2, 1]),
-    "d2j4k2n200-101": (lambda: _blobs(101, 2, 4, 200), 2, [3, 4, 4, 3, 2]),
-    "d2j6k3n300": (lambda: _blobs(100, 2, 6, 300), 3, [1, 1, 1, 1, 1]),
-    "d4j8k2n300": (lambda: _blobs(100, 4, 8, 300), 2, [3, 1, 1, 1, 1]),
-    "disk4": (lambda: _disks(1000), 2, [1, 1, 1, 1, 1]),
+    "d2j4k2n200-100": (lambda: _blobs(100, 2, 4, 200), 2, [4, 1, 3, 3, 1]),
+    "d2j4k2n200-101": (lambda: _blobs(101, 2, 4, 200), 2, [3, 4, 4, 3, 3]),
+    "d2j6k3n300": (lambda: _blobs(100, 2, 6, 300), 3, [1, 1, 3, 2, 1]),
+    "d4j8k2n300": (lambda: _blobs(100, 4, 8, 300), 2, [3, 3, 1, 1, 4]),
+    "disk4": (lambda: _disks(1000), 2, [3, 1, 3, 4, 1]),
 }
 
 
@@ -732,14 +761,15 @@ def test_solver_keeps_its_floor_on_a_small_discrete_sweep():
                                   *(f"sweep k={k} seed={seed}"
                                     for k in range(1, 5) for seed in (0, 1))])
 def test_solver_keeps_the_status_and_restarts_of_the_polish_to_zero(name):
-    # a batch races to the tolerance, yet status is that of the restarts
-    # run alone and polished to 0 (tests/oracles.py): each member walks
-    # on its own draws and its score never rises, so whether it gets
-    # within the tolerance does not depend on the goal or on the race.
-    # restarts_used is the race's (the whole result on a success), at
-    # least the polish to 0's and in its batch: a later member of the
-    # batch can arrive first.  Every pinned shape at seeds 0 to 4, and
-    # the small sweep's 48 inputs at solver seeds 0 and 1
+    # a batch races to the tolerance through the corrector and the
+    # polish, yet it fails only where its restarts run alone to their end
+    # (the whole corrector, then the polish to 0: tests/oracles.py) fail
+    # too: each member follows its own trajectory until the race cuts it,
+    # which happens only where some member is within the tolerance.  A
+    # restart that passes through the tolerance and leaves it can win the
+    # race alone, so restarts_used moves either way; the whole result is
+    # the race reference's.  Every pinned shape at seeds 0 to 4, and the
+    # small sweep's 48 inputs at solver seeds 0 and 1
     if name in _PINNED_SEARCHES:
         make, k, _ = _PINNED_SEARCHES[name]
         cases = [(make(), seed) for seed in range(5)]
@@ -749,17 +779,13 @@ def test_solver_keeps_the_status_and_restarts_of_the_polish_to_zero(name):
                   seed) for d in range(1, 4) for i in range(4)]
     for ms, seed in cases:
         config = SolverConfig(seed=seed)
+        runs = LoneRuns(ms, k, config)
         got = solve_bisection(ms, k, config)
-        want = solve_bisection_sequentially(ms, k, config, goal=0.0)
-        assert got.status == want.status
-        assert got.restarts_used >= want.restarts_used
-        batch = next(b for b, _ in testmap._restart_batches(
-            seed, config.max_restarts, k * sum(len(m.weights) for m in ms))
-            if want.restarts_used - 1 in b)
-        assert got.restarts_used - 1 in batch
-        if got.success:  # else restarts_used is max_restarts, as above
-            race = solve_bisection_by_race(ms, k, config)
-            assert got.to_jsonable() == race.to_jsonable()
+        want = solve_bisection_sequentially(ms, k, config, runs)
+        assert got.status == want.status or got.success
+        race = solve_bisection_by_race(ms, k, config, runs)
+        assert got.to_jsonable() == race.to_jsonable()
+        if got.success:
             assert got.directions.tobytes() == race.directions.tobytes()
 
 
@@ -875,20 +901,24 @@ def test_stacked_scorers_equal_per_measure_kernel_on_unequal_sizes(k):
 
 def _assert_solver_matches_the_per_measure_kernel(monkeypatch, ms, k, cfg):
     # solve once with the pooled kernel and once with the per-measure
-    # oracle scoring each row of every stack the polish scores, of every
-    # batch of restarts: identical directions, bit for bit; returns the
-    # result and the sizes of the stacks the oracle scored
+    # oracle scoring each row of every stack the corrector's race and the
+    # polish score, of every batch of restarts: identical directions, bit
+    # for bit; returns the result and the sizes of the stacks the oracle
+    # scored
     pooled = solve_bisection(ms, k, cfg)
     assert pooled.success
 
     lifted = centred_lifted(ms)
     weights = [m.weights for m in ms]
     totals = [m.total for m in ms]
-    stacks = []
+    stacks, pooled_hard = [], testmap._hard_worsts
 
-    def hard(pool, W):
+    def hard(pool, W, products=None):
         stacks.append(len(W))
-        return np.array([hard_worst(lifted, weights, totals, w) for w in W])
+        want = [hard_worst(lifted, weights, totals, w) for w in W]
+        if products is not None:  # the corrector's, from its products
+            assert pooled_hard(pool, W, products).tolist() == want
+        return np.array(want)
 
     with monkeypatch.context() as patch:
         patch.setattr(testmap, "_hard_worsts", hard)
@@ -923,20 +953,22 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
     config = dataclasses.replace(config, tolerance=wins[0])
     result, stacks = _assert_solver_matches_the_per_measure_kernel(
         monkeypatch, ms, 2, config)
-    # at N·k = 104, restarts 1 to 4 form one batch.  The polish scores
-    # its start and then each iteration's proposals as one stack of λ
-    # arrangements per restart (the start as λ copies), until the
-    # iteration at which the winner, alone, reaches the tolerance
+    # at N·k = 104, restarts 1 to 4 form one batch.  The corrector's race
+    # scores the batch's candidates as one stack per iteration; the
+    # polish scores its start and then each iteration's proposals as one
+    # stack of λ arrangements per restart (the start as λ copies).  Both
+    # stop at the point at which the winner, alone, reaches the tolerance
     assert result.to_jsonable() == solve_bisection_by_race(
         ms, 2, config).to_jsonable()
     assert result.restarts_used >= 2
     idx = result.restarts_used - 1
     child = np.random.SeedSequence(config.seed).spawn(idx + 1)[idx]
-    _, arrival = restart_alone(idx, np.random.default_rng(child), 2,
-                               *testmap._search_frame(ms, 2)[2:],
-                               config.tolerance)
-    assert arrival < testmap._POLISH_ITERATIONS
-    assert stacks == [4 * testmap._PROPOSALS] * (arrival + 1)
+    _, (stage, iteration) = restart_alone(
+        idx, np.random.default_rng(child), 2,
+        *testmap._search_frame(ms, 2)[2:], config.tolerance)
+    corrected = len(testmap._CORRECTOR_SCALES) * testmap._CORRECTOR_ITERATIONS
+    assert stacks == ([4] * iteration if stage == 0 else [4] * corrected
+                      + [4 * testmap._PROPOSALS] * (iteration + 1))
 
 
 def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
@@ -996,38 +1028,30 @@ def _search_args(ms, k):
 def _assert_lockstep_equals_single(make_rngs, ms, k):
     # make_rngs() gives a fresh batch of generators on each call; the
     # batch searched in one stack, as restarts 1, 2, ..., which start
-    # from medoid blocks and random rows in turn, races: its polish ends
-    # at the first iteration at which some member's hard score is at the
-    # goal, and every member ends where its search alone stands after
-    # that many iterations.  Each search alone (restart_alone) equals
-    # the batch of one _search runs.  Searched at goal 0, and at a goal
-    # at the hard score a middle member ends at alone, so that a member
-    # before the last can win.  Returns, at goal 0, the iterations each
-    # member walks alone to 0 (None: it never gets there)
+    # from medoid blocks and random rows in turn, races: it ends at the
+    # first point (a corrector iteration, then a polish iteration) at
+    # which some member's hard score is at the goal, and every member
+    # ends where its search alone stands at that point.  Each search
+    # alone (restart_alone) equals the batch of one _search runs.
+    # Searched at goal 0, and at a goal at the hard score a middle member
+    # ends at alone, so that a member before the last can win.  Returns,
+    # at goal 0, the point at which each member arrives alone (None: it
+    # never does)
     args = _search_args(ms, k)
-    pool = _pool(ms, k)
-    zero = [restart_alone(i, rng, *args, 0.0)
-            for i, rng in enumerate(make_rngs())]
-    scores = [testmap._hard_worsts(pool, W[None])[0] for W, _ in zero]
-    for goal in sorted({0.0, scores[len(scores) // 2]}):
-        alone = (zero if goal == 0.0 else
-                 [restart_alone(i, rng, *args, goal)
-                  for i, rng in enumerate(make_rngs())])
+    runs = [LoneRun(i, rng, *args) for i, rng in enumerate(make_rngs())]
+    for goal in sorted({0.0, list(runs[len(runs) // 2])[-1][2]}):
+        alone = [stop(run, goal) for run in runs]
         for i, ((W, _), rng) in enumerate(zip(alone, make_rngs())):
             single = testmap._search([i], [rng], *args, goal)
             assert single.shape == (1, k, ms[0].dim + 1)
             assert W.tobytes() == single[0].tobytes()
-        cut = min((walked for W, walked in alone
-                   if testmap._hard_worsts(pool, W[None])[0] <= goal),
-                  default=None)
+        cut = min((point for _, point in alone if point), default=None)
         rngs = make_rngs()
         stacked = testmap._search(range(len(rngs)), rngs, *args, goal)
         assert stacked.shape == (len(rngs), k, ms[0].dim + 1)
-        for i, (W, rng) in enumerate(zip(stacked, make_rngs(), strict=True)):
-            assert W.tobytes() == restart_alone(i, rng, *args, goal,
-                                                cut)[0].tobytes()
-    return [walked if score == 0.0 else None
-            for (_, walked), score in zip(zero, scores)]
+        for W, run in zip(stacked, runs, strict=True):
+            assert W.tobytes() == stop(run, goal, cut)[0].tobytes()
+    return [stop(run, 0.0)[1] for run in runs]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1252,30 +1276,35 @@ def test_walk_steps_stop_at_the_ceiling_and_the_floor():
 def test_lockstep_polish_ends_at_the_first_arrival(monkeypatch):
     # 40 equal atoms on a line: a cut between the middle two balances
     # them exactly, which a short polish reaches on some restarts only.
-    # Alone, restart i is at 0 after reached[i] iterations (None: never
-    # within the walk).  In the batch, every iteration scores λ proposals
-    # for every member, until the first at which some member is at 0:
-    # the restarts at indices 3 and 8 get there together, index 2 later
+    # Alone, restart i is at 0 at the point reached[i] ((1, p): after p
+    # polish iterations; None: never).  In the batch, every corrector
+    # iteration scores the candidates of every member, and every polish
+    # iteration λ proposals for every member, until the first at which
+    # some member is at 0: the restarts at indices 3 and 8 get there
+    # together, index 2 later
     m = DiscreteMeasure(np.random.default_rng(62).normal(size=(40, 1)),
                         np.ones(40))
     _schedule(monkeypatch, 3, 5)
     seeds = range(68, 78)
     reached = _assert_lockstep_equals_single(
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
-    assert reached == [None, None, 3, 2, None, None, None, None, 2, None]
+    assert reached == [None, None, (1, 3), (1, 2), None, None, None, None,
+                       (1, 2), None]
     args, pool = _search_args([m], 1), _pool([m], 1)
     lam, hard, stacks = testmap._PROPOSALS, testmap._hard_worsts, []
 
-    def spy(pool, V):
-        stacks.append(len(V) // lam)
-        return hard(pool, V)
+    def spy(pool, V, products=None):
+        stacks.append(len(V))
+        return hard(pool, V, products)
     monkeypatch.setattr(testmap, "_hard_worsts", spy)
     arrival = min(r for r in reached if r is not None)
     stacked = testmap._search(range(len(seeds)),
                               [np.random.default_rng(s) for s in seeds],
                               *args, 0.0)
-    # the start, then one stack per iteration walked
-    assert stacks == [len(seeds)] * (arrival + 1) == [10, 10, 10]
+    # 5 stages of 3 corrector iterations, then the polish's start and one
+    # stack per iteration walked
+    assert arrival == (1, 2)
+    assert stacks == [10] * 15 + [10 * lam] * 3
     at_zero = [i for i, W in enumerate(stacked)
                if hard(pool, W[None])[0] == 0.0]
     assert at_zero == [i for i, r in enumerate(reached) if r == arrival]
@@ -1392,8 +1421,10 @@ def test_infeasible_atom_pairs_search_in_one_batch(monkeypatch):
 
 
 def test_solver_spawns_children_lazily():
-    # a million restarts cost nothing when the first one succeeds: spawning
-    # every child up front took seconds and hundreds of MB
+    # a million restarts cost nothing when the first batch succeeds:
+    # spawning every child up front took seconds and hundreds of MB.  At
+    # N·k = 50 the batch holds 40 restarts, and restart 4 is the first
+    # to arrive, after one corrector iteration
     m = DiscreteMeasure(np.random.default_rng(6).normal(2.0, 1.0, size=(50, 1)),
                         np.full(50, 1.0))
     tracemalloc.start()
@@ -1402,5 +1433,5 @@ def test_solver_spawns_children_lazily():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.success and res.restarts_used == 1
+    assert res.success and res.restarts_used == 4
     assert peak < 20 * 2**20
