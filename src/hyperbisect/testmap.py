@@ -27,10 +27,10 @@ strategy (Beyer & Schwefel 2002; _walk).
 
 Kernel layout: the lifted points of all j measures sit in one float64
 array (_Pool), built once per solve from the centred cloud.  Scoring a
-stack of B arrangements is one matrix product into a work array, the
+stack of B arrangements is one matrix product into a work array, which
+numpy runs as one BLAS call per stack member at every k, then the
 products taken in place, one elementwise pass and one weighted dot
-product per measure; the race's and the polish's scores equal the
-per-measure kernel's in tests/oracles.py.
+product per measure.
 
 Restarts run in lockstep batches of 4 and then 8, or up to 64 on a
 small input (_restart_batches), so a small stack's per-call overhead is
@@ -218,35 +218,30 @@ def _common_dim(measures) -> int:
 
 
 class _Pool:
-    """The lifted points (x, 1) of all measures in one float64 array, for
-    k hyperplanes, so that p(x) = <(x, 1), w>; spans holds, per measure,
-    the start and stop of its columns and its weights, and totals the
-    measures' totals.  lifted_rows holds them (N, d+1) row-major, and
-    lifted as those rows for k = 1, multiplied one measure's at a time,
-    and as their contiguous transpose for k >= 2: the fastest layouts
-    whose BLAS products equal lifted @ W.T per measure, bit for bit.  At
-    k >= 2 a one-point measure, which numpy multiplies as a vector on yet
-    another path, has its column recomputed that way.  When all measures
-    have the same number n >= 2 of points, w_stack holds their weights as
-    (j, n, 1) and stacked_sums is one matrix product; otherwise it is
-    None and the sums are taken per measure.
+    """The lifted points (x, 1) of all measures in one float64 array, so
+    that p(x) = <(x, 1), w>; spans holds, per measure, the start and stop
+    of its columns and its weights, and totals the measures' totals.
+    lifted_rows holds them (N, d+1) row-major, and lifted as their
+    contiguous transpose, which every stack multiplies, at every k: one
+    BLAS call per stack member, so each member's values are those of its
+    stack of one.  When all measures have the same number n >= 2 of
+    points, w_stack holds their weights as (j, n, 1) and stacked_sums is
+    one matrix product; otherwise it is None and the sums are taken per
+    measure.
     """
 
-    def __init__(self, measures, k: int, points: np.ndarray | None = None):
+    def __init__(self, measures, points: np.ndarray | None = None):
         if points is None:
             points = np.vstack([m.points for m in measures])
         self.lifted_rows = X = np.hstack([points, np.ones((len(points), 1))])
-        self.lifted = X if k == 1 else np.ascontiguousarray(X.T)
-        self.values = np.empty((k, 0, len(X)))  # see _size_work_array
+        self.lifted = np.ascontiguousarray(X.T)
+        self.rows = np.empty((0, 0, len(X)))  # see _size_work_array
         self.spans = []  # (start, stop, weights) per measure
         self.totals = np.array([m.total for m in measures])
-        self.lone_points = []  # (column, (1, d+1) lifted row)
         start = 0
         for m in measures:
             stop = start + len(m.weights)
             self.spans.append((start, stop, m.weights))
-            if stop - start == 1 and k > 1:
-                self.lone_points.append((start, X[start:stop].copy()))
             start = stop
         sizes = {len(m.weights) for m in measures}
         self.w_stack = (np.concatenate([m.weights for m in measures])
@@ -255,19 +250,11 @@ class _Pool:
 
     def stacked_values(self, W: np.ndarray) -> np.ndarray:
         """The functional values of a (B, k, d+1) stack as the (k, B, N)
-        rows of the work array, reused while B stays the same: one BLAS
-        call per arrangement, as for W[b] alone, whatever B is."""
+        rows of the work array, reused while (B, k) stays the same."""
         B, k = W.shape[:2]
-        if self.values.shape[1] != B:
+        if self.rows.shape[:2] != (k, B):
             self._size_work_array(B, k)
-        if k == 1:
-            for start, stop, _ in self.spans:
-                np.matmul(self.lifted[start:stop], W.transpose(0, 2, 1),
-                          out=self.out[:, start:stop])
-        else:
-            np.matmul(W, self.lifted, out=self.out)
-        for col, x in self.lone_points:
-            self.rows[:, :, col] = (x @ W.transpose(0, 2, 1))[:, 0].T
+        np.matmul(W, self.lifted, out=self.out)
         return self.rows
 
     def stacked_products(self, W: np.ndarray) -> np.ndarray:
@@ -284,12 +271,11 @@ class _Pool:
         """max(k, 2) blocks of (B, N): the k rows of values, and block 1,
         free once their products are taken, as spare: numpy's sign runs
         several times slower in place than into another array."""
-        self.values = np.empty((max(k, 2), B, self.values.shape[2]))
-        self.rows = self.values[:k]
+        values = np.empty((max(k, 2), B, self.rows.shape[2]))
+        self.rows = values[:k]
         self.first, *self.rest = self.rows
-        self.spare = self.values[1]
-        self.out = (self.rows.reshape(B, -1, 1) if k == 1
-                    else self.rows.transpose(1, 0, 2))
+        self.spare = values[1]
+        self.out = self.rows.transpose(1, 0, 2)
 
     def stacked_sums(self, buf: np.ndarray) -> np.ndarray:
         """Per arrangement and measure, the weighted sum of its columns of
@@ -311,7 +297,7 @@ def phi(measures, directions) -> np.ndarray:
     for measure i means the arrangement bisects it.
     """
     W = _direction_matrix(directions, _common_dim(measures))
-    pool = _Pool(measures, len(W))
+    pool = _Pool(measures)
     return _signed_sums(pool, pool.stacked_products(W[None]))[0]
 
 
@@ -324,7 +310,7 @@ def _signed_sums(pool: _Pool, products: np.ndarray) -> np.ndarray:
 def boundary_mass(measures, directions) -> np.ndarray:
     """Mass sitting exactly on the union of the hyperplanes, per measure."""
     W = _direction_matrix(directions, _common_dim(measures))
-    pool = _Pool(measures, len(W))
+    pool = _Pool(measures)
     buf = pool.stacked_products(W[None])[0]
     return np.array([float(w[buf[start:stop] == 0.0].sum())
                      for start, stop, w in pool.spans])
@@ -473,7 +459,7 @@ def _normalize_rows(W: np.ndarray) -> np.ndarray:
     return W / np.linalg.norm(W, axis=1, keepdims=True)
 
 
-def _search_frame(measures, k: int):
+def _search_frame(measures):
     """The frame a solve searches in: the centroid and radius of the
     pooled cloud, the pool of its centred points (which keep offsets O(1)
     wherever the data sits), and per measure its lifted medoid (x, 1),
@@ -491,7 +477,7 @@ def _search_frame(measures, k: int):
             "point coordinates overflow float64 when centred: the "
             "centroid or the radius is not finite")
     radius = radius if radius > 0 else 1.0
-    pool = _Pool(measures, k, (pts - center) / radius)
+    pool = _Pool(measures, (pts - center) / radius)
     medoids = []
     for (start, stop, w), total in zip(pool.spans, pool.totals):
         x = pool.lifted_rows[start:stop]
@@ -693,15 +679,16 @@ def solve_bisection(measures, k: int,
     """
     config = config or SolverConfig()
     k = _integer("k", k, 1)
-    _common_dim(measures)
-    center, radius, pool, medoids = _search_frame(measures, k)
+    d = _common_dim(measures)
+    center, radius, pool, medoids = _search_frame(measures)
+    inputs = _Pool(measures)  # the input frame, where phi checks members
     work = k * sum(len(m.weights) for m in measures)  # N·k
     best = (math.inf, 0, None)  # worst relative imbalance, index, rel
     for batch, rngs in _restart_batches(config.seed, config.max_restarts, work):
         found = _search(batch, rngs, k, pool, medoids, config.tolerance)
         for idx, W in zip(batch, found):
-            W = _uncenter_directions(W, center, radius)
-            imb = phi(measures, W)
+            W = _direction_matrix(_uncenter_directions(W, center, radius), d)
+            imb = _signed_sums(inputs, inputs.stacked_products(W[None]))[0]
             rel = np.abs(imb) / pool.totals
             worst = float(rel.max())
             if worst <= config.tolerance:

@@ -485,8 +485,7 @@ class LoneRuns:
 
     def __init__(self, measures, k: int, config: testmap.SolverConfig):
         self.measures, self.k = measures, k
-        self.center, self.radius, *self.frame = testmap._search_frame(
-            measures, k)
+        self.center, self.radius, *self.frame = testmap._search_frame(measures)
         self.totals = np.array([m.total for m in measures])
         self.children = np.random.SeedSequence(config.seed).spawn(
             config.max_restarts)

@@ -32,13 +32,15 @@ def test_demos_are_found():
 
 
 def _run_child(argv, cwd):
-    # the child imports the same hyperbisect as this process
+    # the child imports the same hyperbisect as this process, and fails
+    # on a warning, as in-process tests do
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(hyperbisect.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -344,7 +344,7 @@ def test_the_race_does_not_judge_a_start():
     # is 0.010000000000000063 > 1e-2.  A race that judged starts would
     # end every batch at its medoid-block starts, and fail
     ms = interval_quadrature_measures(well_separated_family(1, 2), 200)
-    center, radius, pool, medoids = testmap._search_frame(ms, 2)
+    center, radius, pool, medoids = testmap._search_frame(ms)
     tol = SolverConfig().tolerance
     for seed in range(5):
         child = np.random.SeedSequence(seed).spawn(1)[0]
@@ -799,21 +799,22 @@ def _kernel_instance(rng, d):
     return ms, centred_lifted(ms)
 
 
-def _pool(ms, k):
+def _pool(ms):
     """The solver's pool, which the corrector and the polish score."""
-    return testmap._search_frame(ms, k)[2]
+    return testmap._search_frame(ms)[2]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_pooled_kernel_equals_per_measure_kernel(k, d):
-    # exact equality, not closeness: solver output must not change
+    # exact equality, not closeness, on these inputs: the pooled
+    # products and sums here are the per-measure kernel's, bit for bit
     rng = np.random.default_rng(100 * k + d)
     for _ in range(5):
         ms, lifted = _kernel_instance(rng, d)
         weights = [m.weights for m in ms]
         totals = [m.total for m in ms]
-        pool = _pool(ms, k)
+        pool = _pool(ms)
         for _ in range(4):
             W = _random_directions(rng, k, d)
             assert (testmap._hard_worsts(pool, W[None])[0]
@@ -846,13 +847,51 @@ def test_boundary_mass_equals_per_measure_reference(k):
 
 
 def test_pooled_kernel_single_one_point_measure():
-    # a pooled length of 1 sends every product down numpy's vector paths
+    # a pool of one point, the shortest pooled product
     m = DiscreteMeasure(np.array([[0.5, -1.5]]), np.array([2.0]))
     for k in (1, 2, 3):
         W = _random_directions(np.random.default_rng(k), k, 2)
         lifted = centred_lifted([m])
-        assert (testmap._hard_worsts(_pool([m], k), W[None])[0]
+        assert (testmap._hard_worsts(_pool([m]), W[None])[0]
                 == hard_worst(lifted, [m.weights], [m.total], W))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_each_stack_member_scores_as_its_stack_of_one(k, d):
+    # the contract the race rests on: numpy's stacked matmul makes one
+    # BLAS call per member, so each member's values and products are,
+    # bit for bit, those of its stack of one, whatever B is; on unequal
+    # sizes with a one-point measure
+    rng = np.random.default_rng(500 + 10 * k + d)
+    ms, _ = _kernel_instance(rng, d)
+    pool, alone = _pool(ms), _pool(ms)
+    for B in (2, 8, 64):
+        stack = np.stack([_random_directions(rng, k, d) for _ in range(B)])
+        values = pool.stacked_values(stack).copy()
+        products = pool.stacked_products(stack)
+        for b, W in enumerate(stack):
+            assert (values[:, b].tobytes()
+                    == alone.stacked_values(W[None])[:, 0].tobytes())
+            assert (products[b].tobytes()
+                    == alone.stacked_products(W[None])[0].tobytes())
+
+
+def test_one_pool_scores_stacks_of_every_k():
+    # a pool does not depend on k: its work array follows the stack's
+    # (B, k), so stacks of k = 1, 3 and 1 again, of one size, score on
+    # one pool as each does on a fresh pool
+    rng = np.random.default_rng(59)
+    ms, _ = _kernel_instance(rng, 2)
+    pool = _pool(ms)
+    for k in (1, 3, 1):
+        stack = np.stack([_random_directions(rng, k, 2) for _ in range(4)])
+        assert (pool.stacked_values(stack).tobytes()
+                == _pool(ms).stacked_values(stack).tobytes())
+        assert (pool.stacked_products(stack).tobytes()
+                == _pool(ms).stacked_products(stack).tobytes())
+        assert (testmap._hard_worsts(pool, stack).tolist()
+                == testmap._hard_worsts(_pool(ms), stack).tolist())
 
 
 def _equal_instance(rng, j, d, n=13):
@@ -866,7 +905,7 @@ def _equal_instance(rng, j, d, n=13):
 def _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k):
     weights = [m.weights for m in ms]
     totals = [m.total for m in ms]
-    pool = _pool(ms, k)
+    pool = _pool(ms)
     d = ms[0].dim
     stack = np.stack([_random_directions(rng, k, d) for _ in range(6)])
     want = [hard_worst(lifted, weights, totals, W) for W in stack]
@@ -882,7 +921,7 @@ def test_pooled_kernel_equals_per_measure_kernel_on_equal_sizes(j, k, d):
     # equal sizes take the one stacked reduction over all measures
     rng = np.random.default_rng(1000 * j + 100 * k + d)
     ms, lifted = _equal_instance(rng, j, d)
-    assert _pool(ms, k).w_stack is not None
+    assert _pool(ms).w_stack is not None
     _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
     # phi takes the same stacked reduction
     W = _random_directions(rng, k, d)
@@ -895,7 +934,7 @@ def test_stacked_scorers_equal_per_measure_kernel_on_unequal_sizes(k):
     rng = np.random.default_rng(70 + k)
     for d in (1, 3):
         ms, lifted = _kernel_instance(rng, d)
-        assert _pool(ms, k).w_stack is None
+        assert _pool(ms).w_stack is None
         _assert_stacked_scorers_equal_oracle(rng, ms, lifted, k)
 
 
@@ -965,7 +1004,7 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
     child = np.random.SeedSequence(config.seed).spawn(idx + 1)[idx]
     _, (stage, iteration) = restart_alone(
         idx, np.random.default_rng(child), 2,
-        *testmap._search_frame(ms, 2)[2:], config.tolerance)
+        *testmap._search_frame(ms)[2:], config.tolerance)
     corrected = len(testmap._CORRECTOR_SCALES) * testmap._CORRECTOR_ITERATIONS
     assert stacks == ([4] * iteration if stage == 0 else [4] * corrected
                       + [4 * testmap._PROPOSALS] * (iteration + 1))
@@ -990,11 +1029,13 @@ def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
 
 def test_the_solver_pools_centred_points_in_float64(monkeypatch):
     # phi's and boundary_mass's pools hold raw coordinates, and a solve's
-    # pool the centred unit-radius points; every score is float64
+    # search pool the centred unit-radius points; a solve checks every
+    # member on one more pool, of raw coordinates, as phi does.  Every
+    # score is float64
     rng = np.random.default_rng(47)
     ms, _ = _kernel_instance(rng, 2)
     stack = np.stack([_random_directions(rng, 2, 2) for _ in range(3)])
-    assert testmap._hard_worsts(_pool(ms, 2), stack).dtype == np.float64
+    assert testmap._hard_worsts(_pool(ms), stack).dtype == np.float64
     built, init = [], testmap._Pool.__init__
 
     def spy(self, *args):
@@ -1005,10 +1046,14 @@ def test_the_solver_pools_centred_points_in_float64(monkeypatch):
     assert boundary_mass(ms, stack[0]).dtype == np.float64
     assert np.abs(built[0].lifted_rows[:, :-1]).max() > 1.0
     built.clear()
-    solve_bisection(_random_measures(rng, 2, 2), 2, SolverConfig(max_restarts=3))
-    assert [p.lifted.dtype for p in built] == [np.float64] * len(built)
+    ms = _random_measures(rng, 2, 2)
+    result = solve_bisection(ms, 2, SolverConfig(max_restarts=3))
+    assert result.restarts_used == 3
+    assert [p.lifted.dtype for p in built] == [np.float64] * 2
     radii = np.linalg.norm(built[0].lifted_rows[:, :-1], axis=1)
     assert radii.max() == pytest.approx(1.0)
+    assert (built[1].lifted_rows[:, :-1]
+            == np.vstack([m.points for m in ms])).all()
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)
@@ -1022,7 +1067,7 @@ def short_schedule(monkeypatch):
 
 
 def _search_args(ms, k):
-    return (k, *testmap._search_frame(ms, k)[2:])
+    return (k, *testmap._search_frame(ms)[2:])
 
 
 def _assert_lockstep_equals_single(make_rngs, ms, k):
@@ -1215,7 +1260,7 @@ def test_lockstep_keeps_rejected_proposals_apart():
     lam = testmap._PROPOSALS
     some, every = (0, 3, 4, lam - 1), range(lam)
     for k in (1, 2):
-        pool = _pool(ms, k)
+        pool = _pool(ms)
 
         def score(V):
             return testmap._hard_worsts(pool, V)
@@ -1290,7 +1335,7 @@ def test_lockstep_polish_ends_at_the_first_arrival(monkeypatch):
         lambda: [np.random.default_rng(s) for s in seeds], [m], 1)
     assert reached == [None, None, (1, 3), (1, 2), None, None, None, None,
                        (1, 2), None]
-    args, pool = _search_args([m], 1), _pool([m], 1)
+    args, pool = _search_args([m], 1), _pool([m])
     lam, hard, stacks = testmap._PROPOSALS, testmap._hard_worsts, []
 
     def spy(pool, V, products=None):
@@ -1412,7 +1457,7 @@ def test_infeasible_atom_pairs_search_in_one_batch(monkeypatch):
     reference = solve_bisection_by_race(ms, 2, config)
     assert batched.to_jsonable() == reference.to_jsonable()
     assert batched.to_jsonable()["status"] == "NOT_FOUND"
-    center, radius = testmap._search_frame(ms, 2)[:2]
+    center, radius = testmap._search_frame(ms)[:2]
     for W, (alone, _, _) in zip(np.concatenate(searched),
                                 sequential_restarts(ms, 2, config),
                                 strict=True):
