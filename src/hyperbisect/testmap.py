@@ -679,16 +679,15 @@ def solve_bisection(measures, k: int,
     """
     config = config or SolverConfig()
     k = _integer("k", k, 1)
-    d = _common_dim(measures)
+    _common_dim(measures)
     center, radius, pool, medoids = _search_frame(measures)
-    inputs = _Pool(measures)  # the input frame, where phi checks members
     work = k * sum(len(m.weights) for m in measures)  # N·k
     best = (math.inf, 0, None)  # worst relative imbalance, index, rel
     for batch, rngs in _restart_batches(config.seed, config.max_restarts, work):
         found = _search(batch, rngs, k, pool, medoids, config.tolerance)
         for idx, W in zip(batch, found):
-            W = _direction_matrix(_uncenter_directions(W, center, radius), d)
-            imb = _signed_sums(inputs, inputs.stacked_products(W[None]))[0]
+            W = _uncenter_directions(W, center, radius)
+            imb = phi(measures, W)
             rel = np.abs(imb) / pool.totals
             worst = float(rel.max())
             if worst <= config.tolerance:

@@ -807,8 +807,9 @@ def _pool(ms):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_pooled_kernel_equals_per_measure_kernel(k, d):
-    # exact equality, not closeness, on these inputs: the pooled
-    # products and sums here are the per-measure kernel's, bit for bit
+    # exact equality, not closeness, on these inputs: the pooled signed
+    # sums and hard worst scores equal the per-measure kernel's; the
+    # products themselves may differ from it by rounding
     rng = np.random.default_rng(100 * k + d)
     for _ in range(5):
         ms, lifted = _kernel_instance(rng, d)
@@ -1029,9 +1030,7 @@ def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
 
 def test_the_solver_pools_centred_points_in_float64(monkeypatch):
     # phi's and boundary_mass's pools hold raw coordinates, and a solve's
-    # search pool the centred unit-radius points; a solve checks every
-    # member on one more pool, of raw coordinates, as phi does.  Every
-    # score is float64
+    # pool the centred unit-radius points; every score is float64
     rng = np.random.default_rng(47)
     ms, _ = _kernel_instance(rng, 2)
     stack = np.stack([_random_directions(rng, 2, 2) for _ in range(3)])
@@ -1046,14 +1045,10 @@ def test_the_solver_pools_centred_points_in_float64(monkeypatch):
     assert boundary_mass(ms, stack[0]).dtype == np.float64
     assert np.abs(built[0].lifted_rows[:, :-1]).max() > 1.0
     built.clear()
-    ms = _random_measures(rng, 2, 2)
-    result = solve_bisection(ms, 2, SolverConfig(max_restarts=3))
-    assert result.restarts_used == 3
-    assert [p.lifted.dtype for p in built] == [np.float64] * 2
+    solve_bisection(_random_measures(rng, 2, 2), 2, SolverConfig(max_restarts=3))
+    assert [p.lifted.dtype for p in built] == [np.float64] * len(built)
     radii = np.linalg.norm(built[0].lifted_rows[:, :-1], axis=1)
     assert radii.max() == pytest.approx(1.0)
-    assert (built[1].lifted_rows[:, :-1]
-            == np.vstack([m.points for m in ms])).all()
 
 
 _SHORT = SolverConfig(seed=3, max_restarts=5)
