@@ -176,10 +176,7 @@ def hyperplane_through(points) -> OrientedHyperplane:
         raise ValueError("points of mixed dimension")
     rows = [[*p, Fraction(-1)] for p in points]
     vec = _nullspace_vector(rows)
-    normal, offset = tuple(vec[:d]), vec[d]
-    if all(u == 0 for u in normal):
-        raise DegenerateInputError("points force a zero normal")
-    return OrientedHyperplane(normal, offset).canonical()
+    return OrientedHyperplane(tuple(vec[:d]), vec[d]).canonical()
 
 
 def curve_restriction(h: OrientedHyperplane) -> poly.Coeffs:

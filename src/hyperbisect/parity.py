@@ -65,9 +65,9 @@ def check_shape(d: int, k: int, ell: int = 0) -> tuple[int, int, int, int]:
     unless (d, k, ell) names a family of the count law: d >= 1 and k >= 1
     unanchored, k >= 2 and 1 <= ell <= d-1 anchored."""
     d, ell = _integer("d", d, 1), _integer("ell", ell)
-    k = _integer("k", k, 2 if ell else 1)
     if ell and not 1 <= ell <= d - 1:
         raise ValueError(f"need 1 <= ell <= d-1, got ell={ell}, d={d}")
+    k = _integer("k", k, 2 if ell else 1)
     return d, k, ell, (d - ell) * k + ell
 
 

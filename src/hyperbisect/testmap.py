@@ -223,11 +223,11 @@ class _Pool:
     of its columns and its weights, and totals the measures' totals.
     lifted_rows holds them (N, d+1) row-major, and lifted as their
     contiguous transpose, which every stack multiplies, at every k: one
-    BLAS call per stack member, so each member's values are those of its
-    stack of one.  When all measures have the same number n >= 2 of
-    points, w_stack holds their weights as (j, n, 1) and stacked_sums is
-    one matrix product; otherwise it is None and the sums are taken per
-    measure.
+    BLAS call per stack member, so each member's values, products and
+    sums are those of its stack of one.  When all measures have the same
+    number n >= 2 of points, w_stack holds their weights as (j, n, 1) and
+    stacked_sums is one matrix product; otherwise it is None and the sums
+    are taken per measure.
     """
 
     def __init__(self, measures, points: np.ndarray | None = None):
@@ -261,20 +261,15 @@ class _Pool:
         """The products of the k values per arrangement and point, as
         block 0 of the work array, (B, N), multiplied left to right as
         np.prod(axis=1) does on the per-measure (n, k) values."""
-        self.stacked_values(W)
-        buf = self.first
-        for row in self.rest:
+        buf, *rest = self.stacked_values(W)
+        for row in rest:
             np.multiply(buf, row, out=buf)
         return buf
 
     def _size_work_array(self, B: int, k: int) -> None:
-        """max(k, 2) blocks of (B, N): the k rows of values, and block 1,
-        free once their products are taken, as spare: numpy's sign runs
-        several times slower in place than into another array."""
-        values = np.empty((max(k, 2), B, self.rows.shape[2]))
-        self.rows = values[:k]
-        self.first, *self.rest = self.rows
-        self.spare = values[1]
+        """k blocks of (B, N), one per row of values; out is their
+        (B, k, N) view, which the matrix product writes."""
+        self.rows = np.empty((k, B, self.rows.shape[2]))
         self.out = self.rows.transpose(1, 0, 2)
 
     def stacked_sums(self, buf: np.ndarray) -> np.ndarray:
@@ -298,13 +293,7 @@ def phi(measures, directions) -> np.ndarray:
     """
     W = _direction_matrix(directions, _common_dim(measures))
     pool = _Pool(measures)
-    return _signed_sums(pool, pool.stacked_products(W[None]))[0]
-
-
-def _signed_sums(pool: _Pool, products: np.ndarray) -> np.ndarray:
-    """Per row of the (B, N) products of a stack (pool.stacked_products)
-    and measure, phi: the weighted sum of their signs, as (B, j)."""
-    return pool.stacked_sums(np.sign(products, out=pool.spare))
+    return pool.stacked_sums(np.sign(pool.stacked_products(W[None])))[0]
 
 
 def boundary_mass(measures, directions) -> np.ndarray:
@@ -496,11 +485,12 @@ def _uncenter_directions(W: np.ndarray, center: np.ndarray,
 
 def _hard_worsts(pool: _Pool, W: np.ndarray, products=None) -> np.ndarray:
     """Per arrangement of a (B, k, d+1) stack, the largest relative sign
-    imbalance over the measures; products, if given, are the stack's, as
-    pool.stacked_products(W) leaves them."""
+    imbalance over the measures, phi's signed sums over the totals;
+    products, if given, are the stack's, as pool.stacked_products(W)
+    returns them."""
     if products is None:
         products = pool.stacked_products(W)
-    s = _signed_sums(pool, products) / pool.totals
+    s = pool.stacked_sums(np.sign(products)) / pool.totals
     return np.abs(s, out=s).max(axis=1)
 
 
@@ -566,13 +556,12 @@ def _correct(pool: _Pool, W: np.ndarray, goal: float) -> bool:
             step = np.linalg.solve(JtJ, -(J.transpose(0, 2, 1) @ r[..., None]))
             cand = W + step.reshape(B, k, n)
             cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
-            r_new = pool.stacked_sums(np.tanh(pool.stacked_products(cand) / temp))
-            r_new /= pool.totals
+            products = pool.stacked_products(cand)
+            r_new = pool.stacked_sums(np.tanh(products / temp)) / pool.totals
             taken = ((np.square(r_new).sum(1) < np.square(r).sum(1))
                      & cand[..., :-1].any(axis=-1).all(axis=-1))
             np.copyto(W, cand, where=taken[:, None, None])
-            # pool.first still holds the candidates' products
-            np.copyto(hard, _hard_worsts(pool, cand, pool.first), where=taken)
+            np.copyto(hard, _hard_worsts(pool, cand, products), where=taken)
             if (hard <= goal).any():
                 return True
             damping *= np.where(taken, 0.1, 10.0)
@@ -589,12 +578,14 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
     Each generator draws the whole walk at once: every proposal's row,
     then every Gaussian step.  Per iteration, each member moves a drawn
     row of W by its step times the Gaussian step and renormalises it, λ
-    times, rejecting a row on zero or on a pole.  The walkers' proposals
-    are scored as one stack; each walker moves to its best one (the
-    first of equals) if that scores no more.  Its step grows on a strict
-    improvement, to at most _POLISH_CEILING, or shrinks, to at least
-    _MIN_STEP, when no scored proposal was taken, by one exact clip.
-    The members race: the walk ends at the first score at most goal.
+    times, rejecting a row on zero or on a pole.  score maps a stack to
+    its members' scores: W's start is scored as one stack, then per
+    iteration the walkers' proposals, λ per walker; each walker moves to
+    its best one (the first of equals) if that scores no more.  Its step
+    grows on a strict improvement, to at most _POLISH_CEILING, or
+    shrinks, to at least _MIN_STEP, when no scored proposal was taken,
+    by one exact clip.  The members race: the walk ends at the first
+    score at most goal.
     """
     B, k, n = W.shape
     rows = np.stack([rng.integers(k, size=(iterations, _PROPOSALS))
@@ -607,8 +598,7 @@ def _walk(rngs, W: np.ndarray, step: np.ndarray, iterations: int,
     taken, placed = rows + k * copies.reshape(B, -1), rows + k * slots
     cand = np.empty((B * _PROPOSALS, k, n))
     factors = np.array([1.0, _POLISH_SHRINK, _POLISH_GROW])
-    # the start is scored as λ copies of each member: one stack size
-    cur = score(W.take(copies, axis=0, out=cand)).take(first)
+    cur = score(W)
     for i in range(iterations):
         if (cur <= goal).any():
             break

@@ -252,6 +252,16 @@ def test_count_command(capsys):
     assert code == 0 and out.strip() == "105"
 
 
+@pytest.mark.parametrize("d,k,ell,message", [
+    (1, 1, -1, "need 1 <= ell <= d-1, got ell=-1, d=1"),
+    (2, 1, 5, "need 1 <= ell <= d-1, got ell=5, d=2"),
+    (3, 1, 1, "need k >= 2, got 1")])
+def test_count_blames_the_argument_out_of_range(capsys, d, k, ell, message):
+    # an ell out of range is named before the anchored k >= 2 gate
+    code, out, err = _run(capsys, ["count", str(d), str(k), "--ell", str(ell)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["300", "300"], ["1000", "1000"],
                                   ["300", "300", "--format", "json"],
                                   ["100000", "2"],

@@ -71,6 +71,21 @@ def test_hyperplane_through_rejects_degenerate():
         hyperplane_through([(1, 0)])  # wrong count for d = 2
 
 
+def test_hyperplane_through_lattice_points_has_a_nonzero_normal():
+    # a null vector (u, c) of the rows [p_i, -1] with u = 0 has c = 0, and
+    # the free entry is 1: every d points of a small lattice, repeated and
+    # collinear ones too, give a hyperplane through them or are degenerate
+    rng = random.Random(11)
+    for d in (1, 2, 3):
+        for _ in range(300):
+            pts = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(d)]
+            try:
+                h = hyperplane_through(pts)
+            except DegenerateInputError:
+                continue
+            assert any(h.normal) and all(h.value(p) == 0 for p in pts)
+
+
 def test_hyperplane_through_curve_points_never_degenerate():
     # any d distinct curve points are affinely independent
     for d in range(1, 5):

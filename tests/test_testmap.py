@@ -863,11 +863,14 @@ def test_each_stack_member_scores_as_its_stack_of_one(k, d):
     # the contract the race rests on: numpy's stacked matmul makes one
     # BLAS call per member, so each member's values and products are,
     # bit for bit, those of its stack of one, whatever B is; on unequal
-    # sizes with a one-point measure
+    # sizes with a one-point measure.  So the polish's start, scored as
+    # its stack of B, scores as each member's first copy does in the
+    # proposals' stack of λ copies of each
     rng = np.random.default_rng(500 + 10 * k + d)
     ms, _ = _kernel_instance(rng, d)
     pool, alone = _pool(ms), _pool(ms)
-    for B in (2, 8, 64):
+    lam = testmap._PROPOSALS
+    for B in (1, 2, 8, 64):
         stack = np.stack([_random_directions(rng, k, d) for _ in range(B)])
         values = pool.stacked_values(stack).copy()
         products = pool.stacked_products(stack)
@@ -876,6 +879,9 @@ def test_each_stack_member_scores_as_its_stack_of_one(k, d):
                     == alone.stacked_values(W[None])[:, 0].tobytes())
             assert (products[b].tobytes()
                     == alone.stacked_products(W[None])[0].tobytes())
+        copies = np.repeat(stack, lam, axis=0)
+        assert (testmap._hard_worsts(pool, stack).tobytes()
+                == testmap._hard_worsts(alone, copies)[::lam].tobytes())
 
 
 def test_one_pool_scores_stacks_of_every_k():
@@ -995,9 +1001,10 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
         monkeypatch, ms, 2, config)
     # at N·k = 104, restarts 1 to 4 form one batch.  The corrector's race
     # scores the batch's candidates as one stack per iteration; the
-    # polish scores its start and then each iteration's proposals as one
-    # stack of λ arrangements per restart (the start as λ copies).  Both
-    # stop at the point at which the winner, alone, reaches the tolerance
+    # polish scores its start as the batch's stack and then each
+    # iteration's proposals as one stack of λ arrangements per restart.
+    # Both stop at the point at which the winner, alone, reaches the
+    # tolerance
     assert result.to_jsonable() == solve_bisection_by_race(
         ms, 2, config).to_jsonable()
     assert result.restarts_used >= 2
@@ -1007,8 +1014,8 @@ def test_solver_matches_the_per_measure_kernel_in_a_lockstep_batch(
         idx, np.random.default_rng(child), 2,
         *testmap._search_frame(ms)[2:], config.tolerance)
     corrected = len(testmap._CORRECTOR_SCALES) * testmap._CORRECTOR_ITERATIONS
-    assert stacks == ([4] * iteration if stage == 0 else [4] * corrected
-                      + [4 * testmap._PROPOSALS] * (iteration + 1))
+    assert stacks == ([4] * iteration if stage == 0 else [4] * (corrected + 1)
+                      + [4 * testmap._PROPOSALS] * iteration)
 
 
 def test_a_search_sizes_its_work_array_twice(short_schedule, monkeypatch):
@@ -1341,10 +1348,10 @@ def test_lockstep_polish_ends_at_the_first_arrival(monkeypatch):
     stacked = testmap._search(range(len(seeds)),
                               [np.random.default_rng(s) for s in seeds],
                               *args, 0.0)
-    # 5 stages of 3 corrector iterations, then the polish's start and one
-    # stack per iteration walked
+    # 5 stages of 3 corrector iterations, then the polish's start as the
+    # batch's stack and one stack of λ per member per iteration walked
     assert arrival == (1, 2)
-    assert stacks == [10] * 15 + [10 * lam] * 3
+    assert stacks == [10] * 16 + [10 * lam] * 2
     at_zero = [i for i, W in enumerate(stacked)
                if hard(pool, W[None])[0] == 0.0]
     assert at_zero == [i for i, r in enumerate(reached) if r == arrival]
