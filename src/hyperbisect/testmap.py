@@ -39,14 +39,14 @@ and the polish: it stops after the first iteration at which a member's
 hard worst relative imbalance (_hard_worsts) is within the solve's
 tolerance, skipping the polish if that is in the corrector, and
 solve_bisection checks the members by phi in index order.  The corrector
-judges a member once it has taken a step: a medoid-block start passes
-exactly through data points, where the search frame can score it within
-the tolerance and the input frame not.  Each stacked BLAS, LAPACK or
-elementwise call runs per member as in a batch of one, so every member
-stands bit for bit where it would alone at that iteration, and alone its
-path does not depend on the goal.  So a batch fails only where each of
-its restarts, run alone to its end, fails too (up to rounding between
-the frames); tests/oracles.py keeps the reference.
+judges only the candidates it takes, never a start: a medoid-block start
+passes exactly through data points, where the search frame can score it
+within the tolerance and the input frame not.  Each stacked BLAS,
+LAPACK or elementwise call runs per member as in a batch of one, so
+every member stands bit for bit where it would alone at that iteration,
+and alone its path does not depend on the goal.  So a batch fails only
+where each of its restarts, run alone to its end, fails too (up to
+rounding between the frames); tests/oracles.py keeps the reference.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ class _Pool:
     contiguous transpose, which every stack multiplies, at every k: one
     BLAS call per stack member, so each member's values, products and
     sums are those of its stack of one.  When all measures have the same
-    number n >= 2 of points, w_stack holds their weights as (j, n, 1) and
+    number n of points, w_stack holds their weights as (j, n, 1) and
     stacked_sums is one matrix product; otherwise it is None and the sums
     are taken per measure.
     """
@@ -246,7 +246,7 @@ class _Pool:
         sizes = {len(m.weights) for m in measures}
         self.w_stack = (np.concatenate([m.weights for m in measures])
                         .reshape(len(measures), -1, 1)
-                        if len(sizes) == 1 and sizes != {1} else None)
+                        if len(sizes) == 1 else None)
 
     def stacked_values(self, W: np.ndarray) -> np.ndarray:
         """The functional values of a (B, k, d+1) stack as the (k, B, N)
@@ -515,8 +515,8 @@ def _correct(pool: _Pool, W: np.ndarray, goal: float) -> bool:
     """Levenberg-Marquardt (Marquardt 1963) on the j residuals
     r_i = Σ w·tanh(P/T_i) / total_i of each arrangement of the (B, k, d+1)
     stack W, in place; P is the product functional.  True if the members'
-    race ended it: after an iteration, some member that has taken a step
-    scores a hard worst (_hard_worsts) of at most goal.
+    race ended it: some candidate taken at an iteration scores a hard
+    worst (_hard_worsts) of at most goal.
 
     Per c of _CORRECTOR_SCALES, T_i is c times the upper median |P| over
     measure i (1 where that is 0) at the stage's start.  An iteration
@@ -531,7 +531,6 @@ def _correct(pool: _Pool, W: np.ndarray, goal: float) -> bool:
               for (start, stop, w), total in zip(pool.spans, pool.totals)]
     sizes = [stop - start for start, stop, _ in pool.spans]
     damping, diag = np.full(B, _DAMPING), np.arange(k * n)
-    hard = np.full(B, np.inf)  # the start is not judged
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for scale, i in itertools.product(_CORRECTOR_SCALES,
                                           range(_CORRECTOR_ITERATIONS)):
@@ -561,8 +560,7 @@ def _correct(pool: _Pool, W: np.ndarray, goal: float) -> bool:
             taken = ((np.square(r_new).sum(1) < np.square(r).sum(1))
                      & cand[..., :-1].any(axis=-1).all(axis=-1))
             np.copyto(W, cand, where=taken[:, None, None])
-            np.copyto(hard, _hard_worsts(pool, cand, products), where=taken)
-            if (hard <= goal).any():
+            if (taken & (_hard_worsts(pool, cand, products) <= goal)).any():
                 return True
             damping *= np.where(taken, 0.1, 10.0)
             damping.clip(_MIN_DAMPING, None, out=damping)
