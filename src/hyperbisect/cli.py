@@ -32,8 +32,7 @@ __getattr__, __dir__ = _lazy_names(globals(), {
                "count_bisections", "equal_blocks_parity"),
     "gf2poly": ("count_surviving_monomials", "ideal_member",
                 "surviving_monomials"),
-    "verdicts": ("Status", "frontier_csv", "frontier_json", "frontier_table",
-                 "verdict"),
+    "verdicts": ("Status", "_frontier_stream", "frontier_table", "verdict"),
     "figures": ("frontier_svg",),
     "momentcurve": ("IntervalFamily", "_bisection_table",
                     "enumerate_bisections", "hyperplane_to_jsonable"),
@@ -85,11 +84,9 @@ def _cmd_lambda_check(args) -> int:
 
 
 def _cmd_lambda_table(args) -> int:
-    table = this.frontier_table(args.k, args.jmax)
-    if args.format == "json":
-        sys.stdout.write(this.frontier_json(table))
-    else:
-        sys.stdout.write(this.frontier_csv(table))
+    # rows are written as they are built, so memory stays flat in --jmax
+    sys.stdout.writelines(this._frontier_stream(args.k, args.jmax,
+                                                args.format))
     return 0
 
 

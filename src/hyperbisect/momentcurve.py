@@ -353,7 +353,11 @@ def _bisection_table(family: IntervalFamily,
     OrientedHyperplane.sort_key; rows lists each arrangement as the
     sorted ranks of its hyperplanes in planes, and the rows are sorted.
     Every row holds k >= 1 distinct ranks, and every plane has dimension
-    family.d.
+    family.d.  The planes are built without
+    OrientedHyperplane.__post_init__: their coordinates are Fractions,
+    so finite, and normal_d = d! prod b is never zero, which is all the
+    check would establish.  Any other caller goes through the
+    constructor.
     """
     d, k, ell, j = check_shape(family.d, k, family.anchor_count)
     if j != family.j:
@@ -386,10 +390,13 @@ def _bisection_table(family: IntervalFamily,
     entries.sort(key=cmp_to_key(_compare_planes))
     planes: list[OrientedHyperplane] = []
     rank: dict[int, int] = {}
+    new, put = object.__new__, object.__setattr__
     for u, pivot, mask in entries:
         rank[mask] = len(planes)
-        planes.append(OrientedHyperplane(
-            tuple(Fraction(x, pivot) for x in u[:-1]), Fraction(u[-1], pivot)))
+        h = new(OrientedHyperplane)
+        put(h, "normal", tuple(Fraction(x, pivot) for x in u[:-1]))
+        put(h, "offset", Fraction(u[-1], pivot))
+        planes.append(h)
     # blocks of a partition are distinct root sets, so its hyperplanes are
     # distinct and every arrangement is essential
     rows: list[list[int]] = []

@@ -28,8 +28,10 @@ THM25_I, THM25_II, THM1_IDEAL.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from . import _integer
 from .gf2poly import ideal_member, least_surviving_d
@@ -149,6 +151,12 @@ def _least_thm25ii(j: int, k: int) -> int | None:
     return (1 << a) + ell if 1 <= ell <= (1 << a) - 1 else None
 
 
+# the sufficiency criteria for k >= 2 in preference order, each with its
+# least certificate dimension
+_CRITERIA = ((THM25_I, _least_thm25i), (THM25_II, _least_thm25ii),
+             (THM1_IDEAL, least_surviving_d))
+
+
 def verdict(d: int, j: int, k: int) -> LambdaVerdict:
     """Decide (d, j, k) membership with a machine-checkable certificate;
     d, j and k are stored as ints, and a bool or non-integer is refused."""
@@ -165,9 +173,7 @@ def verdict(d: int, j: int, k: int) -> LambdaVerdict:
         return LambdaVerdict(d, j, k, Status.IN, Certificate(HAM_SANDWICH))
 
     # each criterion is monotone in d: it applies from its least d0 on
-    for kind, least_of in ((THM25_I, _least_thm25i),
-                           (THM25_II, _least_thm25ii),
-                           (THM1_IDEAL, least_surviving_d)):
+    for kind, least_of in _CRITERIA:
         d0 = least_of(j, k)
         if d0 is not None and d0 <= d:
             return LambdaVerdict(d, j, k, Status.IN, Certificate(kind, d0))
@@ -225,43 +231,84 @@ class FrontierTable:
     rows: tuple[FrontierRow, ...]
 
 
+def _frontier_rows(k: int, j_max: int) -> Iterator[FrontierRow]:
+    """The FrontierRow of each j = 1..j_max, built as it is read; k and
+    j_max are checked plain ints."""
+    for j in range(1, j_max + 1):
+        yield FrontierRow(j, -(-j // k), least_surviving_d(j, k),
+                          _least_thm25i(j, k), _least_thm25ii(j, k))
+
+
 def frontier_table(k: int, j_max: int) -> FrontierTable:
     """Minimal certifying dimension per criterion for j = 1..j_max.
 
     A cell is absent when the criterion certifies nothing at (j, k);
     every least d0 is at most j.  d_conjecture = ceil(j/k) is the
-    necessity floor, conjecturally tight.
+    necessity floor, conjecturally tight.  The table holds every row;
+    `hyperbisect lambda table` writes the same rows as they are built,
+    without a table.
     """
     k, j_max = _integer("k", k, 1), _integer("j_max", j_max, 1)
+    return FrontierTable(k, j_max, tuple(_frontier_rows(k, j_max)))
 
-    rows = tuple(FrontierRow(j=j, d_conjecture=-(-j // k),
-                             d_thm1=least_surviving_d(j, k),
-                             d_thm25i=_least_thm25i(j, k),
-                             d_thm25ii=_least_thm25ii(j, k))
-                 for j in range(1, j_max + 1))
-    return FrontierTable(k=k, j_max=j_max, rows=rows)
+
+# per text format: the head (filled with k and j_max), a row (filled with
+# j, d_conjecture and the three cells), an absent cell, the separator
+# between rows, and the tail after the rows or, when there are none,
+# after the head.  Rows follow the head after a newline.  The JSON text
+# is that of json.dumps(..., indent=2) of {"k", "j_max", "rows": [row
+# fields by name]}, since every value is an int or None.
+_FORMATS = {
+    "csv": ("j,d_conjecture,d_thm1,d_thm25i,d_thm25ii", "{},{},{},{},{}",
+            "", "\n", "\n", "\n"),
+    "json": ('{{\n  "k": {},\n  "j_max": {},\n  "rows": [',
+             '    {{\n      "j": {},\n      "d_conjecture": {},\n'
+             '      "d_thm1": {},\n      "d_thm25i": {},\n'
+             '      "d_thm25ii": {}\n    }}',
+             "null", ",\n", "\n  ]\n}\n", "]\n}\n"),
+}
+
+# rows per piece of text: one write per row is slower, and a piece of
+# this many rows is at most a few hundred kB
+_BLOCK = 2048
+
+
+def _frontier_text(k: int, j_max: int, rows: Iterable[FrontierRow],
+                   fmt: str) -> Iterator[str]:
+    """The text of the table (k, j_max, rows) in format fmt ("csv" or
+    "json"), in pieces: the head, each block of up to _BLOCK rows, the
+    tail.  It reads rows one block at a time."""
+    head, line, none, sep, tail, empty_tail = _FORMATS[fmt]
+    yield head.format(k, j_max)
+    rows, lead = iter(rows), None
+    while block := list(islice(rows, _BLOCK)):
+        yield ("\n" if lead is None else lead) + sep.join([
+            line.format(r.j, r.d_conjecture,
+                        none if r.d_thm1 is None else r.d_thm1,
+                        none if r.d_thm25i is None else r.d_thm25i,
+                        none if r.d_thm25ii is None else r.d_thm25ii)
+            for r in block])
+        lead = sep
+    yield empty_tail if lead is None else tail
+
+
+def _frontier_stream(k: int, j_max: int, fmt: str) -> Iterator[str]:
+    """The text of frontier_csv(frontier_table(k, j_max)), or of
+    frontier_json's under fmt "json", in pieces; each row is built when
+    its block is written, so memory stays flat in j_max.  Bad arguments
+    raise here, before the first piece."""
+    k, j_max = _integer("k", k, 1), _integer("j_max", j_max, 1)
+    return _frontier_text(k, j_max, _frontier_rows(k, j_max), fmt)
 
 
 def frontier_csv(table: FrontierTable) -> str:
-    lines = ["j,d_conjecture,d_thm1,d_thm25i,d_thm25ii"]
-    for r in table.rows:
-        cells = [str(r.j), str(r.d_conjecture)]
-        for dd in (r.d_thm1, r.d_thm25i, r.d_thm25ii):
-            cells.append("" if dd is None else str(dd))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The table as CSV: a header line, then one line per row, with an
+    empty cell where a criterion certifies nothing."""
+    return "".join(_frontier_text(table.k, table.j_max, table.rows, "csv"))
 
 
 def frontier_json(table: FrontierTable) -> str:
-    import json
-
-    payload = {
-        "k": table.k,
-        "j_max": table.j_max,
-        "rows": [
-            {"j": r.j, "d_conjecture": r.d_conjecture, "d_thm1": r.d_thm1,
-             "d_thm25i": r.d_thm25i, "d_thm25ii": r.d_thm25ii}
-            for r in table.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The table as JSON with indent 2: keys k, j_max and rows, each row
+    an object of the FrontierRow fields by name, null for an absent
+    cell."""
+    return "".join(_frontier_text(table.k, table.j_max, table.rows, "json"))

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import hyperbisect
-from hyperbisect import cli
+from hyperbisect import cli, verdicts
 from hyperbisect.cli import EXIT_BROKEN_PIPE, main
 from hyperbisect.momentcurve import (IntervalFamily, arrangement_from_jsonable,
                                      arrangement_to_jsonable, check_shape,
                                      enumerate_bisections,
                                      hyperplane_to_jsonable, verify_bisection,
                                      well_separated_family)
+from hyperbisect.verdicts import frontier_csv, frontier_json, frontier_table
 
 # the acceptance suite's count-law tuples (d, k, ell)
 COUNT_LAW = ((1, 2, 0), (2, 2, 0), (1, 3, 0), (2, 3, 0),
@@ -75,12 +76,20 @@ def test_lambda_check_bad_triple_is_usage_error(capsys):
     assert "error" in err
 
 
-def test_lambda_table_csv(capsys):
-    code, out, _ = _run(capsys, ["lambda", "table", "--k", "2", "--jmax", "6"])
+# (k, jmax) of the streamed table tests: k 1..7, so every criterion's
+# cells, and jmax 1, 2, the golden CSV's 40 and about the benchmark's 300
+TABLE_SHAPES = [(k, j_max) for k in range(1, 8) for j_max in (1, 2, 40, 300)]
+
+
+@pytest.mark.parametrize("k, j_max", TABLE_SHAPES)
+def test_lambda_table_csv(capsys, k, j_max):
+    code, out, _ = _run(capsys, ["lambda", "table", "--k", str(k),
+                                 "--jmax", str(j_max)])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "j,d_conjecture,d_thm1,d_thm25i,d_thm25ii"
-    assert len(lines) == 7
+    assert len(lines) == j_max + 1
+    assert out == frontier_csv(frontier_table(k, j_max))
 
 
 def test_lambda_table_deterministic(capsys):
@@ -90,12 +99,32 @@ def test_lambda_table_deterministic(capsys):
     assert out1 == out2
 
 
-def test_lambda_table_json(capsys):
-    code, out, _ = _run(capsys, ["lambda", "table", "--k", "2", "--jmax", "4",
-                                 "--format", "json"])
+@pytest.mark.parametrize("k, j_max", TABLE_SHAPES)
+def test_lambda_table_json(capsys, k, j_max):
+    code, out, _ = _run(capsys, ["lambda", "table", "--k", str(k),
+                                 "--jmax", str(j_max), "--format", "json"])
     assert code == 0
     data = json.loads(out)
-    assert [r["j"] for r in data["rows"]] == [1, 2, 3, 4]
+    assert [r["j"] for r in data["rows"]] == list(range(1, j_max + 1))
+    assert out == frontier_json(frontier_table(k, j_max))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lambda_table_builds_no_table(capsys, monkeypatch, fmt):
+    # the rows are written as they are built; only lambda figure needs
+    # the whole table
+    def refuse(*args):
+        raise AssertionError("lambda table built the whole table")
+
+    # cli keeps the library names it has looked up, so both go; cli's
+    # first, so that the name it keeps afterwards is the real one
+    monkeypatch.setattr(cli, "frontier_table", refuse)
+    monkeypatch.setattr(verdicts, "frontier_table", refuse)
+    code, out, _ = _run(capsys, ["lambda", "table", "--k", "3", "--jmax",
+                                 "5000", "--format", fmt])
+    assert code == 0
+    text = frontier_csv if fmt == "csv" else frontier_json
+    assert out == text(frontier_table(3, 5000))  # the name imported here
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,6 +517,32 @@ def test_lambda_table_large_jmax_answers_at_once(capsys):
     lines = out.split("\n")
     assert len(lines) == 20002 and lines[-1] == ""
     assert lines[-2] == "20000,6667,16384,,"
+    assert out == frontier_csv(frontier_table(3, 20000))
+
+
+def _child_max_rss(argv) -> int:
+    """The max RSS of one CLI child, in the units of ru_maxrss: a wrapper
+    process runs the child and reports its RUSAGE_CHILDREN, which no other
+    child of this process can raise."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
+               "check=True)\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", wrapper, sys.executable,
+                           "-m", "hyperbisect.cli", *argv],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
+    return int(proc.stdout)
+
+
+def test_lambda_table_memory_is_flat_in_jmax():
+    pytest.importorskip("resource")  # Unix only
+    small, large = (_child_max_rss(["lambda", "table", "--k", "3",
+                                    "--jmax", str(j_max)])
+                    for j_max in (10_000, 300_000))
+    # ru_maxrss counts kB on Linux and bytes on macOS
+    mb = 1 << (20 if sys.platform == "darwin" else 10)
+    assert abs(large - small) <= 4 * mb, (small, large)
 
 
 def _child_env() -> dict:
@@ -533,13 +588,18 @@ def test_cross_checks_fail_under_python_O(name):
     assert proc.returncode == 0 and proc.stdout
 
 
-def test_stdout_closed_after_first_line_exits_quietly():
+@pytest.mark.parametrize("argv, first", [
     # like `hyperbisect enumerate 3 3 --params 0,...,17 | head -1`: the
     # 100 kB of JSON do not fit in the pipe, so the child hits the closed end
-    params = ",".join(str(t) for t in range(18))
-    proc = _cli_child(["enumerate", "3", "3", "--params", params],
-                      stdout=subprocess.PIPE)
-    assert proc.stdout.readline() == b"[\n"
+    (["enumerate", "3", "3", "--params", ",".join(map(str, range(18)))],
+     b"[\n"),
+    # a streamed table of about 20 MB, written while its rows are built
+    (["lambda", "table", "--k", "3", "--jmax", "1000000"],
+     b"j,d_conjecture,d_thm1,d_thm25i,d_thm25ii\n"),
+], ids=["enumerate", "lambda table"])
+def test_stdout_closed_after_first_line_exits_quietly(argv, first):
+    proc = _cli_child(argv, stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == first
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == EXIT_BROKEN_PIPE

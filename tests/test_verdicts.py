@@ -17,7 +17,8 @@ import pytest
 from hyperbisect.verdicts import (HAM_SANDWICH, MOMENT_CURVE_NECESSITY, NONE,
                                   THM1_IDEAL, THM25_I, THM25_II, Certificate,
                                   FrontierRow, FrontierTable, LambdaVerdict,
-                                  Status, _least_thm25ii, _thm25i_fires,
+                                  Status, _BLOCK, _frontier_stream,
+                                  _least_thm25ii, _thm25i_fires,
                                   _thm25ii_fires, certificate_checks,
                                   frontier_csv, frontier_json, frontier_table,
                                   is_power_of_two, verdict)
@@ -295,9 +296,14 @@ def test_certificate_checks_rejects_a_d0_that_is_not_a_plain_int(d0):
     ((0, 5), "need k >= 1, got 0"),
     ((2, 0), "need j_max >= 1, got 0"),
 ])
-def test_frontier_table_rejects_bad_arguments(args, message):
+@pytest.mark.parametrize("build", [
+    frontier_table,
+    # the streamed text refuses them when called, before any text
+    lambda k, j_max: _frontier_stream(k, j_max, "csv"),
+], ids=["table", "stream"])
+def test_frontier_table_rejects_bad_arguments(args, message, build):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        frontier_table(*args)
+        build(*args)
 
 
 def test_verdict_rejects_bad_triples():
@@ -391,6 +397,31 @@ def test_json_round_trip():
 def test_json_keys_are_k_j_max_and_rows():
     data = json.loads(frontier_json(frontier_table(2, 4)))
     assert list(data) == ["k", "j_max", "rows"]
+
+
+@pytest.mark.parametrize("j_max", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_frontier_text_is_that_of_json_dumps_and_joined_cells(j_max):
+    # rows are formatted in blocks of _BLOCK, and the text must not show
+    # where a block ends; the CLI streams the same text without a table
+    table = frontier_table(3, j_max)
+    cells = (("" if x is None else str(x) for x in dataclasses.astuple(r))
+             for r in table.rows)
+    csv = "".join(["j,d_conjecture,d_thm1,d_thm25i,d_thm25ii\n",
+                   *(",".join(row) + "\n" for row in cells)])
+    payload = {"k": 3, "j_max": j_max,
+               "rows": [dataclasses.asdict(r) for r in table.rows]}
+    assert frontier_csv(table) == csv
+    assert frontier_json(table) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(_frontier_stream(3, j_max, "csv")) == csv
+    assert "".join(_frontier_stream(np.int64(3), j_max, "json")) \
+        == frontier_json(table)
+
+
+def test_frontier_text_of_a_table_without_rows():
+    table = FrontierTable(2, 0, ())
+    assert frontier_csv(table) == "j,d_conjecture,d_thm1,d_thm25i,d_thm25ii\n"
+    assert frontier_json(table) == json.dumps(
+        {"k": 2, "j_max": 0, "rows": []}, indent=2) + "\n"
 
 
 def test_frontier_json_of_numpy_arguments_is_that_of_ints():
